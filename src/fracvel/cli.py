@@ -366,8 +366,12 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
             raise UsageError("mean_value needs --beta strictly below 1")
     if not 0.0 < cfg.ratio < 1.0:
         raise UsageError(f"--ratio must lie in (0, 1), got {cfg.ratio}")
-    if cfg.eps0 <= 0.0:
-        raise UsageError(f"--eps0 must be positive, got {cfg.eps0}")
+    if not (math.isfinite(cfg.eps0) and cfg.eps0 > 0.0):
+        raise UsageError(f"--eps0 must be positive and finite, got {cfg.eps0}")
+    for flag, value in (("--tol", cfg.tol), ("--kg-tol", cfg.kg_tol),
+                        ("--threshold", cfg.threshold)):
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
+            raise UsageError(f"{flag} must be nonnegative and finite, got {value}")
     if cfg.count < 4:
         raise UsageError(f"--count must be at least 4, got {cfg.count}")
     if cfg.command == "zoo" and cfg.fmt != "json":

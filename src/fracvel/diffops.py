@@ -96,21 +96,29 @@ def difference(f, x: float, eps: float, direction: Direction) -> float:
     return float(_feval(f, x) - _feval(f, x - eps))
 
 
-def variation_values(f, x: float, beta: float, direction: Direction, eps) -> np.ndarray:
+def variation_values(f, x, beta: float, direction: Direction, eps) -> np.ndarray:
     """Fractional variation difference/eps**beta over an array of increments.
 
     The whole array is evaluated in one vectorized call so deep schedules
-    stay cheap.
+    stay cheap.  x may also be a 1-D array of base points, giving one row
+    per point from a single call on the (points x increments) array.
+    f(x) itself is evaluated one point at a time, as a scalar: numpy may
+    round a scalar power differently from an array one, and this keeps
+    every row bit for bit equal to its single-point result.
     """
     eps = np.asarray(eps, dtype=float)
     _check_eps(eps)
     _check_beta(beta)
-    _check_window(f, x, float(eps.max()), direction)
-    fx = _feval(f, x)
+    xs = np.asarray(x, dtype=float)
+    width = float(eps.max())
+    fx = np.empty(xs.shape + (1,))
+    for i, v in enumerate(xs.flat):
+        _check_window(f, float(v), width, direction)
+        fx.flat[i] = _feval(f, v)
     if direction is Direction.FORWARD:
-        delta = _feval(f, x + eps) - fx
+        delta = _feval(f, xs[..., None] + eps) - fx
     else:
-        delta = fx - _feval(f, x - eps)
+        delta = fx - _feval(f, xs[..., None] - eps)
     return delta / eps ** beta
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "LimitStatus",
     "LimitEstimate",
     "classify_limit",
+    "velocity_limit",
     "VelocityReport",
     "estimate_velocity",
     "ConditionsReport",
@@ -53,6 +54,15 @@ MIN_USABLE = 4
 C1_RATIO_CUTOFF = 10.0
 
 _EPS_MACH = np.finfo(float).eps
+
+# Points per block of a grid evaluation scale so that a block holds about
+# this many (point, increment) entries, bounding the evaluator's working set.
+GRID_BLOCK_ENTRIES = 2 ** 14
+
+
+def _floor(x):
+    """Round-off floor FLOOR_FACTOR * eps_mach * max(1, |x|); x may be an array."""
+    return FLOOR_FACTOR * _EPS_MACH * np.fmax(1.0, np.abs(x))
 
 
 @dataclass(frozen=True)
@@ -83,7 +93,7 @@ class EpsilonSchedule:
         ScheduleUnderflowError when fewer than 4 survive.
         """
         eps = self.raw()
-        floor = max(FLOOR_FACTOR * _EPS_MACH * max(1.0, abs(x)), extra_floor)
+        floor = max(_floor(x), extra_floor)
         kept = eps[eps > floor]
         if kept.size < MIN_USABLE:
             raise ScheduleUnderflowError(
@@ -115,6 +125,33 @@ class LimitEstimate:
     tail_values: Tuple[float, ...]
 
 
+# Statuses by the row codes _classify_rows computes.
+_STATUS_BY_CODE = np.array([LimitStatus.CONVERGED, LimitStatus.OSCILLATORY,
+                            LimitStatus.DIVERGED], dtype=object)
+
+
+def _classify_rows(values: np.ndarray, tol: float, divergence_cutoff: float):
+    """The windowed Cauchy rule of classify_limit, applied to each row.
+
+    values is 2-D, one sequence per row.  Returns (window, status, value,
+    residual): the last max(4, N//4) columns, then per row the
+    LimitStatus, the last window entry and the window spread, the last
+    two NaN where the row diverged.
+    """
+    n = values.shape[1]
+    if n < MIN_USABLE:
+        raise ValueError(f"need at least {MIN_USABLE} values, got {n}")
+    if not np.isfinite(tol) or tol < 0.0:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
+    window = values[:, -max(4, n // 4):]
+    bounded = (np.isfinite(values).all(axis=1)
+               & (np.abs(window) <= divergence_cutoff).all(axis=1))
+    residual = np.subtract(window.max(axis=1), window.min(axis=1),
+                           out=np.full(len(values), math.nan), where=bounded)
+    status = _STATUS_BY_CODE[np.where(bounded, residual > tol, 2)]
+    return window, status, np.where(bounded, window[:, -1], math.nan), residual
+
+
 def classify_limit(values, tol: float,
                    divergence_cutoff: float = DIVERGENCE_CUTOFF) -> LimitEstimate:
     """Classify a sequence indexed by shrinking increments.
@@ -124,20 +161,58 @@ def classify_limit(values, tol: float,
     DIVERGED.  Otherwise the window spread is compared with tol: within
     tol (ties included) is CONVERGED, else OSCILLATORY.
     """
-    values = np.asarray(values, dtype=float)
-    if values.size < MIN_USABLE:
-        raise ValueError(f"need at least {MIN_USABLE} values, got {values.size}")
-    if not np.isfinite(tol) or tol < 0.0:
-        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
-    m = max(4, values.size // 4)
-    window = values[-m:]
-    tail = tuple(float(v) for v in window)
-    bad = ~np.isfinite(values)
-    if bad.any() or np.any(np.abs(window) > divergence_cutoff):
+    values = np.asarray(values, dtype=float).reshape(1, -1)
+    window, status, value, residual = _classify_rows(values, tol, divergence_cutoff)
+    tail = tuple(float(v) for v in window[0])
+    if status[0] is LimitStatus.DIVERGED:
         return LimitEstimate(math.nan, LimitStatus.DIVERGED, math.nan, tail)
-    residual = float(np.max(window) - np.min(window))
-    status = LimitStatus.CONVERGED if residual <= tol else LimitStatus.OSCILLATORY
-    return LimitEstimate(float(window[-1]), status, residual, tail)
+    return LimitEstimate(float(value[0]), status[0], float(residual[0]), tail)
+
+
+def _variations(f, x: float, beta: float, direction: Direction,
+                schedule: Optional[EpsilonSchedule]):
+    """The usable increments at x and the fractional variation over them."""
+    diffops._check_beta(beta)
+    eps = (schedule or DEFAULT_SCHEDULE).increments(x)
+    return eps, variation_values(f, x, beta, direction, eps)
+
+
+def velocity_limit(f, x: float, beta: float, direction: Direction,
+                   schedule: Optional[EpsilonSchedule] = None,
+                   tol: float = DEFAULT_TOL) -> LimitEstimate:
+    """The one-sided fractional velocity limit at x, without side conditions.
+
+    The same limit estimate_velocity reports, at the cost of one
+    variation walk down the schedule; the c1 oscillation sampling and
+    the c2 spread are left out.  Scans, the interval verifiers and the
+    LFD cross-check read only this.
+    """
+    _, vals = _variations(f, x, beta, direction, schedule)
+    return classify_limit(vals, tol)
+
+
+def _velocity_limits(f, xs: np.ndarray, beta: float, direction: Direction,
+                     schedule: EpsilonSchedule, tol: float):
+    """Status and value of velocity_limit at every point of the 1-D array xs.
+
+    The round-off floor makes the usable ladder depend on max(1, |x|), so
+    points are grouped by ladder length; each group is evaluated as
+    (points x increments) blocks and classified row by row.  Returns two
+    arrays: the LimitStatus of each point and its value.  A point whose
+    ladder underflows raises ScheduleUnderflowError, though not
+    necessarily at the first such point in xs.
+    """
+    kept = np.count_nonzero(schedule.raw() > _floor(xs)[:, None], axis=1)
+    status = np.empty(xs.size, dtype=object)
+    value = np.empty(xs.size)
+    for k in np.unique(kept):
+        rows = np.flatnonzero(kept == k)
+        eps = schedule.increments(float(xs[rows[0]]))
+        n_blocks = math.ceil(rows.size * eps.size / GRID_BLOCK_ENTRIES)
+        for block in np.array_split(rows, n_blocks):
+            vals = variation_values(f, xs[block], beta, direction, eps)
+            _, status[block], value[block], _ = _classify_rows(vals, tol, DIVERGENCE_CUTOFF)
+    return status, value
 
 
 @dataclass(frozen=True)
@@ -161,8 +236,8 @@ def _oscillations(f, x: float, direction: Direction, eps: np.ndarray,
     """Oscillation over each probe window.
 
     c1_samples None runs the adaptive doubling ladder per increment;
-    an integer runs one fixed-resolution vectorized pass, which grid
-    scans rely on to stay fast.
+    an integer runs one fixed-resolution vectorized pass over all
+    windows at once.
     """
     if c1_samples is None:
         return np.array([refine_oscillation(f, x, float(e), direction).value
@@ -185,6 +260,8 @@ def estimate_velocity(f, x: float, beta: float, direction: Direction,
                       c1_samples: Optional[int] = None,
                       divergence_cutoff: float = DIVERGENCE_CUTOFF) -> VelocityReport:
     """Estimate the one-sided fractional velocity of order beta at x.
+
+    The limit is velocity_limit's; this adds the two side conditions.
 
     Parameters
     ----------
@@ -211,10 +288,7 @@ def estimate_velocity(f, x: float, beta: float, direction: Direction,
     -------
     VelocityReport
     """
-    diffops._check_beta(beta)
-    schedule = schedule or DEFAULT_SCHEDULE
-    eps = schedule.increments(x)
-    vals = variation_values(f, x, beta, direction, eps)
+    eps, vals = _variations(f, x, beta, direction, schedule)
     limit = classify_limit(vals, tol, divergence_cutoff)
     osc = _oscillations(f, x, direction, eps, c1_samples)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -27,7 +27,7 @@ from .estimator import (
     LimitEstimate,
     LimitStatus,
     classify_limit,
-    estimate_velocity,
+    velocity_limit,
 )
 
 __all__ = [
@@ -311,15 +311,14 @@ def check_lfd_equivalence(f, a: float, beta: float, direction: Direction,
     the comparison would be against noise.
     """
     _check_order(beta)
-    vel = estimate_velocity(f, float(a), beta, direction, velocity_schedule,
-                            velocity_tol, c1_samples=65)
-    if vel.limit.status is not LimitStatus.CONVERGED:
+    vel = velocity_limit(f, float(a), beta, direction, velocity_schedule, velocity_tol)
+    if vel.status is not LimitStatus.CONVERGED:
         raise PreconditionError(
-            f"velocity at a={a:g} is {vel.limit.status.value}; nothing to compare")
+            f"velocity at a={a:g} is {vel.status.value}; nothing to compare")
     lfd = kg_lfd(f, a, beta, direction, approach, config, kg_tol)
-    scaled = float(_gamma(1.0 + beta)) * vel.limit.value
+    scaled = float(_gamma(1.0 + beta)) * vel.value
     combined = float(velocity_tol + kg_tol)
     gap = abs(lfd.value - scaled) if lfd.status is LimitStatus.CONVERGED else math.inf
     passed = bool(lfd.status is LimitStatus.CONVERGED and gap <= combined)
     return LfdReport(float(a), float(beta), direction, lfd,
-                     float(vel.limit.value), scaled, gap, combined, passed)
+                     float(vel.value), scaled, gap, combined, passed)

@@ -20,9 +20,10 @@ from .errors import DomainError, PreconditionError
 from .estimator import (
     DEFAULT_SCHEDULE,
     EpsilonSchedule,
+    LimitEstimate,
     LimitStatus,
-    VelocityReport,
-    estimate_velocity,
+    _velocity_limits,
+    velocity_limit,
 )
 
 __all__ = [
@@ -38,9 +39,6 @@ __all__ = [
 ]
 
 SCAN_TOL = 1e-4
-
-# Fixed oscillation resolution for per-point reports inside scans.
-SCAN_OSC_SAMPLES = 65
 
 
 class Theorem(enum.Enum):
@@ -77,18 +75,28 @@ def _require_margin(f, a: float, b: float, eps0: float) -> None:
             f"outside the domain [{lo:g}, {hi:g}]")
 
 
+def _probes(n: int):
+    """(grid index, direction) of every scan probe, in grid order."""
+    for i in range(n):
+        if i < n - 1:
+            yield i, Direction.FORWARD
+        if i > 0:
+            yield i, Direction.BACKWARD
+
+
 def scan_change_set(f, interval, beta: float, n: int,
                     flag_threshold: Optional[float] = None,
                     schedule: Optional[EpsilonSchedule] = None,
-                    tol: float = SCAN_TOL, *,
-                    c1_samples: int = SCAN_OSC_SAMPLES) -> ChangeSetReport:
+                    tol: float = SCAN_TOL) -> ChangeSetReport:
     """Flag grid points whose one-sided velocity converges past a threshold.
 
     Endpoints are probed from inside the interval only; interior points
     get both directions.  A point is flagged when its limit status is
     converged and |value| exceeds flag_threshold (default 10*tol).  The
     flagged fraction counts distinct abscissae, so a cusp caught from
-    both sides still counts once.
+    both sides still counts once.  Each probe reports exactly what
+    velocity_limit reports there; the grid is evaluated one direction
+    at a time as (points x increments) arrays.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
@@ -101,25 +109,31 @@ def scan_change_set(f, interval, beta: float, n: int,
     _require_margin(f, a, b, schedule.eps0)
 
     xs = np.linspace(a, b, n)
+    try:
+        sides = {
+            Direction.FORWARD: _velocity_limits(f, xs[:-1], beta, Direction.FORWARD,
+                                                schedule, tol),
+            Direction.BACKWARD: _velocity_limits(f, xs[1:], beta, Direction.BACKWARD,
+                                                 schedule, tol),
+        }
+    except Exception:
+        # A failed batch does not say which probe failed first: replay the
+        # probes one by one so the error is the one the first failing probe
+        # raises on its own, then fall back to the batch's error.
+        for i, d in _probes(n):
+            velocity_limit(f, float(xs[i]), beta, d, schedule, tol)
+        raise
     points = []
     flagged = []
-    for i, x in enumerate(xs):
-        x = float(x)
-        if i == 0:
-            dirs = (Direction.FORWARD,)
-        elif i == n - 1:
-            dirs = (Direction.BACKWARD,)
-        else:
-            dirs = (Direction.FORWARD, Direction.BACKWARD)
-        for d in dirs:
-            rep = estimate_velocity(f, x, beta, d, schedule, tol,
-                                    c1_samples=c1_samples)
-            hit = (rep.limit.status is LimitStatus.CONVERGED
-                   and abs(rep.limit.value) > threshold)
-            points.append(GridPointResult(x, d, rep.limit.status,
-                                          rep.limit.value, hit))
-            if hit:
-                flagged.append((x, rep.limit.value, d))
+    for i, d in _probes(n):
+        x = float(xs[i])
+        status, values = sides[d]
+        j = i if d is Direction.FORWARD else i - 1
+        value = float(values[j])
+        hit = status[j] is LimitStatus.CONVERGED and abs(value) > threshold
+        points.append(GridPointResult(x, d, status[j], value, hit))
+        if hit:
+            flagged.append((x, value, d))
     fraction = len({x for x, _, _ in flagged}) / n
     return ChangeSetReport((a, b), float(beta), n, threshold,
                            tuple(flagged), fraction, tuple(points))
@@ -128,8 +142,7 @@ def scan_change_set(f, interval, beta: float, n: int,
 def null_measure_trend(f, interval, beta: float, refinements,
                        flag_threshold: Optional[float] = None,
                        schedule: Optional[EpsilonSchedule] = None,
-                       tol: float = SCAN_TOL, *,
-                       c1_samples: int = SCAN_OSC_SAMPLES):
+                       tol: float = SCAN_TOL):
     """Flagged fraction at a ladder of grid resolutions.
 
     For isolated cusps the fraction should fall like 1/n, the numerical
@@ -141,8 +154,7 @@ def null_measure_trend(f, interval, beta: float, refinements,
         raise ValueError("refinements must be increasing and at least 3")
     out = []
     for n in refs:
-        rep = scan_change_set(f, interval, beta, n, flag_threshold, schedule,
-                              tol, c1_samples=c1_samples)
+        rep = scan_change_set(f, interval, beta, n, flag_threshold, schedule, tol)
         out.append((n, rep.flagged_fraction))
     return out
 
@@ -167,22 +179,19 @@ def _fitted_schedule(schedule: EpsilonSchedule, margin: float) -> Optional[Epsil
 
 
 def _velocity_at(f, x: float, beta: float, direction: Direction,
-                 schedule: EpsilonSchedule, tol: float,
-                 c1_samples: int) -> Optional[VelocityReport]:
-    """estimate_velocity with the schedule trimmed to the domain; None if no room."""
+                 schedule: EpsilonSchedule, tol: float) -> Optional[LimitEstimate]:
+    """velocity_limit with the schedule trimmed to the domain; None if no room."""
     lo, hi = domain_of(f)
     margin = hi - x if direction is Direction.FORWARD else x - lo
     fitted = _fitted_schedule(schedule, margin)
     if fitted is None:
         return None
-    return estimate_velocity(f, x, beta, direction, fitted, tol,
-                             c1_samples=c1_samples)
+    return velocity_limit(f, x, beta, direction, fitted, tol)
 
 
 def verify_rolle(f, a: float, b: float, beta: float, n: int = 101,
                  schedule: Optional[EpsilonSchedule] = None,
-                 tol: float = 1e-3, *,
-                 c1_samples: int = SCAN_OSC_SAMPLES) -> IntervalVerdict:
+                 tol: float = 1e-3) -> IntervalVerdict:
     """Find an interior point whose one-sided velocities split signs.
 
     Hypothesis: f(a) and f(b) agree within tol.  Every interior grid
@@ -209,18 +218,18 @@ def verify_rolle(f, a: float, b: float, beta: float, n: int = 101,
     checked = 0
     for x in xs:
         x = float(x)
-        rf = _velocity_at(f, x, beta, Direction.FORWARD, schedule, tol, c1_samples)
-        rb = _velocity_at(f, x, beta, Direction.BACKWARD, schedule, tol, c1_samples)
+        rf = _velocity_at(f, x, beta, Direction.FORWARD, schedule, tol)
+        rb = _velocity_at(f, x, beta, Direction.BACKWARD, schedule, tol)
         if rf is None or rb is None:
             continue
         checked += 1
-        if (rf.limit.status is not LimitStatus.CONVERGED
-                or rb.limit.status is not LimitStatus.CONVERGED):
+        if (rf.status is not LimitStatus.CONVERGED
+                or rb.status is not LimitStatus.CONVERGED):
             return IntervalVerdict(
                 Theorem.ROLLE, False, None,
                 f"velocity scan fails at x={x:g}: "
-                f"forward {rf.limit.status.value}, backward {rb.limit.status.value}")
-        vf, vb = rf.limit.value, rb.limit.value
+                f"forward {rf.status.value}, backward {rb.status.value}")
+        vf, vb = rf.value, rb.value
         up_down = vf <= tol and vb >= -tol
         down_up = vf >= -tol and vb <= tol
         if up_down or down_up:
@@ -241,8 +250,7 @@ def verify_rolle(f, a: float, b: float, beta: float, n: int = 101,
 
 def verify_mean_value(f, a: float, b: float, beta: float,
                       schedule: Optional[EpsilonSchedule] = None,
-                      tol: float = 1e-3, *, grid_n: int = 33,
-                      c1_samples: int = SCAN_OSC_SAMPLES) -> IntervalVerdict:
+                      tol: float = 1e-3, *, grid_n: int = 33) -> IntervalVerdict:
     """Check the endpoint form of the fractional mean value relation.
 
     The ratio r = (f(b)-f(a)) / (b-a)**beta must be attained by the
@@ -264,15 +272,15 @@ def verify_mean_value(f, a: float, b: float, beta: float,
 
     r = (fb - fa) / (b - a) ** beta
     witness = None
-    rep_a = _velocity_at(f, a, beta, Direction.FORWARD, schedule, tol, c1_samples)
-    if (rep_a is not None and rep_a.limit.status is LimitStatus.CONVERGED
-            and abs(rep_a.limit.value - r) <= tol):
-        witness = {"x": a, "endpoint": 0.0, "velocity": rep_a.limit.value, "ratio": r}
+    rep_a = _velocity_at(f, a, beta, Direction.FORWARD, schedule, tol)
+    if (rep_a is not None and rep_a.status is LimitStatus.CONVERGED
+            and abs(rep_a.value - r) <= tol):
+        witness = {"x": a, "endpoint": 0.0, "velocity": rep_a.value, "ratio": r}
     else:
-        rep_b = _velocity_at(f, b, beta, Direction.BACKWARD, schedule, tol, c1_samples)
-        if (rep_b is not None and rep_b.limit.status is LimitStatus.CONVERGED
-                and abs(rep_b.limit.value - r) <= tol):
-            witness = {"x": b, "endpoint": 1.0, "velocity": rep_b.limit.value, "ratio": r}
+        rep_b = _velocity_at(f, b, beta, Direction.BACKWARD, schedule, tol)
+        if (rep_b is not None and rep_b.status is LimitStatus.CONVERGED
+                and abs(rep_b.value - r) <= tol):
+            witness = {"x": b, "endpoint": 1.0, "velocity": rep_b.value, "ratio": r}
 
     attained = 0
     skipped = 0
@@ -281,12 +289,12 @@ def verify_mean_value(f, a: float, b: float, beta: float,
         x = float(x)
         hit = False
         for d in (Direction.FORWARD, Direction.BACKWARD):
-            rep = _velocity_at(f, x, beta, d, schedule, tol, c1_samples)
+            rep = _velocity_at(f, x, beta, d, schedule, tol)
             if rep is None:
                 skipped += 1
                 continue
-            if (rep.limit.status is LimitStatus.CONVERGED
-                    and abs(rep.limit.value - r) <= tol):
+            if (rep.status is LimitStatus.CONVERGED
+                    and abs(rep.value - r) <= tol):
                 hit = True
         if hit:
             attained += 1
@@ -297,8 +305,7 @@ def verify_mean_value(f, a: float, b: float, beta: float,
 
 def verify_weak_darboux(f, a: float, b: float, beta: float, n: int = 101,
                         schedule: Optional[EpsilonSchedule] = None,
-                        tol: float = 1e-3, target: Optional[float] = None, *,
-                        c1_samples: int = SCAN_OSC_SAMPLES) -> IntervalVerdict:
+                        tol: float = 1e-3, target: Optional[float] = None) -> IntervalVerdict:
     """Weak intermediate-value check for the velocity along a grid.
 
     At order one a target between the endpoint derivatives must be given
@@ -321,15 +328,15 @@ def verify_weak_darboux(f, a: float, b: float, beta: float, n: int = 101,
     for i, x in enumerate(xs):
         x = float(x)
         d = Direction.BACKWARD if i == len(xs) - 1 else Direction.FORWARD
-        rep = _velocity_at(f, x, beta, d, schedule, tol, c1_samples)
+        rep = _velocity_at(f, x, beta, d, schedule, tol)
         if rep is None:
             return IntervalVerdict(Theorem.WEAK_DARBOUX, False, None,
                                    f"no room for the schedule at x={x:g}")
-        if rep.limit.status is not LimitStatus.CONVERGED:
+        if rep.status is not LimitStatus.CONVERGED:
             return IntervalVerdict(
                 Theorem.WEAK_DARBOUX, False, None,
-                f"velocity scan fails at x={x:g}: {rep.limit.status.value}")
-        vels.append(rep.limit.value)
+                f"velocity scan fails at x={x:g}: {rep.status.value}")
+        vels.append(rep.value)
     v = np.asarray(vels)
 
     if beta == 1.0:

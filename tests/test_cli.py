@@ -61,10 +61,28 @@ class TestParseArgs:
         ["scan", "--fn", "cusp:", "--interval", "0;1", "--beta", "0.5",
          "--n", "11"],
         ["zoo", "list", "--format", "csv"],
+        ["analyze", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "--tol", "nan"],
+        ["analyze", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "--tol", "inf"],
+        ["analyze", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "--tol", "-1"],
+        ["analyze", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "--eps0", "inf"],
+        ["analyze", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "--eps0", "nan"],
+        ["scan", "--fn", "cusp:", "--interval=-1,1", "--beta", "0.5", "--n", "11",
+         "--threshold", "nan"],
+        ["scan", "--fn", "cusp:", "--interval=-1,1", "--beta", "0.5", "--n", "11",
+         "--threshold", "-1"],
+        ["scan", "--fn", "cusp:", "--interval=-1,1", "--beta", "0.5", "--n", "11",
+         "--threshold", "inf"],
+        ["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "--kg-tol", "nan"],
     ])
     def test_usage_errors(self, argv):
         with pytest.raises(UsageError):
             parse_args(argv)
+
+    @pytest.mark.parametrize("flag", ["--tol", "--threshold"])
+    def test_zero_tolerance_and_threshold_accepted(self, flag):
+        cfg = parse_args(["scan", "--fn", "cusp:", "--interval=-1,1", "--beta", "0.5",
+                          "--n", "11", flag, "0"])
+        assert getattr(cfg, flag[2:]) == 0.0
 
     def test_bad_choice_exits_2(self):
         with pytest.raises(SystemExit) as exc_info:

@@ -13,10 +13,13 @@ from fracvel import (
     classify_limit,
     difference,
     estimate_holder_exponent,
+    estimate_velocity,
     fractional_variation,
     interval_oscillation,
+    make_chirp,
     make_power_cusp,
     taylor_residual,
+    velocity_limit,
 )
 from fracvel.diffops import _osc_sampled
 from fracvel.estimator import FLOOR_FACTOR
@@ -149,3 +152,16 @@ def test_holder_regression_recovers_pure_power_laws(beta):
     est = estimate_holder_exponent(f, 0.0, FWD)
     assert est.exponent == pytest.approx(beta, abs=0.01)
     assert est.r_squared > 0.999
+
+
+@settings(max_examples=40, deadline=None)
+@given(chirp=st.booleans(), a=st.floats(-1.0, 1.0), order=st.floats(0.1, 0.9),
+       K=st.floats(0.1, 5.0), u=st.floats(-1.5, 1.5), beta=st.floats(0.05, 1.0),
+       tol=st.sampled_from([1e-6, 1e-4, 1e-2]), direction=st.sampled_from([FWD, BWD]))
+def test_velocity_limit_is_the_reported_limit(chirp, a, order, K, u, beta, tol,
+                                              direction):
+    # the limit alone, side conditions skipped, is the full report's limit
+    f = make_chirp(order, a) if chirp else make_power_cusp(a, order, K, 0.0)
+    x = a + u
+    rep = estimate_velocity(f, x, beta, direction, tol=tol, c1_samples=17)
+    assert velocity_limit(f, x, beta, direction, tol=tol) == rep.limit

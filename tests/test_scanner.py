@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from fracvel import (
     DomainError,
     LimitStatus,
     PreconditionError,
+    ScheduleUnderflowError,
     Theorem,
     make_chirp,
     make_polynomial,
@@ -17,7 +20,9 @@ from fracvel import (
     verify_mean_value,
     verify_rolle,
     verify_weak_darboux,
+    velocity_limit,
 )
+from fracvel.estimator import DEFAULT_SCHEDULE
 
 FWD = Direction.FORWARD
 BWD = Direction.BACKWARD
@@ -93,6 +98,65 @@ class TestScanChangeSet:
             scan_change_set(f, (1.0, 0.0), 0.5, 11)
         with pytest.raises(ValueError):
             scan_change_set(f, (0.0, 1.0), 0.5, 2)
+
+
+def spike(t):
+    # plain callable, infinite at 1/2: the forward row at 1/2 diverges
+    # through f(x), the forward row at 7/16 through f(x + 1/16)
+    t = np.asarray(t, dtype=float)
+    return np.where(t == 0.5, np.inf, t)
+
+
+class TestScanMatchesPointwiseLimits:
+    @pytest.mark.parametrize("f, interval, beta, n", [
+        # |x| > 1 shortens the usable ladder, so several lengths occur
+        (make_power_cusp(0.0, 0.5, 1.0, 0.0), (-1.9, 1.9), 0.5, 77),
+        (spike, (0.0, 1.0), 0.5, 17),
+        # non-dyadic order and grid: f(x) must stay a scalar evaluation
+        (make_power_cusp(0.1, 0.37, 1.3, 0.2), (-1.8, 1.9), 0.37, 214),
+        (make_chirp(0.5, 0.0), (-1.5, 1.5), 0.45, 101),
+    ])
+    def test_every_probe_equals_velocity_limit(self, f, interval, beta, n):
+        tol = 1e-4
+        rep = scan_change_set(f, interval, beta, n, tol=tol)
+        assert len(rep.points) == 2 * n - 2
+        for p in rep.points:
+            lim = velocity_limit(f, p.x, beta, p.direction, tol=tol)
+            assert p.status is lim.status
+            assert p.value == lim.value or (math.isnan(p.value) and math.isnan(lim.value))
+
+    def test_grid_covers_several_ladder_lengths(self):
+        xs = np.linspace(-1.9, 1.9, 77)
+        assert len({DEFAULT_SCHEDULE.increments(x).size for x in xs}) > 1
+
+    def test_diverging_rows_reported(self):
+        rep = scan_change_set(spike, (0.0, 1.0), 0.5, 17)
+        diverged = {(p.x, p.direction) for p in rep.points
+                    if p.status is LimitStatus.DIVERGED}
+        assert {(0.5, FWD), (0.5, BWD), (0.4375, FWD), (0.5625, BWD)} <= diverged
+
+    @pytest.mark.parametrize("interval, first_bad", [
+        ((0.0, 1e12), 1e11),
+        ((-5e11, 5e11), -5e11),
+        ((1.1e14, 1.2e14), 1.1e14),
+    ])
+    def test_underflow_far_from_origin_names_the_first_failing_point(
+            self, interval, first_bad):
+        f = make_polynomial((0.0, 1.0), (-1e15, 1e15))
+        with pytest.raises(ScheduleUnderflowError) as expected:
+            velocity_limit(f, first_bad, 0.5, FWD, tol=1e-4)
+        with pytest.raises(ScheduleUnderflowError) as got:
+            scan_change_set(f, interval, 0.5, 11)
+        assert str(got.value) == str(expected.value)
+        assert f"at x={first_bad:g}" in str(got.value)
+
+    def test_invalid_tol_raises_the_pointwise_error(self):
+        f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
+        with pytest.raises(ValueError) as expected:
+            velocity_limit(f, -1.0, 0.5, FWD, tol=math.nan)
+        with pytest.raises(ValueError) as got:
+            scan_change_set(f, (-1.0, 1.0), 0.5, 11, tol=math.nan)
+        assert str(got.value) == str(expected.value)
 
 
 class TestNullMeasureTrend:
