@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import enum
+import functools
 import io
 import json
 import math
@@ -283,6 +284,7 @@ def _add_output(p):
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fracvel",
@@ -345,6 +347,8 @@ def _parse_interval(text: str) -> Tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise UsageError(f"interval must be numeric, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"interval ends must be finite, got {text!r}")
     if not lo < hi:
         raise UsageError(f"interval must be ordered, got {text!r}")
     return (lo, hi)
@@ -356,6 +360,9 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     cfg = RunConfig(**{k: v for k, v in vars(ns).items() if k in known})
     if getattr(ns, "interval", None) is not None:
         cfg.interval = _parse_interval(ns.interval)
+    for flag, value in (("--x", cfg.x), ("--target", cfg.target)):
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value}")
     if cfg.command in ("analyze", "scan", "verify") and cfg.beta is not None:
         if not 0.0 < cfg.beta <= 1.0:
             raise UsageError(f"--beta must lie in (0, 1], got {cfg.beta}")

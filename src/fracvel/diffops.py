@@ -32,6 +32,9 @@ OSC_REL_CHANGE = 1e-3
 # Hard ceiling on oscillation sampling: 2**16 subintervals.
 OSC_SAMPLE_CAP = 2 ** 16 + 1
 
+# Points in the first grid of the oscillation doubling ladder.
+OSC_N0 = 17
+
 _TINY = np.finfo(float).tiny
 
 
@@ -135,9 +138,7 @@ def _osc_offsets(n: int) -> np.ndarray:
 
 
 def _osc_sampled(f, x: float, eps: float, direction: Direction, n: int) -> float:
-    offs = _osc_offsets(n)
-    t = x + eps * offs if direction is Direction.FORWARD else x - eps * offs
-    v = _feval(f, t)
+    v = _feval(f, _window_points(x, eps, _osc_offsets(n), direction))
     return float(np.max(v) - np.min(v))
 
 
@@ -162,7 +163,7 @@ def interval_oscillation(f, x: float, eps: float, direction: Direction,
 
 
 def refine_oscillation(f, x: float, eps: float, direction: Direction,
-                       n0: int = 17, rel_change: float = OSC_REL_CHANGE,
+                       n0: int = OSC_N0, rel_change: float = OSC_REL_CHANGE,
                        cap: int = OSC_SAMPLE_CAP) -> OscillationEstimate:
     """Oscillation by sample doubling until the estimate settles.
 
@@ -173,17 +174,98 @@ def refine_oscillation(f, x: float, eps: float, direction: Direction,
     eps = float(eps)
     _check_eps(eps)
     _check_window(f, x, eps, direction)
-    n = int(n0)
-    if n < 3:
+    if int(n0) < 3:
         raise ValueError("n0 must be at least 3")
-    prev = _osc_sampled(f, x, eps, direction, n)
-    while 2 * n - 1 <= cap:
+    (value,), (n,), (refined,) = _osc_ladder(f, x, [eps], direction, n0, rel_change, cap)
+    return OscillationEstimate(float(value), int(n), bool(refined))
+
+
+def _check_windows(f, x: float, eps: np.ndarray, direction: Direction) -> None:
+    """Raise what _check_eps and _check_window raise for the first bad entry of eps."""
+    lo, hi = domain_of(f)
+    with np.errstate(invalid="ignore"):
+        ok = np.isfinite(eps) & (eps > 0.0)
+        if direction is Direction.FORWARD:
+            ok &= (lo <= x) & (x + eps <= hi)
+        else:
+            ok &= (lo <= x - eps) & (x <= hi)
+    if not ok.all():
+        bad = float(eps[np.argmin(ok)])
+        _check_eps(bad)
+        _check_window(f, x, bad, direction)
+
+
+def _window_points(x: float, eps, offs, direction: Direction):
+    part = eps * offs
+    return x + part if direction is Direction.FORWARD else x - part
+
+
+def _window_extrema(f, x: float, eps: np.ndarray, offs: np.ndarray,
+                    direction: Direction, with_x: bool = False):
+    """Max and min of f over x + e*offs (x - e*offs backward), per e in eps.
+
+    Whole rows go to f, at most OSC_SAMPLE_CAP points a call unless one
+    row alone holds more.  with_x adds x itself to the first call and
+    folds f(x) into every row: each window starts there.
+    """
+    hi = np.empty(eps.size)
+    lo = np.empty(eps.size)
+    step = max(1, (OSC_SAMPLE_CAP - 1) // offs.size)
+    fx = None
+    for i in range(0, eps.size, step):
+        t = _window_points(x, eps[i:i + step, None], offs, direction)
+        shape = t.shape
+        first = with_x and i == 0
+        if first:
+            # the offset-0 point, formed as for any window
+            t = np.append(t, _window_points(x, 0.0, 0.0, direction))
+        v = np.broadcast_to(_feval(f, t.ravel()), (t.size,))
+        if first:
+            fx, v = v[-1], v[:-1]
+        v = v.reshape(shape)
+        hi[i:i + step] = v.max(axis=1)
+        lo[i:i + step] = v.min(axis=1)
+    if fx is not None:
+        np.maximum(hi, fx, out=hi)
+        np.minimum(lo, fx, out=lo)
+    return hi, lo
+
+
+def _osc_ladder(f, x: float, eps, direction: Direction, n0: int,
+                rel_change: float = OSC_REL_CHANGE, cap: int = OSC_SAMPLE_CAP):
+    """refine_oscillation for every increment of eps at once.
+
+    Returns three arrays, one entry per increment: the value, n_samples
+    and refined fields refine_oscillation gives for it alone.  The
+    first grid is sampled for all windows together; each doubling then
+    samples only the new midpoints, and only of the windows that have
+    not settled, folding them into running maxima and minima.  The
+    nested grids make this exact: every coarse offset reappears bit for
+    bit at an even index of the finer grid, so the extrema over the
+    union are the extrema over the full grid.  That holds for any f
+    whose value at a point does not depend on the other points of the
+    call.  n0 is not checked here; n0 = cap gives one fixed grid.
+    """
+    eps = np.asarray(eps, dtype=float)
+    _check_windows(f, x, eps, direction)
+    n = int(n0)
+    hi, lo = _window_extrema(f, x, eps, _osc_offsets(n)[1:], direction, with_x=True)
+    value = hi - lo
+    n_samples = np.full(eps.size, n)
+    refined = np.zeros(eps.size, dtype=bool)
+    active = np.arange(eps.size)
+    while active.size and 2 * n - 1 <= cap:
         n = 2 * n - 1
-        cur = _osc_sampled(f, x, eps, direction, n)
-        if cur - prev <= rel_change * max(cur, _TINY):
-            return OscillationEstimate(cur, n, True)
-        prev = cur
-    return OscillationEstimate(prev, n, False)
+        h, l = _window_extrema(f, x, eps[active], _osc_offsets(n)[1::2], direction)
+        hi[active] = np.maximum(hi[active], h)
+        lo[active] = np.minimum(lo[active], l)
+        cur = hi[active] - lo[active]
+        settled = cur - value[active] <= rel_change * np.maximum(cur, _TINY)
+        value[active] = cur
+        n_samples[active] = n
+        refined[active] = settled
+        active = active[~settled]
+    return value, n_samples, refined
 
 
 def tail_spread(values) -> float:

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import diffops
-from .diffops import Direction, refine_oscillation, tail_spread, variation_values
+from .diffops import Direction, tail_spread, variation_values
 from .errors import LocallyConstantError, PreconditionError, ScheduleUnderflowError
 
 __all__ = [
@@ -233,25 +233,18 @@ class VelocityReport:
 
 def _oscillations(f, x: float, direction: Direction, eps: np.ndarray,
                   c1_samples: Optional[int]) -> np.ndarray:
-    """Oscillation over each probe window.
+    """Oscillation over each probe window, all windows sampled together.
 
-    c1_samples None runs the adaptive doubling ladder per increment;
-    an integer runs one fixed-resolution vectorized pass over all
-    windows at once.
+    c1_samples None runs refine_oscillation's adaptive doubling ladder
+    for every increment at once; an integer samples one fixed grid of
+    that many points per window.
     """
     if c1_samples is None:
-        return np.array([refine_oscillation(f, x, float(e), direction).value
-                         for e in eps])
+        return diffops._osc_ladder(f, x, eps, direction, diffops.OSC_N0)[0]
     n = int(c1_samples)
     if n < 2:
         raise ValueError("c1_samples must be at least 2")
-    offs = np.arange(n, dtype=float) / (n - 1)
-    if direction is Direction.FORWARD:
-        t = x + eps[:, None] * offs[None, :]
-    else:
-        t = x - eps[:, None] * offs[None, :]
-    v = np.asarray(f(t), dtype=float)
-    return np.max(v, axis=1) - np.min(v, axis=1)
+    return diffops._osc_ladder(f, x, eps, direction, n, cap=n)[0]
 
 
 def estimate_velocity(f, x: float, beta: float, direction: Direction,
@@ -360,7 +353,7 @@ class HolderEstimate:
 
 def estimate_holder_exponent(f, x: float, direction: Direction,
                              schedule: Optional[EpsilonSchedule] = None, *,
-                             n0: int = 17) -> HolderEstimate:
+                             n0: int = diffops.OSC_N0) -> HolderEstimate:
     """Pointwise regularity exponent by least squares on log osc vs log eps.
 
     Oscillation is regressed rather than the bare difference so that sign
@@ -372,8 +365,10 @@ def estimate_holder_exponent(f, x: float, direction: Direction,
     """
     schedule = schedule or DEFAULT_SCHEDULE
     eps = schedule.increments(x)
-    osc = np.array([refine_oscillation(f, x, float(e), direction, n0=n0).value
-                    for e in eps])
+    diffops._check_windows(f, x, eps, direction)
+    if int(n0) < 3:
+        raise ValueError("n0 must be at least 3")
+    osc = diffops._osc_ladder(f, x, eps, direction, n0)[0]
     keep = osc > 0.0
     if not keep.any():
         raise LocallyConstantError(f"all oscillations vanish at x={x:g}")

@@ -137,7 +137,12 @@ def make_chirp(gamma: float = 0.5, a: float = 0.0) -> AnalyticTestFunction:
         m = arr > a
         if m.any():
             d = arr[m] - a
-            out[m] = d ** gamma * np.sin(1.0 / d)
+            with np.errstate(over="ignore"):
+                phase = 1.0 / d
+            # below d ~ 5.6e-309 the phase overflows and sin(1/d) has no
+            # double value; |f| <= d**gamma there, so take the midpoint 0
+            phase[np.isinf(phase)] = 0.0
+            out[m] = d ** gamma * np.sin(phase)
         return float(out[0]) if scalar else out
 
     mark = MarkedPoint(a, gamma, UNDEFINED, 0.0)

@@ -1,13 +1,23 @@
-"""Shared schedules and frozen reference constants for the tests.
+"""Shared schedules, frozen reference constants and reference helpers.
 
 The numeric literals here were computed once from closed forms or from
 brute-force reference runs (dense sampling with an independent fitting
 script, or high-precision quadrature via mpmath) and then frozen, so the
-tests compare against values the library code never produced.
+tests compare against values the library code never produced.  The
+helpers at the end restate algorithms in their plainest form, for
+comparison with the optimized library paths.
 """
 import numpy as np
 
 from fracvel import EpsilonSchedule
+from fracvel.diffops import (
+    OSC_REL_CHANGE,
+    OSC_SAMPLE_CAP,
+    _TINY,
+    _check_eps,
+    _check_window,
+    _osc_sampled,
+)
 
 # Shallower ladder for order-1 probes: at eps near 2**-42 the difference
 # f(x+eps)-f(x) is pure cancellation noise of size eps_mach*|f|/eps.
@@ -37,3 +47,59 @@ WEIER_SLOPES = {
 }
 
 WEIER_MARK_XS = (1.0 / np.pi, np.sqrt(2.0) - 1.0, 0.7)
+
+
+def reference_ladder(f, x, eps, direction, n0, rel_change=OSC_REL_CHANGE,
+                     cap=OSC_SAMPLE_CAP):
+    """The oscillation doubling ladder one increment at a time, on full grids.
+
+    Each level samples the whole n-point grid of one window in its own
+    call, the plainest form of refine_oscillation's stop and cap rules.
+    Returns (value, n_samples, refined) arrays like diffops._osc_ladder.
+    """
+    out = []
+    for e in np.asarray(eps, dtype=float):
+        e = float(e)
+        _check_eps(e)
+        _check_window(f, x, e, direction)
+        n = int(n0)
+        prev = _osc_sampled(f, x, e, direction, n)
+        row = None
+        while 2 * n - 1 <= cap:
+            n = 2 * n - 1
+            cur = _osc_sampled(f, x, e, direction, n)
+            if cur - prev <= rel_change * max(cur, _TINY):
+                row = (cur, n, True)
+                break
+            prev = cur
+        out.append(row or (prev, n, False))
+    value, n_samples, refined = zip(*out)
+    return np.array(value), np.array(n_samples), np.array(refined)
+
+
+def same_bits(a, b) -> bool:
+    """Equal element for element, NaN matching NaN and the sign of zero kept."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class SummedWeierstrass:
+    """Weierstrass series on (-2, 2) summed term by term.
+
+    The zoo member sums its terms with a matrix product, whose BLAS
+    kernels may round a point differently depending on how many points
+    share the call.  Summing along the last axis gives each point the
+    same bits whatever else is evaluated with it, which is what a
+    bit-for-bit comparison of two sampling orders needs.
+    """
+
+    domain = (-2.0, 2.0)
+
+    def __init__(self, amp=0.5, freq=3, n_terms=24):
+        self.amps = amp ** np.arange(n_terms)
+        self.freqs = np.pi * float(freq) ** np.arange(n_terms)
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return (np.cos(t[..., None] * self.freqs) * self.amps).sum(axis=-1)

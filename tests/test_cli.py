@@ -8,6 +8,7 @@ import pytest
 from fracvel import Direction, default_zoo
 from fracvel.cli import (
     DataError,
+    _build_parser,
     SampledFunction,
     UsageError,
     build_function,
@@ -73,6 +74,18 @@ class TestParseArgs:
         ["scan", "--fn", "cusp:", "--interval=-1,1", "--beta", "0.5", "--n", "11",
          "--threshold", "inf"],
         ["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "--kg-tol", "nan"],
+        ["analyze", "--fn", "cusp:", "--x", "inf", "--beta", "0.5"],
+        ["analyze", "--fn", "cusp:", "--x", "nan", "--beta", "0.5"],
+        ["holder", "--fn", "cusp:", "--x=-inf"],
+        ["lfd", "--fn", "cusp:", "--x", "nan", "--beta", "0.5"],
+        ["verify", "--fn", "poly:coeffs=0;1", "--theorem", "weak_darboux",
+         "--interval", "0,1", "--beta", "1", "--target", "nan"],
+        ["verify", "--fn", "poly:coeffs=0;1", "--theorem", "weak_darboux",
+         "--interval", "0,1", "--beta", "1", "--target", "inf"],
+        ["scan", "--fn", "cusp:", "--interval=-inf,1", "--beta", "0.5", "--n", "11"],
+        ["scan", "--fn", "cusp:", "--interval=nan,1", "--beta", "0.5", "--n", "11"],
+        ["verify", "--fn", "cusp:", "--theorem", "mean_value",
+         "--interval", "0,inf", "--beta", "0.5"],
     ])
     def test_usage_errors(self, argv):
         with pytest.raises(UsageError):
@@ -83,6 +96,48 @@ class TestParseArgs:
         cfg = parse_args(["scan", "--fn", "cusp:", "--interval=-1,1", "--beta", "0.5",
                           "--n", "11", flag, "0"])
         assert getattr(cfg, flag[2:]) == 0.0
+
+    def test_parser_reuse_leaks_nothing_between_calls(self):
+        # parse_args reuses one parser per process; every config must
+        # equal the one a freshly built parser gives for the same argv
+        sequence = [
+            ["analyze", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "--tol", "1e-3"],
+            ["zoo", "list"],
+            ["scan", "--fn", "cusp:", "--interval=-1,1", "--beta", "0.5", "--n", "11",
+             "--threshold", "2"],
+            ["analyze", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "--tol", "nan"],
+            ["holder", "--fn", "weierstrass:", "--x", "0.7", "--count", "12"],
+            ["analyze", "--fn", "cusp:", "--x", "0", "--beta", "0.5",
+             "--direction", "sideways"],
+            ["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "--scheme",
+             "jacobi_weighted", "--nodes", "32"],
+            ["verify", "--fn", "poly:coeffs=0;1", "--theorem", "weak_darboux",
+             "--interval", "0,1", "--beta", "1", "--target", "0.5"],
+            ["analyze", "--fn", "cusp:", "--x", "0.25", "--beta", "0.5"],
+            ["scan", "--fn", "cusp:", "--interval=0,1", "--beta", "0.3", "--n", "5"],
+            ["holder", "--fn", "cusp:", "--x", "0"],
+            ["verify", "--fn", "cusp:", "--theorem", "mean_value",
+             "--interval", "0,1", "--beta", "0.5"],
+        ]
+
+        def outcome(argv):
+            try:
+                return parse_args(argv)
+            except UsageError as e:
+                return ("usage", str(e))
+            except SystemExit as e:
+                return ("exit", e.code)
+
+        fresh = []
+        for argv in sequence:
+            _build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert ("exit", 2) in fresh
+        assert any(o[0] == "usage" for o in fresh if isinstance(o, tuple))
+        _build_parser.cache_clear()
+        reused = [outcome(argv) for argv in sequence]
+        assert _build_parser.cache_info().currsize == 1
+        assert reused == fresh
 
     def test_bad_choice_exits_2(self):
         with pytest.raises(SystemExit) as exc_info:

@@ -6,6 +6,7 @@ from fracvel import (
     DomainError,
     EpsilonSchedule,
     difference,
+    estimate_velocity,
     fractional_variation,
     interval_oscillation,
     make_chirp,
@@ -15,7 +16,8 @@ from fracvel import (
     variation_tail_oscillation,
     variation_values,
 )
-from fracvel.diffops import _osc_sampled, tail_spread
+from common import SummedWeierstrass, reference_ladder, same_bits
+from fracvel.diffops import OSC_SAMPLE_CAP, _osc_ladder, _osc_sampled, tail_spread
 
 FWD = Direction.FORWARD
 BWD = Direction.BACKWARD
@@ -145,6 +147,125 @@ class TestRefineOscillation:
         eps = 2.0 ** -10
         est = refine_oscillation(f, 0.0, eps, FWD)
         assert 1.5 <= est.value / eps ** 0.5 <= 2.05
+
+
+def assert_ladder_matches_reference(f, x, eps, direction, n0=17, **kw):
+    got = _osc_ladder(f, x, eps, direction, n0, **kw)
+    want = reference_ladder(f, x, eps, direction, n0, **kw)
+    for g, w in zip(got, want):
+        assert same_bits(g, w)
+    return got
+
+
+def dyadic_depth(t):
+    """Minus the exponent of the lowest set bit of each positive t.
+
+    Every ladder doubling samples points one binary digit finer than the
+    last, so the sampled maximum keeps growing and no window settles.
+    """
+    m, e = np.frexp(np.asarray(t, dtype=float))
+    bits = (m * 2.0 ** 53).astype(np.int64)
+    low = np.log2(np.maximum(bits & -bits, 1).astype(float))
+    return np.where(bits > 0, 53.0 - e - low, 0.0)
+
+
+class CountingEvaluator:
+    def __init__(self, f):
+        self.f = f
+        self.sizes = []
+        self.domain = getattr(f, "domain", (-np.inf, np.inf))
+
+    def __call__(self, t):
+        self.sizes.append(np.size(t))
+        return self.f(t)
+
+
+class TestOscillationLadder:
+    """The batched ladder against the one-increment-at-a-time reference."""
+
+    def test_weierstrass_rows_settle_at_different_depths(self):
+        f = SummedWeierstrass()
+        eps = EpsilonSchedule().increments(1.0 / np.pi)
+        for direction in (FWD, BWD):
+            _, n, refined = assert_ladder_matches_reference(f, 1.0 / np.pi, eps, direction)
+            assert refined.all()
+            assert len(set(n)) > 2
+
+    def test_cap_leaves_rows_unrefined(self):
+        f = SummedWeierstrass()
+        eps = EpsilonSchedule().increments(0.3)
+        _, n, refined = assert_ladder_matches_reference(f, 0.3, eps, FWD, cap=65)
+        assert not refined.all() and refined.any()
+        assert set(n[~refined]) == {65}
+
+    def test_first_grid_past_the_cap(self):
+        f = SummedWeierstrass()
+        eps = EpsilonSchedule().increments(0.3)
+        _, n, refined = assert_ladder_matches_reference(f, 0.3, eps, BWD, n0=33, cap=17)
+        assert (n == 33).all() and not refined.any()
+
+    def test_chirp_at_its_singular_point(self):
+        f = make_chirp(0.5, 0.0)
+        eps = EpsilonSchedule().increments(0.0)
+        for direction in (FWD, BWD):
+            assert_ladder_matches_reference(f, 0.0, eps, direction)
+
+    def test_nan_inside_one_window(self):
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            return np.where((t > 0.3 + 2.0 ** -9) & (t < 0.3 + 2.0 ** -8),
+                            np.nan, np.sin(7.0 * t))
+        eps = EpsilonSchedule().increments(0.3)
+        value, _, refined = assert_ladder_matches_reference(f, 0.3, eps, FWD)
+        assert np.isnan(value).any() and not np.isnan(value).all()
+        assert not refined[np.isnan(value)].any()
+
+    @pytest.mark.parametrize("x,eps,direction,err", [
+        (1.99, EpsilonSchedule().increments(1.99), FWD, DomainError),
+        (-1.99, EpsilonSchedule().increments(-1.99), BWD, DomainError),
+        (0.0, [2.0 ** -10, 4.0, 1.0], FWD, DomainError),
+        (0.0, [2.0 ** -10, -1.0, 4.0], FWD, ValueError),
+    ])
+    def test_first_failing_window_raises(self, x, eps, direction, err):
+        f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
+        with pytest.raises(err) as want:
+            reference_ladder(f, x, eps, direction, 17)
+        with pytest.raises(err) as got:
+            _osc_ladder(f, x, eps, direction, 17)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("c1_samples", [2, 17, 65])
+    def test_fixed_grid_c1(self, c1_samples):
+        f = make_chirp(0.5, 0.0)
+        eps = EpsilonSchedule().increments(0.0)
+        assert_ladder_matches_reference(f, 0.0, eps, FWD, n0=c1_samples, cap=c1_samples)
+        osc = reference_ladder(f, 0.0, eps, FWD, c1_samples, cap=c1_samples)[0]
+        rep = estimate_velocity(f, 0.0, 0.5, FWD, c1_samples=c1_samples)
+        assert rep.c1_constant == float(np.max(osc / eps ** 0.5))
+
+    def test_fixed_grid_needs_two_samples(self):
+        f = make_chirp(0.5, 0.0)
+        with pytest.raises(ValueError, match="c1_samples must be at least 2"):
+            estimate_velocity(f, 0.0, 0.5, FWD, c1_samples=1)
+
+    def test_refine_oscillation_is_one_row(self):
+        f = SummedWeierstrass()
+        for eps in (2.0 ** -4, 2.0 ** -12):
+            est = refine_oscillation(f, 0.3, eps, BWD)
+            want = reference_ladder(f, 0.3, [eps], BWD, 17)
+            assert (est.value, est.n_samples, est.refined) == tuple(w[0] for w in want)
+        with pytest.raises(ValueError, match="n0 must be at least 3"):
+            refine_oscillation(f, 0.3, 0.1, FWD, n0=2)
+
+    def test_evaluator_calls_stay_within_the_cap(self):
+        f = CountingEvaluator(dyadic_depth)
+        eps = EpsilonSchedule().increments(0.0)
+        value, n, refined = _osc_ladder(f, 0.0, eps, FWD, 17)
+        assert (n == OSC_SAMPLE_CAP).all() and not refined.any()
+        assert max(f.sizes) <= OSC_SAMPLE_CAP
+        want = reference_ladder(dyadic_depth, 0.0, eps, FWD, 17)
+        for g, w in zip((value, n, refined), want):
+            assert same_bits(g, w)
 
 
 class TestTailSpread:

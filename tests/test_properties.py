@@ -1,6 +1,7 @@
 """Invariant checks under randomized inputs."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fracvel import (
     Direction,
     EpsilonSchedule,
     LimitStatus,
+    LocallyConstantError,
     classify_limit,
     difference,
     estimate_holder_exponent,
@@ -21,6 +23,8 @@ from fracvel import (
     taylor_residual,
     velocity_limit,
 )
+from common import SummedWeierstrass, reference_ladder
+from fracvel import diffops
 from fracvel.diffops import _osc_sampled
 from fracvel.estimator import FLOOR_FACTOR
 
@@ -165,3 +169,34 @@ def test_velocity_limit_is_the_reported_limit(chirp, a, order, K, u, beta, tol,
     x = a + u
     rep = estimate_velocity(f, x, beta, direction, tol=tol, c1_samples=17)
     assert velocity_limit(f, x, beta, direction, tol=tol) == rep.limit
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["cusp", "chirp", "weierstrass"]),
+       order=st.floats(0.1, 0.9), u=st.floats(-0.5, 0.5),
+       freq=st.integers(2, 4), beta=st.floats(0.05, 1.0),
+       c1_samples=st.sampled_from([None, None, 17]),
+       direction=st.sampled_from([FWD, BWD]))
+def test_batched_oscillations_equal_the_per_increment_ladder(kind, order, u, freq,
+                                                             beta, c1_samples,
+                                                             direction):
+    # c1 and the Holder fit read the same oscillations, bit for bit, as
+    # when every window is refined alone on full grids
+    if kind == "cusp":
+        f, x = make_power_cusp(0.0, order, 1.0, 0.0), u
+    elif kind == "chirp":
+        f, x = make_chirp(order, 0.0), (u if u > 0.25 else 0.0)
+    else:
+        f, x = SummedWeierstrass(order / freq + 1.0 / freq, freq), u
+
+    def outcomes():
+        out = [estimate_velocity(f, x, beta, direction, c1_samples=c1_samples)]
+        try:
+            out.append(estimate_holder_exponent(f, x, direction))
+        except LocallyConstantError as e:   # the chirp's flat side
+            out.append(str(e))
+        return repr(out)
+
+    got = outcomes()
+    with mock.patch.object(diffops, "_osc_ladder", reference_ladder):
+        assert got == outcomes()

@@ -82,6 +82,14 @@ class TestChirp:
             d = 2.0 / (np.pi * (4 * k + 1))
             assert f(d) == pytest.approx(d ** 0.5, rel=1e-12)
 
+    def test_finite_where_the_phase_overflows(self):
+        # 1/d overflows for subnormal d; the value must stay within d**gamma
+        f = make_chirp(0.5, 0.0)
+        d = np.array([5e-324, 2.2250738585e-313, 1e-310, 1e-300])
+        v = f(d)
+        assert np.all(np.isfinite(v)) and np.all(np.abs(v) <= d ** 0.5)
+        assert f(5e-324) == 0.0
+
     def test_onset_shift(self):
         f0 = make_chirp(0.5, 0.0)
         f1 = make_chirp(0.5, 1.0)
