@@ -11,12 +11,8 @@ __version__ = "0.1.0"
 
 from .diffops import (
     Direction,
-    OscillationEstimate,
     difference,
     fractional_variation,
-    interval_oscillation,
-    refine_oscillation,
-    variation_tail_oscillation,
     variation_values,
 )
 from .errors import (
@@ -47,7 +43,6 @@ from .rlcalc import (
     QuadScheme,
     check_lfd_equivalence,
     kg_lfd,
-    kg_lfd_rescaled,
     rl_derivative,
     rl_integral,
 )
@@ -76,12 +71,8 @@ from .zoo import (
 __all__ = [
     "__version__",
     "Direction",
-    "OscillationEstimate",
     "difference",
     "fractional_variation",
-    "interval_oscillation",
-    "refine_oscillation",
-    "variation_tail_oscillation",
     "variation_values",
     "DomainError",
     "LocallyConstantError",
@@ -106,7 +97,6 @@ __all__ = [
     "QuadScheme",
     "check_lfd_equivalence",
     "kg_lfd",
-    "kg_lfd_rescaled",
     "rl_derivative",
     "rl_integral",
     "ChangeSetReport",

@@ -393,18 +393,16 @@ def _default_tol(cfg: RunConfig) -> float:
 
 
 def _effective_schedule(cfg: RunConfig, f) -> EpsilonSchedule:
+    """The command line's schedule, cut at a sampled function's floor."""
     base = EpsilonSchedule(cfg.eps0, cfg.ratio, cfg.count)
-    floor = getattr(f, "eps_floor", 0.0)
-    if floor <= 0.0:
-        return base
-    kept = int(np.sum(base.raw() > floor))
-    if kept < 8:
+    floor = getattr(f, "eps_floor", -math.inf)
+    fitted = base.fitted(floor=floor)
+    if fitted is None:
+        kept = int(np.sum(base.raw() > floor))
         raise DataError(
             f"sample spacing leaves only {kept} usable increments; "
             "coarsen the schedule or resample the data")
-    if kept == cfg.count:
-        return base
-    return EpsilonSchedule(cfg.eps0, cfg.ratio, kept)
+    return fitted
 
 
 # ---------------------------------------------------------------------------
@@ -416,43 +414,27 @@ def _float_token(v: float) -> str:
     return repr(float(v))
 
 
-def _render_json(obj, w) -> None:
-    if obj is None:
-        w.write("null")
-    elif isinstance(obj, bool):
-        w.write("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        w.write(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        w.write(_float_token(float(obj)))
-    elif isinstance(obj, str):
-        w.write(json.dumps(obj))
-    elif isinstance(obj, enum.Enum):
-        _render_json(obj.value, w)
-    elif isinstance(obj, dict):
-        w.write("{")
-        for i, k in enumerate(sorted(obj)):
-            if i:
-                w.write(",")
-            w.write(json.dumps(str(k)))
-            w.write(":")
-            _render_json(obj[k], w)
-        w.write("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        w.write("[")
-        for i, v in enumerate(obj):
-            if i:
-                w.write(",")
-            _render_json(v, w)
-        w.write("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _plain(obj):
+    """obj with enums as their values, numpy scalars as Python numbers,
+    tuples and arrays as lists and non-finite floats as None."""
+    if isinstance(obj, enum.Enum):
+        return _plain(obj.value)
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        return v if math.isfinite(v) else None
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
 
 
 def render_json(obj) -> str:
-    buf = io.StringIO()
-    _render_json(obj, buf)
-    return buf.getvalue()
+    """Compact JSON with sorted keys; floats via repr, non-finite as null."""
+    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
 
 
 def _csv_cell(v) -> str:

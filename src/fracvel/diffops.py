@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,14 +14,10 @@ from .errors import DomainError
 
 __all__ = [
     "Direction",
-    "OscillationEstimate",
     "domain_of",
     "difference",
     "fractional_variation",
     "variation_values",
-    "interval_oscillation",
-    "refine_oscillation",
-    "variation_tail_oscillation",
     "tail_spread",
 ]
 
@@ -41,15 +36,6 @@ _TINY = np.finfo(float).tiny
 class Direction(enum.Enum):
     FORWARD = "forward"
     BACKWARD = "backward"
-
-
-@dataclass(frozen=True)
-class OscillationEstimate:
-    """A sampled sup-inf value with its sampling metadata."""
-
-    value: float
-    n_samples: int
-    refined: bool
 
 
 def domain_of(f):
@@ -137,49 +123,6 @@ def _osc_offsets(n: int) -> np.ndarray:
     return np.arange(n, dtype=float) / (n - 1)
 
 
-def _osc_sampled(f, x: float, eps: float, direction: Direction, n: int) -> float:
-    v = _feval(f, _window_points(x, eps, _osc_offsets(n), direction))
-    return float(np.max(v) - np.min(v))
-
-
-def interval_oscillation(f, x: float, eps: float, direction: Direction,
-                         n_samples: int = 129) -> OscillationEstimate:
-    """Sampled oscillation sup f - inf f over [x, x+eps] (or [x-eps, x]).
-
-    Uses n_samples uniform points including both endpoints.  The refined
-    flag records whether doubling the resolution moved the estimate by
-    less than a 1e-3 relative change, which is the cheap signal that the
-    sampling has resolved the finest structure in the window.
-    """
-    eps = float(eps)
-    _check_eps(eps)
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    _check_window(f, x, eps, direction)
-    coarse = _osc_sampled(f, x, eps, direction, n_samples)
-    fine = _osc_sampled(f, x, eps, direction, 2 * n_samples - 1)
-    refined = (fine - coarse) <= OSC_REL_CHANGE * max(fine, _TINY)
-    return OscillationEstimate(coarse, n_samples, bool(refined))
-
-
-def refine_oscillation(f, x: float, eps: float, direction: Direction,
-                       n0: int = OSC_N0, rel_change: float = OSC_REL_CHANGE,
-                       cap: int = OSC_SAMPLE_CAP) -> OscillationEstimate:
-    """Oscillation by sample doubling until the estimate settles.
-
-    Grids are nested (n -> 2n-1), so the estimate is non-decreasing and
-    the first doubling that gains less than rel_change stops the ladder.
-    Hitting the cap returns the last value with refined=False.
-    """
-    eps = float(eps)
-    _check_eps(eps)
-    _check_window(f, x, eps, direction)
-    if int(n0) < 3:
-        raise ValueError("n0 must be at least 3")
-    (value,), (n,), (refined,) = _osc_ladder(f, x, [eps], direction, n0, rel_change, cap)
-    return OscillationEstimate(float(value), int(n), bool(refined))
-
-
 def _check_windows(f, x: float, eps: np.ndarray, direction: Direction) -> None:
     """Raise what _check_eps and _check_window raise for the first bad entry of eps."""
     lo, hi = domain_of(f)
@@ -232,19 +175,27 @@ def _window_extrema(f, x: float, eps: np.ndarray, offs: np.ndarray,
 
 
 def _osc_ladder(f, x: float, eps, direction: Direction, n0: int,
-                rel_change: float = OSC_REL_CHANGE, cap: int = OSC_SAMPLE_CAP):
-    """refine_oscillation for every increment of eps at once.
+                cap: int = OSC_SAMPLE_CAP):
+    """Sampled oscillation sup f - inf f over each window of eps, by doubling.
 
-    Returns three arrays, one entry per increment: the value, n_samples
-    and refined fields refine_oscillation gives for it alone.  The
-    first grid is sampled for all windows together; each doubling then
-    samples only the new midpoints, and only of the windows that have
-    not settled, folding them into running maxima and minima.  The
+    The window of an increment e is [x, x+e] forward and [x-e, x]
+    backward.  It is first sampled on n0 uniform points, endpoints
+    included, and then on nested grids n -> 2n-1, so the estimate never
+    decreases.  The first doubling that gains less than OSC_REL_CHANGE
+    relative stops that window's ladder (refined=True); a window whose
+    next grid would pass cap keeps its last value with refined=False.
+    n0 = cap gives one fixed grid of n0 points, and n0 is not checked
+    here.  Returns three arrays, one entry per increment: the value,
+    the number of samples it rests on and the refined flag.
+
+    All windows are sampled together: the first grid in one pass, then
+    each doubling samples only the new midpoints of the windows that
+    have not settled, folding them into running maxima and minima.  The
     nested grids make this exact: every coarse offset reappears bit for
     bit at an even index of the finer grid, so the extrema over the
     union are the extrema over the full grid.  That holds for any f
     whose value at a point does not depend on the other points of the
-    call.  n0 is not checked here; n0 = cap gives one fixed grid.
+    call.
     """
     eps = np.asarray(eps, dtype=float)
     _check_windows(f, x, eps, direction)
@@ -260,7 +211,7 @@ def _osc_ladder(f, x: float, eps, direction: Direction, n0: int,
         hi[active] = np.maximum(hi[active], h)
         lo[active] = np.minimum(lo[active], l)
         cur = hi[active] - lo[active]
-        settled = cur - value[active] <= rel_change * np.maximum(cur, _TINY)
+        settled = cur - value[active] <= OSC_REL_CHANGE * np.maximum(cur, _TINY)
         value[active] = cur
         n_samples[active] = n
         refined[active] = settled
@@ -269,31 +220,18 @@ def _osc_ladder(f, x: float, eps, direction: Direction, n0: int,
 
 
 def tail_spread(values) -> float:
-    """Max minus min over the trailing half (ceil(N/2) entries) of a sequence."""
+    """Max minus min over the trailing half (ceil(N/2) entries) of a sequence.
+
+    This is the c2 value.  Limit classification (estimator.classify_limit)
+    reads a shorter window, the deepest max(4, N//4) entries, which for
+    N >= 7 lies inside this one.  So for N >= 7 finite entries within
+    estimator.DIVERGENCE_CUTOFF, a spread here within tol implies CONVERGED; the
+    converse does not follow, since entries before the classification
+    window may still spread.
+    """
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ValueError("need at least 2 values")
     tail = values[-math.ceil(values.size / 2):]
     return float(np.max(tail) - np.min(tail))
 
-
-def variation_tail_oscillation(f, x: float, beta: float, direction: Direction,
-                               schedule) -> OscillationEstimate:
-    """Spread of the fractional variation over the deep end of a schedule.
-
-    Accepts anything with an increments(x) method, or a plain array of
-    increments.  The spread is taken over the last ceil(N/2) entries; a
-    vanishing spread is the sharp existence signal for the velocity.
-    The refined flag compares against the last-quarter spread.
-    """
-    if hasattr(schedule, "increments"):
-        eps = schedule.increments(x)
-    else:
-        eps = np.asarray(schedule, dtype=float)
-    vals = variation_values(f, x, beta, direction, eps)
-    half = math.ceil(vals.size / 2)
-    spread = tail_spread(vals)
-    quarter = vals[-max(2, vals.size // 4):]
-    inner = float(np.max(quarter) - np.min(quarter))
-    refined = abs(spread - inner) <= OSC_REL_CHANGE * max(spread, _TINY)
-    return OscillationEstimate(spread, half, bool(refined))

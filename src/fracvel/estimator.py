@@ -50,6 +50,10 @@ FLOOR_FACTOR = 1e3
 # A schedule must keep at least this many increments to say anything.
 MIN_USABLE = 4
 
+# A schedule trimmed to a sample floor or a domain margin must keep at
+# least this many increments.
+MIN_FITTED = 8
+
 # Consecutive growth-ratio cutoff for the bounded-oscillation check.
 C1_RATIO_CUTOFF = 10.0
 
@@ -85,20 +89,38 @@ class EpsilonSchedule:
         """All increments, before any flooring."""
         return self.eps0 * self.ratio ** np.arange(self.count, dtype=float)
 
-    def increments(self, x: float = 0.0, extra_floor: float = 0.0) -> np.ndarray:
+    def increments(self, x: float = 0.0) -> np.ndarray:
         """Increments usable at x, largest first.
 
-        Entries at or below the round-off floor for x (or below
-        extra_floor, whichever is larger) are dropped.  Raises
-        ScheduleUnderflowError when fewer than 4 survive.
+        Entries at or below the round-off floor for x are dropped.
+        Raises ScheduleUnderflowError when fewer than 4 survive.
         """
         eps = self.raw()
-        floor = max(_floor(x), extra_floor)
+        floor = _floor(x)
         kept = eps[eps > floor]
         if kept.size < MIN_USABLE:
             raise ScheduleUnderflowError(
                 f"only {kept.size} increments stay above the floor {floor:g} at x={x:g}")
         return kept
+
+    def fitted(self, floor: float = -math.inf,
+               margin: float = math.inf) -> Optional["EpsilonSchedule"]:
+        """The schedule cut to its raw() entries in (floor, margin].
+
+        Returns self when nothing is cut, None when the cut leaves fewer
+        than MIN_FITTED entries, and otherwise the ladder from the
+        largest kept entry with the kept count.
+        """
+        if floor < 0.0 and margin >= self.eps0:
+            return self   # raw() entries lie in [0, eps0]
+        eps = self.raw()
+        keep = (eps > floor) & (eps <= margin)
+        if keep.all():
+            return self
+        kept = int(keep.sum())
+        if kept < MIN_FITTED:
+            return None
+        return EpsilonSchedule(float(eps[keep][0]), self.ratio, kept)
 
 
 DEFAULT_SCHEDULE = EpsilonSchedule()
@@ -130,7 +152,7 @@ _STATUS_BY_CODE = np.array([LimitStatus.CONVERGED, LimitStatus.OSCILLATORY,
                             LimitStatus.DIVERGED], dtype=object)
 
 
-def _classify_rows(values: np.ndarray, tol: float, divergence_cutoff: float):
+def _classify_rows(values: np.ndarray, tol: float):
     """The windowed Cauchy rule of classify_limit, applied to each row.
 
     values is 2-D, one sequence per row.  Returns (window, status, value,
@@ -145,24 +167,29 @@ def _classify_rows(values: np.ndarray, tol: float, divergence_cutoff: float):
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     window = values[:, -max(4, n // 4):]
     bounded = (np.isfinite(values).all(axis=1)
-               & (np.abs(window) <= divergence_cutoff).all(axis=1))
+               & (np.abs(window) <= DIVERGENCE_CUTOFF).all(axis=1))
     residual = np.subtract(window.max(axis=1), window.min(axis=1),
                            out=np.full(len(values), math.nan), where=bounded)
     status = _STATUS_BY_CODE[np.where(bounded, residual > tol, 2)]
     return window, status, np.where(bounded, window[:, -1], math.nan), residual
 
 
-def classify_limit(values, tol: float,
-                   divergence_cutoff: float = DIVERGENCE_CUTOFF) -> LimitEstimate:
+def classify_limit(values, tol: float) -> LimitEstimate:
     """Classify a sequence indexed by shrinking increments.
 
-    The window is the last max(4, N//4) entries.  Any non-finite entry,
-    or a window entry past divergence_cutoff in magnitude, reports
-    DIVERGED.  Otherwise the window spread is compared with tol: within
-    tol (ties included) is CONVERGED, else OSCILLATORY.
+    The window is the deepest max(4, N//4) entries.  Any non-finite
+    entry, or a window entry past DIVERGENCE_CUTOFF in magnitude,
+    reports DIVERGED.  Otherwise the window spread is compared with tol:
+    within tol (ties included) is CONVERGED, else OSCILLATORY.
+
+    The c2 value (diffops.tail_spread) reads the deepest ceil(N/2)
+    entries instead.  For N >= 7 that window holds this one, so with
+    every entry finite and the window within DIVERGENCE_CUTOFF, c2 <= tol
+    implies CONVERGED.  The converse does not follow: a flat window says
+    nothing of the entries before it.
     """
     values = np.asarray(values, dtype=float).reshape(1, -1)
-    window, status, value, residual = _classify_rows(values, tol, divergence_cutoff)
+    window, status, value, residual = _classify_rows(values, tol)
     tail = tuple(float(v) for v in window[0])
     if status[0] is LimitStatus.DIVERGED:
         return LimitEstimate(math.nan, LimitStatus.DIVERGED, math.nan, tail)
@@ -211,7 +238,7 @@ def _velocity_limits(f, xs: np.ndarray, beta: float, direction: Direction,
         n_blocks = math.ceil(rows.size * eps.size / GRID_BLOCK_ENTRIES)
         for block in np.array_split(rows, n_blocks):
             vals = variation_values(f, xs[block], beta, direction, eps)
-            _, status[block], value[block], _ = _classify_rows(vals, tol, DIVERGENCE_CUTOFF)
+            _, status[block], value[block], _ = _classify_rows(vals, tol)
     return status, value
 
 
@@ -235,9 +262,9 @@ def _oscillations(f, x: float, direction: Direction, eps: np.ndarray,
                   c1_samples: Optional[int]) -> np.ndarray:
     """Oscillation over each probe window, all windows sampled together.
 
-    c1_samples None runs refine_oscillation's adaptive doubling ladder
-    for every increment at once; an integer samples one fixed grid of
-    that many points per window.
+    c1_samples None runs the adaptive doubling ladder from OSC_N0
+    points; an integer samples one fixed grid of that many points per
+    window.
     """
     if c1_samples is None:
         return diffops._osc_ladder(f, x, eps, direction, diffops.OSC_N0)[0]
@@ -250,8 +277,7 @@ def _oscillations(f, x: float, direction: Direction, eps: np.ndarray,
 def estimate_velocity(f, x: float, beta: float, direction: Direction,
                       schedule: Optional[EpsilonSchedule] = None,
                       tol: float = DEFAULT_TOL, *,
-                      c1_samples: Optional[int] = None,
-                      divergence_cutoff: float = DIVERGENCE_CUTOFF) -> VelocityReport:
+                      c1_samples: Optional[int] = None) -> VelocityReport:
     """Estimate the one-sided fractional velocity of order beta at x.
 
     The limit is velocity_limit's; this adds the two side conditions.
@@ -282,7 +308,7 @@ def estimate_velocity(f, x: float, beta: float, direction: Direction,
     VelocityReport
     """
     eps, vals = _variations(f, x, beta, direction, schedule)
-    limit = classify_limit(vals, tol, divergence_cutoff)
+    limit = classify_limit(vals, tol)
     osc = _oscillations(f, x, direction, eps, c1_samples)
     with np.errstate(divide="ignore", invalid="ignore"):
         growth = osc / eps ** beta
@@ -301,13 +327,12 @@ class ConditionsReport(NamedTuple):
 def check_conditions(f, x: float, beta: float, direction: Direction,
                      schedule: Optional[EpsilonSchedule] = None,
                      tol: float = DEFAULT_TOL, *,
-                     c1_samples: Optional[int] = None,
-                     ratio_cutoff: float = C1_RATIO_CUTOFF) -> ConditionsReport:
+                     c1_samples: Optional[int] = None) -> ConditionsReport:
     """Evaluate the two side conditions for velocity existence at x.
 
     c1 (necessary): the growth ratios osc/eps**beta stay bounded as the
     increments shrink.  The deep-half maximum is compared against the
-    shallow-half maximum; exceeding it by ratio_cutoff breaks the bound.
+    shallow-half maximum; exceeding it by C1_RATIO_CUTOFF breaks the bound.
     A per-step ratio would miss slow blow-ups like a jump discontinuity,
     whose ratio grows only by 2**beta per halving.  c2 (necessary and
     sufficient): the tail spread of the fractional variation is within
@@ -324,7 +349,7 @@ def check_conditions(f, x: float, beta: float, direction: Direction,
     shallow_ref = float(np.max(growth[:-half]))
     deep_max = float(np.max(growth[-half:]))
     if shallow_ref > 0.0:
-        c1_holds = bool(deep_max <= ratio_cutoff * shallow_ref)
+        c1_holds = bool(deep_max <= C1_RATIO_CUTOFF * shallow_ref)
     else:
         c1_holds = bool(deep_max == 0.0)
     vals = variation_values(f, x, beta, direction, eps)
@@ -352,8 +377,7 @@ class HolderEstimate:
 
 
 def estimate_holder_exponent(f, x: float, direction: Direction,
-                             schedule: Optional[EpsilonSchedule] = None, *,
-                             n0: int = diffops.OSC_N0) -> HolderEstimate:
+                             schedule: Optional[EpsilonSchedule] = None) -> HolderEstimate:
     """Pointwise regularity exponent by least squares on log osc vs log eps.
 
     Oscillation is regressed rather than the bare difference so that sign
@@ -365,10 +389,7 @@ def estimate_holder_exponent(f, x: float, direction: Direction,
     """
     schedule = schedule or DEFAULT_SCHEDULE
     eps = schedule.increments(x)
-    diffops._check_windows(f, x, eps, direction)
-    if int(n0) < 3:
-        raise ValueError("n0 must be at least 3")
-    osc = diffops._osc_ladder(f, x, eps, direction, n0)[0]
+    osc = diffops._osc_ladder(f, x, eps, direction, diffops.OSC_N0)[0]
     keep = osc > 0.0
     if not keep.any():
         raise LocallyConstantError(f"all oscillations vanish at x={x:g}")

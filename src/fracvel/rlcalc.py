@@ -37,7 +37,6 @@ __all__ = [
     "rl_integral",
     "rl_derivative",
     "kg_lfd",
-    "kg_lfd_rescaled",
     "LfdReport",
     "check_lfd_equivalence",
 ]
@@ -46,6 +45,9 @@ QUAD_REL_CHANGE = 1e-4
 GRADED_NODE_CAP = 2 ** 16
 JACOBI_NODE_CAP = 2 ** 10
 KG_TOL = 1e-3
+
+# kg_lfd differences the derivative at a +/- eps over a step eps / KG_H_FACTOR.
+KG_H_FACTOR = 8.0
 
 _TINY = np.finfo(float).tiny
 
@@ -60,21 +62,18 @@ class QuadratureConfig:
     """Quadrature rule selection and resolution.
 
     n_nodes is the starting resolution; rules double it until two
-    successive evaluations agree to QUAD_REL_CHANGE relative. The
-    grading exponent (graded scheme only) defaults to 2/min(mu, 1-mu)
-    for integral order mu, strong enough that a pure power |t-a|**mu
+    successive evaluations agree to QUAD_REL_CHANGE relative.  The
+    graded scheme grades its mesh with exponent 2/min(mu, 1-mu) for
+    integral order mu, strong enough that a pure power |t-a|**mu
     integrates at second order despite the endpoint singularities.
     """
 
     n_nodes: int = 64
     scheme: QuadScheme = QuadScheme.GRADED_PRODUCT
-    grading_exponent: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.n_nodes < 8:
             raise ValueError(f"n_nodes must be at least 8, got {self.n_nodes}")
-        if self.grading_exponent is not None and self.grading_exponent < 1.0:
-            raise ValueError("grading exponent must be at least 1")
 
 
 DEFAULT_QUAD = QuadratureConfig()
@@ -83,12 +82,6 @@ DEFAULT_QUAD = QuadratureConfig()
 def _check_order(mu: float) -> None:
     if not 0.0 < mu < 1.0:
         raise ValueError(f"order must lie in (0, 1), got {mu}")
-
-
-def _grading(mu: float, config: QuadratureConfig) -> float:
-    if config.grading_exponent is not None:
-        return config.grading_exponent
-    return 2.0 / min(mu, 1.0 - mu)
 
 
 def _graded_product_pass(f, a: float, x: float, mu: float, g: float, n: int) -> float:
@@ -127,7 +120,14 @@ def _jacobi_pass(f, a: float, x: float, mu: float, n: int) -> float:
 
 
 def _stabilize(one_pass, n0: int, cap: int) -> float:
+    """Double n from n0 until two successive passes agree; cap bounds n.
+
+    A start whose first doubling already passes the cap could never
+    compare two passes, so it fails before evaluating anything.
+    """
     n = int(n0)
+    if 2 * n > cap:
+        raise QuadratureError(f"no stabilization by {n} nodes")
     prev = one_pass(n)
     while 2 * n <= cap:
         n *= 2
@@ -160,7 +160,7 @@ def rl_integral(f, a: float, mu: float, x: float,
         raise DomainError(f"[{a:g}, {x:g}] is not inside the domain [{lo:g}, {hi:g}]")
     config = config or DEFAULT_QUAD
     if config.scheme is QuadScheme.GRADED_PRODUCT:
-        g = _grading(mu, config)
+        g = 2.0 / min(mu, 1.0 - mu)
         raw = _stabilize(lambda n: _graded_product_pass(f, a, x, mu, g, n),
                          config.n_nodes, GRADED_NODE_CAP)
     else:
@@ -200,7 +200,7 @@ def _approach_default() -> EpsilonSchedule:
 def kg_lfd(f, a: float, beta: float, direction: Direction,
            approach: Optional[EpsilonSchedule] = None,
            config: Optional[QuadratureConfig] = None,
-           tol: float = KG_TOL, h_factor: float = 8.0) -> LimitEstimate:
+           tol: float = KG_TOL) -> LimitEstimate:
     """Local fractional derivative at a as a limit of shifted derivatives.
 
     The function is re-based so its value at a drops out (forward uses
@@ -223,7 +223,7 @@ def kg_lfd(f, a: float, beta: float, direction: Direction,
 
     eps = approach.increments(a)
     lo, hi = domain_of(f)
-    reach = eps[0] * (1.0 + 1.0 / h_factor)
+    reach = eps[0] * (1.0 + 1.0 / KG_H_FACTOR)
     if direction is Direction.FORWARD and a + reach > hi:
         raise DomainError(f"approach from above at a={a:g} leaves the domain")
     if direction is Direction.BACKWARD and a - reach < lo:
@@ -233,52 +233,7 @@ def kg_lfd(f, a: float, beta: float, direction: Direction,
     for e in eps:
         e = float(e)
         x = a + e if direction is Direction.FORWARD else a - e
-        vals.append(rl_derivative(shifted, a, beta, x, config, e / h_factor))
-    return classify_limit(vals, tol)
-
-
-def kg_lfd_rescaled(f, a: float, beta: float, direction: Direction,
-                    approach: Optional[EpsilonSchedule] = None,
-                    n_nodes: int = 64, tol: float = KG_TOL,
-                    h_factor: float = 8.0) -> LimitEstimate:
-    """Same limit through the frozen unit-interval form; a cross-check.
-
-    Substituting t = a +/- h*u turns the (1-beta) integral of the shifted
-    function into h**(1-beta) times a fixed Gauss-Jacobi sum on [0, 1],
-    so only the scalar map h -> H(h) needs differencing.  Both sides
-    reduce to the same formula d/dh H(h).
-    """
-    _check_order(beta)
-    a = float(a)
-    approach = approach or _approach_default()
-    mu = 1.0 - beta
-    s, w = _jacobi_rule(int(n_nodes), mu - 1.0)
-    # nodes for int_0^1 g(h*u) (1-u)**(mu-1) du: the weight (1-s)**(mu-1)
-    # becomes (1-u)**(mu-1) under u=(s+1)/2, leaving a (1/2)**mu scale
-    u = (s + 1.0) / 2.0
-    fa = float(np.asarray(f(a)))
-    sign = 1.0 if direction is Direction.FORWARD else -1.0
-
-    def H(h: float) -> float:
-        t = a + sign * h * u
-        g = np.asarray(f(t), dtype=float) - fa
-        if direction is Direction.BACKWARD:
-            g = -g
-        return (h ** mu) * (0.5 ** mu) * float(np.dot(w, g)) / float(_gamma(mu))
-
-    eps = approach.increments(a)
-    lo, hi = domain_of(f)
-    reach = eps[0] * (1.0 + 1.0 / h_factor)
-    if direction is Direction.FORWARD and a + reach > hi:
-        raise DomainError(f"approach from above at a={a:g} leaves the domain")
-    if direction is Direction.BACKWARD and a - reach < lo:
-        raise DomainError(f"approach from below at a={a:g} leaves the domain")
-
-    vals = []
-    for e in eps:
-        e = float(e)
-        d = e / h_factor
-        vals.append((H(e + d) - H(e - d)) / (2.0 * d))
+        vals.append(rl_derivative(shifted, a, beta, x, config, e / KG_H_FACTOR))
     return classify_limit(vals, tol)
 
 

@@ -9,7 +9,6 @@ check the classical interval theorems in their fractional form.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -167,23 +166,12 @@ class IntervalVerdict:
     notes: str
 
 
-def _fitted_schedule(schedule: EpsilonSchedule, margin: float) -> Optional[EpsilonSchedule]:
-    """Trim leading increments that would overshoot margin; None if too few remain."""
-    if margin >= schedule.eps0:
-        return schedule
-    eps = schedule.raw()
-    fit = eps <= margin
-    if fit.sum() < 8:
-        return None
-    return EpsilonSchedule(float(eps[fit][0]), schedule.ratio, int(fit.sum()))
-
-
 def _velocity_at(f, x: float, beta: float, direction: Direction,
                  schedule: EpsilonSchedule, tol: float) -> Optional[LimitEstimate]:
     """velocity_limit with the schedule trimmed to the domain; None if no room."""
     lo, hi = domain_of(f)
     margin = hi - x if direction is Direction.FORWARD else x - lo
-    fitted = _fitted_schedule(schedule, margin)
+    fitted = schedule.fitted(margin=margin)
     if fitted is None:
         return None
     return velocity_limit(f, x, beta, direction, fitted, tol)

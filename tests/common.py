@@ -8,16 +8,20 @@ helpers at the end restate algorithms in their plainest form, for
 comparison with the optimized library paths.
 """
 import numpy as np
+from scipy.special import gamma
 
-from fracvel import EpsilonSchedule
+from fracvel import Direction, EpsilonSchedule, classify_limit
 from fracvel.diffops import (
     OSC_REL_CHANGE,
     OSC_SAMPLE_CAP,
     _TINY,
     _check_eps,
     _check_window,
-    _osc_sampled,
+    _feval,
+    _osc_offsets,
+    _window_points,
 )
+from fracvel.rlcalc import KG_H_FACTOR, KG_TOL, _approach_default, _jacobi_rule
 
 # Shallower ladder for order-1 probes: at eps near 2**-42 the difference
 # f(x+eps)-f(x) is pure cancellation noise of size eps_mach*|f|/eps.
@@ -49,12 +53,17 @@ WEIER_SLOPES = {
 WEIER_MARK_XS = (1.0 / np.pi, np.sqrt(2.0) - 1.0, 0.7)
 
 
-def reference_ladder(f, x, eps, direction, n0, rel_change=OSC_REL_CHANGE,
-                     cap=OSC_SAMPLE_CAP):
+def osc_sampled(f, x, eps, direction, n):
+    """Oscillation max - min of f over the full n-point grid of one window."""
+    v = _feval(f, _window_points(x, eps, _osc_offsets(n), direction))
+    return float(np.max(v) - np.min(v))
+
+
+def reference_ladder(f, x, eps, direction, n0, cap=OSC_SAMPLE_CAP):
     """The oscillation doubling ladder one increment at a time, on full grids.
 
     Each level samples the whole n-point grid of one window in its own
-    call, the plainest form of refine_oscillation's stop and cap rules.
+    call, the plainest form of the ladder's stop and cap rules.
     Returns (value, n_samples, refined) arrays like diffops._osc_ladder.
     """
     out = []
@@ -63,18 +72,45 @@ def reference_ladder(f, x, eps, direction, n0, rel_change=OSC_REL_CHANGE,
         _check_eps(e)
         _check_window(f, x, e, direction)
         n = int(n0)
-        prev = _osc_sampled(f, x, e, direction, n)
+        prev = osc_sampled(f, x, e, direction, n)
         row = None
         while 2 * n - 1 <= cap:
             n = 2 * n - 1
-            cur = _osc_sampled(f, x, e, direction, n)
-            if cur - prev <= rel_change * max(cur, _TINY):
+            cur = osc_sampled(f, x, e, direction, n)
+            if cur - prev <= OSC_REL_CHANGE * max(cur, _TINY):
                 row = (cur, n, True)
                 break
             prev = cur
         out.append(row or (prev, n, False))
     value, n_samples, refined = zip(*out)
     return np.array(value), np.array(n_samples), np.array(refined)
+
+
+def kg_lfd_rescaled(f, a, beta, direction):
+    """kg_lfd's limit through the frozen unit-interval form.
+
+    Substituting t = a +/- h*u turns the (1-beta) integral of the shifted
+    function into h**(1-beta) times a fixed Gauss-Jacobi sum on [0, 1],
+    so only the scalar map h -> H(h) needs differencing.  Both sides
+    reduce to the same formula d/dh H(h).
+    """
+    mu = 1.0 - beta
+    s, w = _jacobi_rule(64, mu - 1.0)
+    # nodes for int_0^1 g(h*u) (1-u)**(mu-1) du: the weight (1-s)**(mu-1)
+    # becomes (1-u)**(mu-1) under u=(s+1)/2, leaving a (1/2)**mu scale
+    u = (s + 1.0) / 2.0
+    fa = float(np.asarray(f(a)))
+    sign = 1.0 if direction is Direction.FORWARD else -1.0
+
+    def H(h):
+        g = sign * (np.asarray(f(a + sign * h * u), dtype=float) - fa)
+        return h ** mu * 0.5 ** mu * float(np.dot(w, g)) / float(gamma(mu))
+
+    vals = []
+    for e in _approach_default().increments(a):
+        d = float(e) / KG_H_FACTOR
+        vals.append((H(e + d) - H(e - d)) / (2.0 * d))
+    return classify_limit(vals, KG_TOL)
 
 
 def same_bits(a, b) -> bool:

@@ -1,9 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracvel import Direction, default_zoo
 from fracvel.cli import (
@@ -277,6 +280,30 @@ class TestSampledAnalyze:
         assert "usable increments" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("count", [4, 7])
+    def test_short_schedule_the_floor_leaves_whole_runs(self, tmp_path, capsys, count):
+        # the sample floor cuts nothing from these schedules, so they run
+        # as they would on an analytic function
+        xs = np.linspace(0.0, 1.0, 2 ** 14 + 1)
+        path = write_samples(tmp_path / "grid.csv", xs, xs ** 2)
+        code = main(["analyze", "--fn", f"file:{path}", "--x", "0.5",
+                     "--beta", "1", "--count", str(count)])
+        assert code == 0
+        schedule = json.loads(capsys.readouterr().out)["schedule"]
+        assert schedule["count"] == schedule["effective_count"] == count
+
+    def test_floor_cutting_below_eight_fails(self, tmp_path, capsys):
+        # gaps of 5e-4 floor the probes at 2e-3, leaving 2**-4 .. 2**-8
+        xs = np.linspace(0.0, 1.0, 2001)
+        path = write_samples(tmp_path / "grid.csv", xs, xs)
+        code = main(["analyze", "--fn", f"file:{path}", "--x", "0.5",
+                     "--beta", "1", "--count", "12"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: sample spacing leaves only 5 usable increments; "
+            "coarsen the schedule or resample the data\n")
+
+
 class TestRendering:
     def test_keys_sorted_and_floats_repr(self):
         text = render_json({"b": 0.1, "a": 2.0, "z": [1, True, None]})
@@ -295,6 +322,22 @@ class TestRendering:
     def test_unserializable_rejected(self):
         with pytest.raises(TypeError):
             render_json(object())
+        with pytest.raises(TypeError):
+            render_json({"flag": np.bool_(True)})
+
+    @pytest.mark.parametrize("value,text", [
+        (-0.0, "-0.0"),
+        (1e16, "1e+16"),
+        (5e-324, "5e-324"),
+        (np.float32(0.1), "0.10000000149011612"),
+        (np.int64(-7), "-7"),
+        ((1, 2.5, None), "[1,2.5,null]"),
+        ({"d": {"e": Direction.BACKWARD}}, '{"d":{"e":"backward"}}'),
+        ('sch\u00f6n "x"\n', '"sch\\u00f6n \\"x\\"\\n"'),
+        ({1: "a", 10: "b", 2: "c"}, '{"1":"a","2":"c","10":"b"}'),
+    ])
+    def test_scalars_and_containers(self, value, text):
+        assert render_json(value) == text
 
     def test_csv_unix_newlines(self):
         text = render_csv(("a", "b"), [(1.0, True), (math.inf, False)])
@@ -410,3 +453,97 @@ class TestDeterminism:
         dest = tmp_path / "scan.csv"
         assert main(argv + ["--out", str(dest)]) == 0
         assert dest.read_text() == stdout_text
+
+
+
+def _num(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+# malformed, non-finite and out-of-range values any flag may get
+BAD_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1", "0", "abc", "1e", "", "0x10", "1,2"]),
+)
+# in-range values per flag; counts and grid sizes stay small
+FLAG_VALUES = {
+    "--x": _num(-1.0, 1.0),
+    "--beta": _num(0.05, 1.0),
+    "--tol": _num(0.0, 0.1),
+    "--eps0": st.sampled_from(["0.0625", "0.015625", "0.1"]),
+    "--ratio": _num(0.2, 0.8),
+    "--count": st.sampled_from(range(12, -3, -1)).map(str),
+    "--n": st.sampled_from(range(9, -2, -1)).map(str),
+    "--nodes": st.sampled_from([64, 16, 8, 37, 7, 0, -1]).map(str),
+    "--approach-count": st.sampled_from(range(12, -2, -1)).map(str),
+    "--threshold": _num(0.0, 1.0),
+    "--target": _num(-2.0, 2.0),
+    "--kg-tol": _num(0.0, 0.1),
+    "--interval": st.tuples(_num(-1.0, 0.0), _num(0.0, 1.0)).map(",".join),
+    "--direction": st.sampled_from(["fwd", "bwd", "both"]),
+    "--scheme": st.sampled_from(["graded_product", "jacobi_weighted"]),
+    "--theorem": st.sampled_from(["rolle", "mean_value", "weak_darboux"]),
+    "--format": st.sampled_from(["json", "csv"]),
+}
+SPECS = ["cusp:", "cusp:a=0.25,beta=0.3,k=2", "chirp:gamma=0.5", "chirp:a=1e-300",
+         "weierstrass:amp=0.5,freq=3,n_terms=8", "poly:coeffs=0;1;1",
+         "poly:coeffs=1;2,domain=0;1", "SAMPLES", "SAMPLES", "poly:coeffs=1;x", "poly:",
+         "bogus:", "cusp:beta", "cusp:k=nan", "cusp:beta=2", "file:",
+         "file:missing-dir/none.csv"]
+# (required, optional) flags of each subcommand
+COMMAND_FLAGS = {
+    "zoo": ((), ("--format",)),
+    "analyze": (("--x", "--beta"), ("--direction",)),
+    "holder": (("--x",), ("--direction",)),
+    "scan": (("--interval", "--beta", "--n"), ("--threshold",)),
+    "lfd": (("--x", "--beta"), ("--direction", "--kg-tol", "--approach-count",
+                                "--scheme", "--nodes")),
+    # --n is always given: verify's default grid is 101 points
+    "verify": (("--theorem", "--interval", "--beta", "--n"), ("--target",)),
+}
+SMALL_INTS = ("--count", "--n", "--nodes", "--approach-count")
+SCHEDULE_FLAGS = ("--tol", "--eps0", "--ratio", "--count", "--format")
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    required, optional = COMMAND_FLAGS[command]
+    if command == "zoo":
+        argv = ["zoo", draw(st.sampled_from(["list"] * 7 + ["show"]))]
+    else:
+        argv = [command, "--fn=" + draw(st.sampled_from(SPECS))]
+        optional += SCHEDULE_FLAGS
+    for flag in required + optional:
+        # a required flag is left out one time in sixteen, an optional one in two
+        odds = [True] * 15 + [False] if flag in required else [True, False]
+        if not draw(st.sampled_from(odds)) and flag != "--n":
+            continue
+        # one value in twelve is malformed or out of range, but never a
+        # large count or grid
+        bad = flag not in SMALL_INTS and draw(st.sampled_from([False] * 11 + [True]))
+        argv.append(f"{flag}={draw(BAD_NUMBERS if bad else FLAG_VALUES[flag])}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def sample_file(tmp_path_factory):
+    xs = np.linspace(-1.0, 1.0, 4001)
+    return write_samples(tmp_path_factory.mktemp("argv") / "cusp.csv", xs, np.sqrt(np.abs(xs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=command_lines())
+def test_any_command_line_exits_cleanly(sample_file, argv):
+    # exit 0, 1 or 2 with a one-line reason, never a traceback; any other
+    # exception escapes main and fails the test
+    argv = [a.replace("SAMPLES", f"file:{sample_file}") for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:   # argparse rejects the line
+            code = e.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")

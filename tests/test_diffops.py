@@ -7,17 +7,15 @@ from fracvel import (
     EpsilonSchedule,
     difference,
     estimate_velocity,
+    check_conditions,
     fractional_variation,
-    interval_oscillation,
     make_chirp,
     make_power_cusp,
     make_weierstrass,
-    refine_oscillation,
-    variation_tail_oscillation,
     variation_values,
 )
-from common import SummedWeierstrass, reference_ladder, same_bits
-from fracvel.diffops import OSC_SAMPLE_CAP, _osc_ladder, _osc_sampled, tail_spread
+from common import SummedWeierstrass, osc_sampled, reference_ladder, same_bits
+from fracvel.diffops import OSC_SAMPLE_CAP, _osc_ladder, tail_spread
 
 FWD = Direction.FORWARD
 BWD = Direction.BACKWARD
@@ -86,30 +84,30 @@ class TestVariation:
         assert v == pytest.approx(2.0, abs=1e-5)
 
 
+def one_window(f, x, eps, direction, n0=17, cap=OSC_SAMPLE_CAP):
+    """The ladder's (value, n_samples, refined) for the single window eps."""
+    value, n, refined = _osc_ladder(f, x, [eps], direction, n0, cap=cap)
+    return float(value[0]), int(n[0]), bool(refined[0])
+
+
 class TestIntervalOscillation:
+    """The oscillation over one window on a fixed grid (n0 = cap)."""
+
     def test_monotone_function_is_exact(self):
         # endpoints are sampled, so a monotone window is exact at any n
         f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
         eps = 2.0 ** -6
-        est = interval_oscillation(f, 0.0, eps, FWD, n_samples=9)
-        assert est.value == eps ** 0.5
-        assert est.n_samples == 9
-        assert est.refined
+        value, n, _ = one_window(f, 0.0, eps, FWD, n0=9, cap=9)
+        assert value == eps ** 0.5
+        assert n == 9
 
     def test_linear_backward_window(self):
-        est = interval_oscillation(lambda t: 3.0 * np.asarray(t), 1.0, 0.25, BWD)
-        assert est.value == pytest.approx(0.75, rel=1e-15)
+        value, _, _ = one_window(lambda t: 3.0 * np.asarray(t), 1.0, 0.25, BWD, 129, 129)
+        assert value == pytest.approx(0.75, rel=1e-15)
 
     def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            interval_oscillation(square, 0.0, 0.1, FWD, n_samples=1)
-
-    def test_rough_window_wants_more_samples(self):
-        # at an irrational abscissa the sampling grid cannot resonate with
-        # the series frequencies, so 5 points genuinely undersample
-        f = make_weierstrass(0.5, 3, 24)
-        est = interval_oscillation(f, 1.0 / np.pi, 2.0 ** -4, FWD, n_samples=5)
-        assert not est.refined
+        with pytest.raises(ValueError, match="c1_samples must be at least 2"):
+            check_conditions(square, 0.0, 0.5, FWD, c1_samples=1)
 
     def test_oscillation_bounds_difference(self):
         # both endpoints are in the sample set; the 1e-12 slack only covers
@@ -117,36 +115,38 @@ class TestIntervalOscillation:
         f = make_weierstrass(0.5, 3, 24)
         for x in (0.1, 0.3, 0.7):
             for eps in (2.0 ** -4, 2.0 ** -7, 2.0 ** -11):
-                osc = interval_oscillation(f, x, eps, FWD, n_samples=33).value
+                osc, _, _ = one_window(f, x, eps, FWD, n0=33, cap=33)
                 assert osc >= abs(difference(f, x, eps, FWD)) - 1e-12
 
 
 class TestRefineOscillation:
+    """The adaptive ladder's stop and cap rules on one window."""
+
     def test_sine_over_full_period(self):
-        est = refine_oscillation(np.sin, 0.0, 8.0, FWD)
-        assert est.value == pytest.approx(2.0, abs=5e-3)
-        assert est.refined
+        value, _, refined = one_window(np.sin, 0.0, 8.0, FWD)
+        assert value == pytest.approx(2.0, abs=5e-3)
+        assert refined
 
     def test_nested_grids_never_lose_ground(self):
         f = make_weierstrass(0.5, 3, 24)
-        prev = _osc_sampled(f, 0.3, 2.0 ** -5, FWD, 17)
+        prev = osc_sampled(f, 0.3, 2.0 ** -5, FWD, 17)
         for n in (33, 65, 129, 257):
-            cur = _osc_sampled(f, 0.3, 2.0 ** -5, FWD, n)
+            cur = osc_sampled(f, 0.3, 2.0 ** -5, FWD, n)
             assert cur >= prev
             prev = cur
 
     def test_cap_reports_unrefined(self):
         f = make_weierstrass(0.5, 3, 24)
-        est = refine_oscillation(f, 1.0 / np.pi, 2.0 ** -4, FWD, cap=65)
-        assert not est.refined
-        assert est.n_samples == 65
+        _, n, refined = one_window(f, 1.0 / np.pi, 2.0 ** -4, FWD, cap=65)
+        assert not refined
+        assert n == 65
 
     def test_chirp_critical_ratio_near_two(self):
         # sup-inf of the gamma=1/2 chirp over [0, eps] approaches 2*eps**0.5
         f = make_chirp(0.5, 0.0)
         eps = 2.0 ** -10
-        est = refine_oscillation(f, 0.0, eps, FWD)
-        assert 1.5 <= est.value / eps ** 0.5 <= 2.05
+        value, _, _ = one_window(f, 0.0, eps, FWD)
+        assert 1.5 <= value / eps ** 0.5 <= 2.05
 
 
 def assert_ladder_matches_reference(f, x, eps, direction, n0=17, **kw):
@@ -248,15 +248,6 @@ class TestOscillationLadder:
         with pytest.raises(ValueError, match="c1_samples must be at least 2"):
             estimate_velocity(f, 0.0, 0.5, FWD, c1_samples=1)
 
-    def test_refine_oscillation_is_one_row(self):
-        f = SummedWeierstrass()
-        for eps in (2.0 ** -4, 2.0 ** -12):
-            est = refine_oscillation(f, 0.3, eps, BWD)
-            want = reference_ladder(f, 0.3, [eps], BWD, 17)
-            assert (est.value, est.n_samples, est.refined) == tuple(w[0] for w in want)
-        with pytest.raises(ValueError, match="n0 must be at least 3"):
-            refine_oscillation(f, 0.3, 0.1, FWD, n0=2)
-
     def test_evaluator_calls_stay_within_the_cap(self):
         f = CountingEvaluator(dyadic_depth)
         eps = EpsilonSchedule().increments(0.0)
@@ -279,17 +270,3 @@ class TestTailSpread:
         with pytest.raises(ValueError):
             tail_spread([1.0])
 
-
-class TestVariationTailOscillation:
-    def test_accepts_schedule_or_array(self):
-        f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
-        sched = EpsilonSchedule()
-        a = variation_tail_oscillation(f, 0.0, 0.5, FWD, sched)
-        b = variation_tail_oscillation(f, 0.0, 0.5, FWD, sched.increments(0.0))
-        assert a.value == b.value == 0.0
-        assert a.refined
-
-    def test_chirp_spread_stays_wide(self):
-        f = make_chirp(0.5, 0.0)
-        est = variation_tail_oscillation(f, 0.0, 0.5, FWD, EpsilonSchedule())
-        assert est.value > 1.5

@@ -43,10 +43,26 @@ class TestEpsilonSchedule:
         raw = EpsilonSchedule().raw()
         assert eps.size == int(np.sum(raw > floor))
 
-    def test_extra_floor(self):
-        eps = EpsilonSchedule().increments(0.0, extra_floor=1e-3)
-        assert np.all(eps > 1e-3)
-        assert eps.size == 6
+    def test_fitted_returns_self_when_nothing_is_cut(self):
+        sched = EpsilonSchedule(2.0 ** -4, 0.5, 6)
+        assert sched.fitted() is sched
+        assert sched.fitted(floor=2.0 ** -10, margin=2.0 ** -4) is sched
+
+    def test_fitted_cuts_at_the_floor(self):
+        sched = EpsilonSchedule().fitted(floor=2.0 ** -20)
+        assert sched == EpsilonSchedule(2.0 ** -4, 0.5, 16)
+        assert np.array_equal(sched.raw(), EpsilonSchedule().raw()[:16])
+
+    def test_fitted_cuts_at_the_margin(self):
+        sched = EpsilonSchedule().fitted(margin=0.01)
+        assert sched == EpsilonSchedule(2.0 ** -7, 0.5, 37)
+
+    def test_fitted_keeps_at_least_eight(self):
+        # floor and margin are exclusive and inclusive ends
+        assert EpsilonSchedule().fitted(floor=2.0 ** -11) is None
+        assert EpsilonSchedule().fitted(floor=2.0 ** -12).count == 8
+        assert EpsilonSchedule(2.0 ** -4, 0.5, 12).fitted(margin=2.0 ** -9) is None
+        assert EpsilonSchedule(2.0 ** -4, 0.5, 12).fitted(margin=2.0 ** -8).count == 8
 
     def test_underflow_raises(self):
         with pytest.raises(ScheduleUnderflowError):

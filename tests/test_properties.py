@@ -17,15 +17,14 @@ from fracvel import (
     estimate_holder_exponent,
     estimate_velocity,
     fractional_variation,
-    interval_oscillation,
     make_chirp,
     make_power_cusp,
     taylor_residual,
     velocity_limit,
 )
-from common import SummedWeierstrass, reference_ladder
+from common import SummedWeierstrass, osc_sampled, reference_ladder
 from fracvel import diffops
-from fracvel.diffops import _osc_sampled
+from fracvel.diffops import _osc_ladder, tail_spread
 from fracvel.estimator import FLOOR_FACTOR
 
 FWD = Direction.FORWARD
@@ -77,6 +76,27 @@ def test_classification_is_the_window_spread_test(values, tol):
     assert (est.status is LimitStatus.CONVERGED) == (spread <= tol)
 
 
+@settings(max_examples=100, deadline=None)
+@given(head=st.lists(finite, min_size=0, max_size=40), level=st.floats(-1e11, 1e11),
+       jitter=st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=40),
+       scale=st.floats(0.0, 1e-3), tol=st.floats(0.0, 1e-2))
+def test_tail_spread_within_tol_implies_converged(head, level, jitter, scale, tol):
+    # criterion 06 one way: for N >= 7 the classification window (the
+    # deepest max(4, N//4) entries) lies inside the c2 window (the deepest
+    # ceil(N/2)), so a c2 spread within tol cannot leave the window wider;
+    # every entry here is finite and below DIVERGENCE_CUTOFF
+    values = head + [level + scale * j for j in jitter]
+    if tail_spread(values) <= tol:
+        assert classify_limit(values, tol).status is LimitStatus.CONVERGED
+
+
+def test_converged_does_not_imply_tail_spread_within_tol():
+    # the converse fails: the c2 window reaches before a flat classification window
+    values = [0.0] * 8 + [1.0] * 4 + [0.0] * 4
+    assert classify_limit(values, 1e-6).status is LimitStatus.CONVERGED
+    assert tail_spread(values) == 1.0
+
+
 @settings(max_examples=30, deadline=None)
 @given(values=st.lists(finite, min_size=4, max_size=50),
        where=st.integers(0, 49))
@@ -125,8 +145,8 @@ def test_refined_oscillation_never_shrinks(x, k, n, direction):
     # doubling to 2n-1 samples keeps every coarse point, so the sup
     # over samples is monotone in the refinement, bit for bit
     eps = 2.0 ** -k
-    coarse = _osc_sampled(np.sin, x, eps, direction, n)
-    fine = _osc_sampled(np.sin, x, eps, direction, 2 * n - 1)
+    coarse = osc_sampled(np.sin, x, eps, direction, n)
+    fine = osc_sampled(np.sin, x, eps, direction, 2 * n - 1)
     assert fine >= coarse
 
 
@@ -135,7 +155,7 @@ def test_refined_oscillation_never_shrinks(x, k, n, direction):
        direction=st.sampled_from([FWD, BWD]))
 def test_oscillation_dominates_the_difference(x, k, direction):
     eps = 2.0 ** -k
-    osc = interval_oscillation(np.sin, x, eps, direction).value
+    osc = _osc_ladder(np.sin, x, [eps], direction, 33, cap=33)[0][0]
     assert osc >= abs(difference(np.sin, x, eps, direction)) - 1e-12
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from common import GAMMA_15, RL_LINEAR_AT_1
+from common import GAMMA_15, RL_LINEAR_AT_1, kg_lfd_rescaled
 from fracvel import (
     Direction,
     EpsilonSchedule,
@@ -15,7 +15,6 @@ from fracvel import (
     QuadratureError,
     check_lfd_equivalence,
     kg_lfd,
-    kg_lfd_rescaled,
     make_chirp,
     make_power_cusp,
     rl_derivative,
@@ -81,8 +80,19 @@ class TestRlIntegral:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(n_nodes=4)
-        with pytest.raises(ValueError):
-            QuadratureConfig(grading_exponent=0.5)
+
+    @pytest.mark.parametrize("config", [QuadratureConfig(2 ** 17),
+                                        QuadratureConfig(2 ** 11, QuadScheme.JACOBI_WEIGHTED)])
+    def test_start_past_the_cap_evaluates_nothing(self, config):
+        calls = []
+
+        def f(t):
+            calls.append(np.size(t))
+            return np.asarray(t, dtype=float)
+
+        with pytest.raises(QuadratureError, match=f"no stabilization by {config.n_nodes} nodes"):
+            rl_integral(f, 0.0, 0.5, 1.0, config)
+        assert calls == []
 
     def test_unresolvable_integrand_raises(self):
         # 1024-node cap of the weighted-gauss scheme cannot track this
