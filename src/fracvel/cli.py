@@ -227,7 +227,7 @@ def build_function(spec: str):
                 f = make_polynomial(coeffs, (lo, hi))
         else:
             raise UsageError(f"unknown function kind {kind!r}")
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:   # int() of an infinite count overflows
         if isinstance(e, UsageError):
             raise
         raise UsageError(str(e)) from None

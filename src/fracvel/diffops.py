@@ -18,7 +18,6 @@ __all__ = [
     "difference",
     "fractional_variation",
     "variation_values",
-    "tail_spread",
 ]
 
 # Doubling the sample count is considered settled below this relative change.
@@ -174,7 +173,7 @@ def _window_extrema(f, x: float, eps: np.ndarray, offs: np.ndarray,
     return hi, lo
 
 
-def _osc_ladder(f, x: float, eps, direction: Direction, n0: int,
+def _osc_ladder(f, x: float, eps, direction: Direction, n0: int = OSC_N0,
                 cap: int = OSC_SAMPLE_CAP):
     """Sampled oscillation sup f - inf f over each window of eps, by doubling.
 
@@ -184,9 +183,11 @@ def _osc_ladder(f, x: float, eps, direction: Direction, n0: int,
     decreases.  The first doubling that gains less than OSC_REL_CHANGE
     relative stops that window's ladder (refined=True); a window whose
     next grid would pass cap keeps its last value with refined=False.
-    n0 = cap gives one fixed grid of n0 points, and n0 is not checked
-    here.  Returns three arrays, one entry per increment: the value,
-    the number of samples it rests on and the refined flag.
+    The library always starts from OSC_N0 points under OSC_SAMPLE_CAP;
+    n0 and cap are there for tests (n0 = cap gives one fixed grid of n0
+    points, and n0 is not checked).  Returns three arrays, one entry per
+    increment: the value, the number of samples it rests on and the
+    refined flag.
 
     All windows are sampled together: the first grid in one pass, then
     each doubling samples only the new midpoints of the windows that
@@ -217,21 +218,3 @@ def _osc_ladder(f, x: float, eps, direction: Direction, n0: int,
         refined[active] = settled
         active = active[~settled]
     return value, n_samples, refined
-
-
-def tail_spread(values) -> float:
-    """Max minus min over the trailing half (ceil(N/2) entries) of a sequence.
-
-    This is the c2 value.  Limit classification (estimator.classify_limit)
-    reads a shorter window, the deepest max(4, N//4) entries, which for
-    N >= 7 lies inside this one.  So for N >= 7 finite entries within
-    estimator.DIVERGENCE_CUTOFF, a spread here within tol implies CONVERGED; the
-    converse does not follow, since entries before the classification
-    window may still spread.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        raise ValueError("need at least 2 values")
-    tail = values[-math.ceil(values.size / 2):]
-    return float(np.max(tail) - np.min(tail))
-

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import diffops
-from .diffops import Direction, tail_spread, variation_values
+from .diffops import Direction, variation_values
 from .errors import LocallyConstantError, PreconditionError, ScheduleUnderflowError
 
 __all__ = [
@@ -180,13 +180,9 @@ def classify_limit(values, tol: float) -> LimitEstimate:
     The window is the deepest max(4, N//4) entries.  Any non-finite
     entry, or a window entry past DIVERGENCE_CUTOFF in magnitude,
     reports DIVERGED.  Otherwise the window spread is compared with tol:
-    within tol (ties included) is CONVERGED, else OSCILLATORY.
-
-    The c2 value (diffops.tail_spread) reads the deepest ceil(N/2)
-    entries instead.  For N >= 7 that window holds this one, so with
-    every entry finite and the window within DIVERGENCE_CUTOFF, c2 <= tol
-    implies CONVERGED.  The converse does not follow: a flat window says
-    nothing of the entries before it.
+    within tol (ties included) is CONVERGED, else OSCILLATORY.  That
+    spread, the residual, is also the c2 value of estimate_velocity and
+    check_conditions.
     """
     values = np.asarray(values, dtype=float).reshape(1, -1)
     window, status, value, residual = _classify_rows(values, tol)
@@ -209,10 +205,10 @@ def velocity_limit(f, x: float, beta: float, direction: Direction,
                    tol: float = DEFAULT_TOL) -> LimitEstimate:
     """The one-sided fractional velocity limit at x, without side conditions.
 
-    The same limit estimate_velocity reports, at the cost of one
-    variation walk down the schedule; the c1 oscillation sampling and
-    the c2 spread are left out.  Scans, the interval verifiers and the
-    LFD cross-check read only this.
+    The same limit estimate_velocity reports, whose residual is c2, at
+    the cost of one variation walk down the schedule; the c1 oscillation
+    sampling is left out.  Scans, the interval verifiers and the LFD
+    cross-check read only this.
     """
     _, vals = _variations(f, x, beta, direction, schedule)
     return classify_limit(vals, tol)
@@ -247,7 +243,10 @@ class VelocityReport:
     """One-sided velocity estimate with the two side conditions.
 
     c1_constant is the smallest C with osc <= C * eps**beta over the
-    schedule; c2_oscillation is the tail spread of the variation itself.
+    schedule, inf when some ratio is not finite.  c2_oscillation is the
+    limit's residual, the spread of the variation over the
+    classification window (NaN when the limit diverged), so c2 <= tol
+    exactly when the limit converged.
     """
 
     x: float
@@ -255,32 +254,35 @@ class VelocityReport:
     direction: Direction
     limit: LimitEstimate
     c1_constant: float
-    c2_oscillation: float
+
+    @property
+    def c2_oscillation(self) -> float:
+        return self.limit.residual
 
 
-def _oscillations(f, x: float, direction: Direction, eps: np.ndarray,
-                  c1_samples: Optional[int]) -> np.ndarray:
-    """Oscillation over each probe window, all windows sampled together.
+def _limit_and_growth(f, x: float, beta: float, direction: Direction,
+                      schedule: Optional[EpsilonSchedule], tol: float):
+    """The limit at x, the growth ratios osc/eps**beta and the c1 constant.
 
-    c1_samples None runs the adaptive doubling ladder from OSC_N0
-    points; an integer samples one fixed grid of that many points per
-    window.
+    One variation walk and one oscillation ladder over the usable
+    increments.  c1 is the largest ratio, inf when some ratio is not
+    finite.
     """
-    if c1_samples is None:
-        return diffops._osc_ladder(f, x, eps, direction, diffops.OSC_N0)[0]
-    n = int(c1_samples)
-    if n < 2:
-        raise ValueError("c1_samples must be at least 2")
-    return diffops._osc_ladder(f, x, eps, direction, n, cap=n)[0]
+    eps, vals = _variations(f, x, beta, direction, schedule)
+    limit = classify_limit(vals, tol)
+    osc = diffops._osc_ladder(f, x, eps, direction)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        growth = osc / eps ** beta
+    c1 = float(np.max(growth)) if np.all(np.isfinite(growth)) else math.inf
+    return limit, growth, c1
 
 
 def estimate_velocity(f, x: float, beta: float, direction: Direction,
                       schedule: Optional[EpsilonSchedule] = None,
-                      tol: float = DEFAULT_TOL, *,
-                      c1_samples: Optional[int] = None) -> VelocityReport:
+                      tol: float = DEFAULT_TOL) -> VelocityReport:
     """Estimate the one-sided fractional velocity of order beta at x.
 
-    The limit is velocity_limit's; this adds the two side conditions.
+    The limit is velocity_limit's; this adds the c1 growth constant.
 
     Parameters
     ----------
@@ -300,21 +302,13 @@ def estimate_velocity(f, x: float, beta: float, direction: Direction,
     tol : float
         Cauchy window tolerance.  Match it to the expected tail spread;
         slowly decaying variations (small beta gap) need a looser value.
-    c1_samples : int, optional
-        Fixed oscillation resolution; None selects adaptive refinement.
 
     Returns
     -------
     VelocityReport
     """
-    eps, vals = _variations(f, x, beta, direction, schedule)
-    limit = classify_limit(vals, tol)
-    osc = _oscillations(f, x, direction, eps, c1_samples)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        growth = osc / eps ** beta
-    c1 = float(np.max(growth)) if np.all(np.isfinite(growth)) else math.inf
-    c2 = tail_spread(vals)
-    return VelocityReport(float(x), float(beta), direction, limit, c1, c2)
+    limit, _, c1 = _limit_and_growth(f, x, beta, direction, schedule, tol)
+    return VelocityReport(float(x), float(beta), direction, limit, c1)
 
 
 class ConditionsReport(NamedTuple):
@@ -326,8 +320,7 @@ class ConditionsReport(NamedTuple):
 
 def check_conditions(f, x: float, beta: float, direction: Direction,
                      schedule: Optional[EpsilonSchedule] = None,
-                     tol: float = DEFAULT_TOL, *,
-                     c1_samples: Optional[int] = None) -> ConditionsReport:
+                     tol: float = DEFAULT_TOL) -> ConditionsReport:
     """Evaluate the two side conditions for velocity existence at x.
 
     c1 (necessary): the growth ratios osc/eps**beta stay bounded as the
@@ -335,16 +328,13 @@ def check_conditions(f, x: float, beta: float, direction: Direction,
     shallow-half maximum; exceeding it by C1_RATIO_CUTOFF breaks the bound.
     A per-step ratio would miss slow blow-ups like a jump discontinuity,
     whose ratio grows only by 2**beta per halving.  c2 (necessary and
-    sufficient): the tail spread of the fractional variation is within
-    tol.  c2 deciding convergence is what estimate_velocity already
-    reports; the pair here is the diagnostic view.
+    sufficient): the spread of the fractional variation over the
+    classification window is within tol, so c2_holds is exactly a
+    CONVERGED limit.  c1_constant and c2_value are estimate_velocity's
+    c1_constant and c2_oscillation; the pair here is the diagnostic view.
     """
-    diffops._check_beta(beta)
-    schedule = schedule or DEFAULT_SCHEDULE
-    eps = schedule.increments(x)
-    osc = _oscillations(f, x, direction, eps, c1_samples)
-    growth = osc / eps ** beta
-    c1_constant = float(np.max(growth))
+    limit, growth, c1_constant = _limit_and_growth(f, x, beta, direction,
+                                                   schedule, tol)
     half = math.ceil(growth.size / 2)
     shallow_ref = float(np.max(growth[:-half]))
     deep_max = float(np.max(growth[-half:]))
@@ -352,10 +342,8 @@ def check_conditions(f, x: float, beta: float, direction: Direction,
         c1_holds = bool(deep_max <= C1_RATIO_CUTOFF * shallow_ref)
     else:
         c1_holds = bool(deep_max == 0.0)
-    vals = variation_values(f, x, beta, direction, eps)
-    c2_value = tail_spread(vals)
-    c2_holds = bool(c2_value <= tol)
-    return ConditionsReport(c1_holds, c1_constant, c2_holds, c2_value)
+    return ConditionsReport(c1_holds, c1_constant,
+                            limit.status is LimitStatus.CONVERGED, limit.residual)
 
 
 @dataclass(frozen=True)
@@ -389,7 +377,7 @@ def estimate_holder_exponent(f, x: float, direction: Direction,
     """
     schedule = schedule or DEFAULT_SCHEDULE
     eps = schedule.increments(x)
-    osc = diffops._osc_ladder(f, x, eps, direction, diffops.OSC_N0)[0]
+    osc = diffops._osc_ladder(f, x, eps, direction)[0]
     keep = osc > 0.0
     if not keep.any():
         raise LocallyConstantError(f"all oscillations vanish at x={x:g}")
@@ -411,21 +399,18 @@ def estimate_holder_exponent(f, x: float, direction: Direction,
 def variation_bound_constants(f, x: float, beta: float, direction: Direction,
                               schedule: Optional[EpsilonSchedule] = None,
                               tol: float = DEFAULT_TOL) -> Tuple[float, float]:
-    """Tight two-sided envelope |difference| / eps**beta over the tail.
+    """Envelope of |difference| / eps**beta over the classification window.
 
     Only defined when the velocity converges to a nonzero value; both
     constants then bracket |velocity| and tighten as the schedule deepens.
     Returns (lower, upper).
     """
-    schedule = schedule or DEFAULT_SCHEDULE
-    eps = schedule.increments(x)
-    vals = variation_values(f, x, beta, direction, eps)
-    limit = classify_limit(vals, tol)
+    limit = velocity_limit(f, x, beta, direction, schedule, tol)
     if limit.status is not LimitStatus.CONVERGED or limit.value == 0.0:
         raise PreconditionError(
             "bound constants require a converged nonzero velocity "
             f"(status={limit.status.value}, value={limit.value!r})")
-    tail = np.abs(vals[-math.ceil(vals.size / 2):])
+    tail = np.abs(limit.tail_values)
     return (float(np.min(tail)), float(np.max(tail)))
 
 

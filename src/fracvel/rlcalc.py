@@ -127,7 +127,8 @@ def _stabilize(one_pass, n0: int, cap: int) -> float:
     """
     n = int(n0)
     if 2 * n > cap:
-        raise QuadratureError(f"no stabilization by {n} nodes")
+        raise QuadratureError(
+            f"{n} starting nodes leave no room to double under the cap of {cap}")
     prev = one_pass(n)
     while 2 * n <= cap:
         n *= 2

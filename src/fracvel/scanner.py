@@ -74,6 +74,14 @@ def _require_margin(f, a: float, b: float, eps0: float) -> None:
             f"outside the domain [{lo:g}, {hi:g}]")
 
 
+def _grid_size(n) -> int:
+    """n as an int, at least the 3 points a grid with an interior needs."""
+    n = int(n)
+    if n < 3:
+        raise ValueError(f"need at least 3 grid points, got {n}")
+    return n
+
+
 def _probes(n: int):
     """(grid index, direction) of every scan probe, in grid order."""
     for i in range(n):
@@ -100,9 +108,7 @@ def scan_change_set(f, interval, beta: float, n: int,
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError(f"interval must be ordered, got ({a}, {b})")
-    n = int(n)
-    if n < 3:
-        raise ValueError(f"need at least 3 grid points, got {n}")
+    n = _grid_size(n)
     schedule = schedule or DEFAULT_SCHEDULE
     threshold = 10.0 * tol if flag_threshold is None else float(flag_threshold)
     _require_margin(f, a, b, schedule.eps0)
@@ -194,6 +200,7 @@ def verify_rolle(f, a: float, b: float, beta: float, n: int = 101,
         raise ValueError(f"need a < b, got ({a}, {b})")
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"order must lie in (0, 1], got {beta}")
+    n = _grid_size(n)
     schedule = schedule or DEFAULT_SCHEDULE
     fa, fb = float(np.asarray(f(a))), float(np.asarray(f(b)))
     if abs(fa - fb) > tol:
@@ -309,6 +316,7 @@ def verify_weak_darboux(f, a: float, b: float, beta: float, n: int = 101,
         raise ValueError(f"need a < b, got ({a}, {b})")
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"order must lie in (0, 1], got {beta}")
+    n = _grid_size(n)
     schedule = schedule or DEFAULT_SCHEDULE
 
     xs = np.linspace(a, b, n)
@@ -335,7 +343,7 @@ def verify_weak_darboux(f, a: float, b: float, beta: float, n: int = 101,
             return IntervalVerdict(
                 Theorem.WEAK_DARBOUX, False, None,
                 f"target {target:g} outside endpoint velocity range [{lo:g}, {hi:g}]")
-        gaps = float(np.max(np.abs(np.diff(v)))) if v.size > 1 else 0.0
+        gaps = float(np.max(np.abs(np.diff(v))))
         i = int(np.argmin(np.abs(v - target)))
         holds = bool(abs(v[i] - target) <= max(tol, gaps))
         witness = {"x": float(xs[i]), "velocity": float(v[i]), "target": float(target)}
@@ -344,7 +352,7 @@ def verify_weak_darboux(f, a: float, b: float, beta: float, n: int = 101,
             f"closest grid velocity at resolution {gaps:.3g}")
 
     if abs(v[0]) <= tol and abs(v[-1]) <= tol:
-        i = 1 + int(np.argmin(np.abs(v[1:-1]))) if v.size > 2 else 0
+        i = 1 + int(np.argmin(np.abs(v[1:-1])))
         holds = bool(abs(v[i]) <= tol)
         witness = {"x": float(xs[i]), "velocity": float(v[i])}
         return IntervalVerdict(Theorem.WEAK_DARBOUX, holds, witness,

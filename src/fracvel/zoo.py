@@ -38,6 +38,11 @@ Truth = Union[float, str]
 # by the dyadic probe grids, which keeps the oscillation fits honest.
 WEIERSTRASS_MARK_XS = (1.0 / np.pi, np.sqrt(2.0) - 1.0, 0.7)
 
+# The top Weierstrass frequency freq**(n_terms-1) may reach 2**53 and no
+# further: beyond it the top term's phase at the domain edge is rounding
+# noise, and more terms cannot change the result.
+WEIERSTRASS_MAX_BITS = 53
+
 
 @dataclass(frozen=True)
 class MarkedPoint:
@@ -162,7 +167,8 @@ def make_weierstrass(amp: float = 0.5, freq: int = 3,
         Frequency ratio, an integer >= 2 with amp*freq > 1 so the uniform
         Holder exponent log(1/amp)/log(freq) falls below 1.
     n_terms : int
-        Truncation length.  The series is smooth below the scale
+        Truncation length, at least 8 and with freq**(n_terms-1) at most
+        2**WEIERSTRASS_MAX_BITS.  The series is smooth below the scale
         1/(freq**(n_terms-1) * pi); probes should stay well above it.
 
     Returns
@@ -182,6 +188,11 @@ def make_weierstrass(amp: float = 0.5, freq: int = 3,
     n_terms = int(n_terms)
     if n_terms < 8:
         raise ValueError("n_terms must be at least 8")
+    # freq >= 2, so an exponent past the bit count fails without the power
+    top = n_terms - 1
+    if top > WEIERSTRASS_MAX_BITS or freq ** top > 2 ** WEIERSTRASS_MAX_BITS:
+        raise ValueError(f"n_terms={n_terms} puts the top frequency {freq}**{top} "
+                         f"past 2**{WEIERSTRASS_MAX_BITS}")
 
     amps = amp ** np.arange(n_terms)
     freqs = np.pi * np.asarray(freq, dtype=float) ** np.arange(n_terms)

@@ -12,6 +12,7 @@ from scipy.special import gamma
 
 from fracvel import Direction, EpsilonSchedule, classify_limit
 from fracvel.diffops import (
+    OSC_N0,
     OSC_REL_CHANGE,
     OSC_SAMPLE_CAP,
     _TINY,
@@ -59,7 +60,7 @@ def osc_sampled(f, x, eps, direction, n):
     return float(np.max(v) - np.min(v))
 
 
-def reference_ladder(f, x, eps, direction, n0, cap=OSC_SAMPLE_CAP):
+def reference_ladder(f, x, eps, direction, n0=OSC_N0, cap=OSC_SAMPLE_CAP):
     """The oscillation doubling ladder one increment at a time, on full grids.
 
     Each level samples the whole n-point grid of one window in its own

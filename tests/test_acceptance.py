@@ -71,8 +71,7 @@ def _zoo_critical_runs():
         for m in f.marks:
             beta = _critical_order(m)
             for d in DIRS:
-                rep = estimate_velocity(f, m.x, beta, d, sched, tol,
-                                        c1_samples=129)
+                rep = estimate_velocity(f, m.x, beta, d, sched, tol)
                 runs.append((f, m, d, beta, tol, sched, rep))
     return runs
 
@@ -175,8 +174,7 @@ def test_criterion_05_order_monotonicity():
             # K* eps**(beta-alpha); the window spread matches, so the
             # classification tolerance has to scale the same way
             tol_run = max(tol_m, 3.0 * k_star * tail_start ** (beta - alpha))
-            sub = estimate_velocity(f, m.x, alpha, d, sched, tol_run,
-                                    c1_samples=129)
+            sub = estimate_velocity(f, m.x, alpha, d, sched, tol_run)
             assert sub.limit.status is LimitStatus.CONVERGED, \
                 f"{f.id} x={m.x} {d.value} alpha={alpha}"
             assert abs(sub.limit.value) <= 10.0 * tol_run

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fracvel import Direction, default_zoo
 from fracvel.cli import (
@@ -431,6 +431,27 @@ class TestMainCommands:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("spec", ["weierstrass:n_terms=1000000000",
+                                      "weierstrass:n_terms=inf",
+                                      "weierstrass:freq=1e400"])
+    def test_unbounded_weierstrass_exit_2(self, spec, capsys):
+        # rejected while building the function, before any allocation
+        code = main(["analyze", "--fn", spec, "--x", "0", "--beta", "0.5"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["--theorem", "weak_darboux", "--interval=-1,0", "--beta", "0.5", "--n", "0"],
+        ["--theorem", "weak_darboux", "--interval=-1,0", "--beta", "1", "--target", "0",
+         "--n", "2"],
+        ["--theorem", "rolle", "--interval=-1,1", "--beta", "0.5", "--n", "2"],
+    ])
+    def test_verify_grid_below_three_points_exit_1(self, argv, capsys):
+        code = main(["verify", "--fn", "poly:coeffs=0;0;1"] + argv)
+        assert code == 1
+        want = f"error: need at least 3 grid points, got {argv[-1]}\n"
+        assert capsys.readouterr().err == want
+
     def test_missing_file_exit_1(self, capsys):
         code = main(["analyze", "--fn", "file:/no/such/file.csv", "--x", "0",
                      "--beta", "0.5"])
@@ -489,7 +510,8 @@ SPECS = ["cusp:", "cusp:a=0.25,beta=0.3,k=2", "chirp:gamma=0.5", "chirp:a=1e-300
          "weierstrass:amp=0.5,freq=3,n_terms=8", "poly:coeffs=0;1;1",
          "poly:coeffs=1;2,domain=0;1", "SAMPLES", "SAMPLES", "poly:coeffs=1;x", "poly:",
          "bogus:", "cusp:beta", "cusp:k=nan", "cusp:beta=2", "file:",
-         "file:missing-dir/none.csv"]
+         "file:missing-dir/none.csv", "weierstrass:n_terms=1000000000",
+         "weierstrass:n_terms=inf"]
 # (required, optional) flags of each subcommand
 COMMAND_FLAGS = {
     "zoo": ((), ("--format",)),
@@ -534,6 +556,15 @@ def sample_file(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(argv=command_lines())
+@example(argv=["verify", "--fn=cusp:", "--theorem=weak_darboux", "--interval=-1,0",
+               "--beta=0.5", "--n=0"])
+@example(argv=["verify", "--fn=cusp:", "--theorem=weak_darboux", "--interval=-1,0",
+               "--beta=1", "--target=0", "--n=1"])
+@example(argv=["verify", "--fn=poly:coeffs=0;0;1", "--theorem=weak_darboux",
+               "--interval=-1,1", "--beta=0.5", "--n=2"])
+@example(argv=["verify", "--fn=poly:coeffs=0;0;1", "--theorem=rolle",
+               "--interval=-1,1", "--beta=0.5", "--n=2"])
+@example(argv=["analyze", "--fn=weierstrass:n_terms=1000000000", "--x=0", "--beta=0.5"])
 def test_any_command_line_exits_cleanly(sample_file, argv):
     # exit 0, 1 or 2 with a one-line reason, never a traceback; any other
     # exception escapes main and fails the test

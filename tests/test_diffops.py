@@ -6,8 +6,6 @@ from fracvel import (
     DomainError,
     EpsilonSchedule,
     difference,
-    estimate_velocity,
-    check_conditions,
     fractional_variation,
     make_chirp,
     make_power_cusp,
@@ -15,7 +13,7 @@ from fracvel import (
     variation_values,
 )
 from common import SummedWeierstrass, osc_sampled, reference_ladder, same_bits
-from fracvel.diffops import OSC_SAMPLE_CAP, _osc_ladder, tail_spread
+from fracvel.diffops import OSC_SAMPLE_CAP, _osc_ladder
 
 FWD = Direction.FORWARD
 BWD = Direction.BACKWARD
@@ -104,10 +102,6 @@ class TestIntervalOscillation:
     def test_linear_backward_window(self):
         value, _, _ = one_window(lambda t: 3.0 * np.asarray(t), 1.0, 0.25, BWD, 129, 129)
         assert value == pytest.approx(0.75, rel=1e-15)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ValueError, match="c1_samples must be at least 2"):
-            check_conditions(square, 0.0, 0.5, FWD, c1_samples=1)
 
     def test_oscillation_bounds_difference(self):
         # both endpoints are in the sample set; the 1e-12 slack only covers
@@ -239,14 +233,6 @@ class TestOscillationLadder:
         f = make_chirp(0.5, 0.0)
         eps = EpsilonSchedule().increments(0.0)
         assert_ladder_matches_reference(f, 0.0, eps, FWD, n0=c1_samples, cap=c1_samples)
-        osc = reference_ladder(f, 0.0, eps, FWD, c1_samples, cap=c1_samples)[0]
-        rep = estimate_velocity(f, 0.0, 0.5, FWD, c1_samples=c1_samples)
-        assert rep.c1_constant == float(np.max(osc / eps ** 0.5))
-
-    def test_fixed_grid_needs_two_samples(self):
-        f = make_chirp(0.5, 0.0)
-        with pytest.raises(ValueError, match="c1_samples must be at least 2"):
-            estimate_velocity(f, 0.0, 0.5, FWD, c1_samples=1)
 
     def test_evaluator_calls_stay_within_the_cap(self):
         f = CountingEvaluator(dyadic_depth)
@@ -257,16 +243,4 @@ class TestOscillationLadder:
         want = reference_ladder(dyadic_depth, 0.0, eps, FWD, 17)
         for g, w in zip((value, n, refined), want):
             assert same_bits(g, w)
-
-
-class TestTailSpread:
-    def test_half_window(self):
-        assert tail_spread([5.0, 5.0, 1.0, 4.0]) == 3.0
-
-    def test_constant_sequence(self):
-        assert tail_spread(np.ones(10)) == 0.0
-
-    def test_needs_two(self):
-        with pytest.raises(ValueError):
-            tail_spread([1.0])
 

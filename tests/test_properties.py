@@ -12,6 +12,7 @@ from fracvel import (
     EpsilonSchedule,
     LimitStatus,
     LocallyConstantError,
+    check_conditions,
     classify_limit,
     difference,
     estimate_holder_exponent,
@@ -22,9 +23,9 @@ from fracvel import (
     taylor_residual,
     velocity_limit,
 )
-from common import SummedWeierstrass, osc_sampled, reference_ladder
+from common import SummedWeierstrass, osc_sampled, reference_ladder, same_bits
 from fracvel import diffops
-from fracvel.diffops import _osc_ladder, tail_spread
+from fracvel.diffops import _osc_ladder
 from fracvel.estimator import FLOOR_FACTOR
 
 FWD = Direction.FORWARD
@@ -74,27 +75,6 @@ def test_classification_is_the_window_spread_test(values, tol):
     assert est.value == window[-1]
     assert est.residual == spread
     assert (est.status is LimitStatus.CONVERGED) == (spread <= tol)
-
-
-@settings(max_examples=100, deadline=None)
-@given(head=st.lists(finite, min_size=0, max_size=40), level=st.floats(-1e11, 1e11),
-       jitter=st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=40),
-       scale=st.floats(0.0, 1e-3), tol=st.floats(0.0, 1e-2))
-def test_tail_spread_within_tol_implies_converged(head, level, jitter, scale, tol):
-    # criterion 06 one way: for N >= 7 the classification window (the
-    # deepest max(4, N//4) entries) lies inside the c2 window (the deepest
-    # ceil(N/2)), so a c2 spread within tol cannot leave the window wider;
-    # every entry here is finite and below DIVERGENCE_CUTOFF
-    values = head + [level + scale * j for j in jitter]
-    if tail_spread(values) <= tol:
-        assert classify_limit(values, tol).status is LimitStatus.CONVERGED
-
-
-def test_converged_does_not_imply_tail_spread_within_tol():
-    # the converse fails: the c2 window reaches before a flat classification window
-    values = [0.0] * 8 + [1.0] * 4 + [0.0] * 4
-    assert classify_limit(values, 1e-6).status is LimitStatus.CONVERGED
-    assert tail_spread(values) == 1.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -187,30 +167,49 @@ def test_velocity_limit_is_the_reported_limit(chirp, a, order, K, u, beta, tol,
     # the limit alone, side conditions skipped, is the full report's limit
     f = make_chirp(order, a) if chirp else make_power_cusp(a, order, K, 0.0)
     x = a + u
-    rep = estimate_velocity(f, x, beta, direction, tol=tol, c1_samples=17)
+    rep = estimate_velocity(f, x, beta, direction, tol=tol)
     assert velocity_limit(f, x, beta, direction, tol=tol) == rep.limit
+
+
+def _member(kind, order, u, freq):
+    """A cusp, chirp or Weierstrass evaluator of the given order, and a point."""
+    if kind == "cusp":
+        return make_power_cusp(0.0, order, 1.0, 0.0), u
+    if kind == "chirp":
+        return make_chirp(order, 0.0), (u if u > 0.25 else 0.0)
+    return SummedWeierstrass(order / freq + 1.0 / freq, freq), u
 
 
 @settings(max_examples=25, deadline=None)
 @given(kind=st.sampled_from(["cusp", "chirp", "weierstrass"]),
        order=st.floats(0.1, 0.9), u=st.floats(-0.5, 0.5),
        freq=st.integers(2, 4), beta=st.floats(0.05, 1.0),
-       c1_samples=st.sampled_from([None, None, 17]),
+       tol=st.sampled_from([1e-6, 1e-4, 1e-2]), direction=st.sampled_from([FWD, BWD]))
+def test_conditions_are_the_velocity_report(kind, order, u, freq, beta, tol, direction):
+    # check_conditions reads the same c1 constant and c2 residual as
+    # estimate_velocity, and c2 holds exactly when the limit converged
+    f, x = _member(kind, order, u, freq)
+    rep = estimate_velocity(f, x, beta, direction, tol=tol)
+    cond = check_conditions(f, x, beta, direction, tol=tol)
+    assert same_bits(cond.c1_constant, rep.c1_constant)
+    assert same_bits(cond.c2_value, rep.c2_oscillation)
+    assert same_bits(rep.c2_oscillation, rep.limit.residual)
+    assert cond.c2_holds == (rep.limit.status is LimitStatus.CONVERGED)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["cusp", "chirp", "weierstrass"]),
+       order=st.floats(0.1, 0.9), u=st.floats(-0.5, 0.5),
+       freq=st.integers(2, 4), beta=st.floats(0.05, 1.0),
        direction=st.sampled_from([FWD, BWD]))
 def test_batched_oscillations_equal_the_per_increment_ladder(kind, order, u, freq,
-                                                             beta, c1_samples,
-                                                             direction):
+                                                             beta, direction):
     # c1 and the Holder fit read the same oscillations, bit for bit, as
     # when every window is refined alone on full grids
-    if kind == "cusp":
-        f, x = make_power_cusp(0.0, order, 1.0, 0.0), u
-    elif kind == "chirp":
-        f, x = make_chirp(order, 0.0), (u if u > 0.25 else 0.0)
-    else:
-        f, x = SummedWeierstrass(order / freq + 1.0 / freq, freq), u
+    f, x = _member(kind, order, u, freq)
 
     def outcomes():
-        out = [estimate_velocity(f, x, beta, direction, c1_samples=c1_samples)]
+        out = [estimate_velocity(f, x, beta, direction)]
         try:
             out.append(estimate_holder_exponent(f, x, direction))
         except LocallyConstantError as e:   # the chirp's flat side

@@ -192,6 +192,13 @@ class TestVerifyRolle:
         with pytest.raises(PreconditionError):
             verify_rolle(f, 0.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_needs_three_grid_points(self, n):
+        # the same check as scan_change_set's, before the endpoint hypothesis
+        f = make_polynomial((0.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match=f"need at least 3 grid points, got {n}"):
+            verify_rolle(f, -1.0, 1.0, 0.5, n)
+
     def test_oscillatory_point_fails_with_reason(self):
         verdict = verify_rolle(even_chirp, -1.0, 1.0, 0.5, n=101)
         assert not verdict.holds
@@ -265,6 +272,13 @@ class TestVerifyWeakDarboux:
         assert verdict.holds
         assert verdict.witness is None
         assert "asserts nothing" in verdict.notes
+
+    @pytest.mark.parametrize("beta, target", [(0.5, None), (1.0, 0.0)])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_needs_three_grid_points(self, n, beta, target):
+        f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
+        with pytest.raises(ValueError, match=f"need at least 3 grid points, got {n}"):
+            verify_weak_darboux(f, -1.0, 0.0, beta, n, target=target)
 
     def test_oscillatory_grid_point_reports_failure(self):
         verdict = verify_weak_darboux(even_chirp, -1.0, 1.0, 0.5, 101)

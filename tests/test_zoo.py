@@ -141,6 +141,15 @@ class TestWeierstrass:
         with pytest.raises(ValueError):
             make_weierstrass(0.5, 3, 4)
 
+    def test_top_frequency_stays_within_53_bits(self):
+        # freq**(n_terms-1) may reach 2**53: 3**33 and 2**53 pass, 3**34
+        # and 2**54 fail, and a billion terms fails before any allocation
+        assert len(make_weierstrass(0.5, 3, 34).marks) == 3
+        assert len(make_weierstrass(0.6, 2, 54).marks) == 3
+        for amp, freq, n_terms in ((0.5, 3, 35), (0.6, 2, 55), (0.5, 3, 10 ** 9)):
+            with pytest.raises(ValueError, match=r"past 2\*\*53"):
+                make_weierstrass(amp, freq, n_terms)
+
     def test_vectorized_matches_term_sum(self):
         f = make_weierstrass(0.6, 2, 12)
         x = 0.37
