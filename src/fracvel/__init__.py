@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 
 from .diffops import (
     Direction,
-    difference,
-    fractional_variation,
     variation_values,
 )
 from .errors import (
@@ -23,18 +21,14 @@ from .errors import (
     ScheduleUnderflowError,
 )
 from .estimator import (
-    ConditionsReport,
     EpsilonSchedule,
     HolderEstimate,
     LimitEstimate,
     LimitStatus,
     VelocityReport,
-    check_conditions,
     classify_limit,
     estimate_holder_exponent,
     estimate_velocity,
-    taylor_residual,
-    variation_bound_constants,
     velocity_limit,
 )
 from .rlcalc import (
@@ -71,26 +65,20 @@ from .zoo import (
 __all__ = [
     "__version__",
     "Direction",
-    "difference",
-    "fractional_variation",
     "variation_values",
     "DomainError",
     "LocallyConstantError",
     "PreconditionError",
     "QuadratureError",
     "ScheduleUnderflowError",
-    "ConditionsReport",
     "EpsilonSchedule",
     "HolderEstimate",
     "LimitEstimate",
     "LimitStatus",
     "VelocityReport",
-    "check_conditions",
     "classify_limit",
     "estimate_holder_exponent",
     "estimate_velocity",
-    "taylor_residual",
-    "variation_bound_constants",
     "velocity_limit",
     "LfdReport",
     "QuadratureConfig",

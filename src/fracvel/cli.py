@@ -76,6 +76,15 @@ MIN_SAMPLE_ROWS = 16
 # below that the interpolant is linear and every estimate is an artifact.
 SAMPLE_FLOOR_GAPS = 4.0
 
+# Largest --count and --approach-count.  A schedule allocates all its
+# steps before the round-off floor cuts it, and a scan compares every
+# grid point with every step as one (--n x --count) array, so this cap
+# and MAX_GRID_N together bound a run's memory.
+MAX_COUNT = 1024
+
+# Largest --n for scan and verify.
+MAX_GRID_N = 65536
+
 
 class UsageError(ValueError):
     """Bad command line input; maps to exit status 2."""
@@ -381,6 +390,11 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
             raise UsageError(f"{flag} must be nonnegative and finite, got {value}")
     if cfg.count < 4:
         raise UsageError(f"--count must be at least 4, got {cfg.count}")
+    for flag, value, cap in (("--count", cfg.count, MAX_COUNT),
+                             ("--approach-count", cfg.approach_count, MAX_COUNT),
+                             ("--n", cfg.n, MAX_GRID_N)):
+        if value is not None and value > cap:
+            raise UsageError(f"{flag} must be at most {cap}, got {value}")
     if cfg.command == "zoo" and cfg.fmt != "json":
         raise UsageError("zoo list emits JSON lines only")
     return cfg
@@ -510,7 +524,7 @@ def _limit_dict(est) -> dict:
 def _velocity_dict(rep: VelocityReport) -> dict:
     d = _limit_dict(rep.limit)
     d["c1_constant"] = rep.c1_constant
-    d["c2_oscillation"] = rep.c2_oscillation
+    d["c1_holds"] = rep.c1_holds
     return d
 
 
@@ -562,9 +576,9 @@ def _run_analyze(cfg: RunConfig) -> RunResult:
         "meta": _meta(),
     }
     header = ("direction", "status", "value", "residual",
-              "c1_constant", "c2_oscillation")
+              "c1_constant", "c1_holds")
     rows = [(name, r["status"], r["value"], r["residual"],
-             r["c1_constant"], r["c2_oscillation"])
+             r["c1_constant"], r["c1_holds"])
             for name, r in sorted(reports.items())]
     return RunResult(payload, header, rows)
 

@@ -1,4 +1,4 @@
-"""Finite differences, fractional variation, and oscillation primitives.
+"""Fractional variation and oscillation primitives.
 
 Everything here is pre-limit: plain array arithmetic over explicit
 increments.  Limit classification lives in the estimator module.
@@ -15,8 +15,6 @@ from .errors import DomainError
 __all__ = [
     "Direction",
     "domain_of",
-    "difference",
-    "fractional_variation",
     "variation_values",
 ]
 
@@ -71,19 +69,6 @@ def _feval(f, t):
     return np.asarray(f(np.asarray(t, dtype=float)), dtype=float)
 
 
-def difference(f, x: float, eps: float, direction: Direction) -> float:
-    """One-sided difference of f at x over the increment eps.
-
-    Forward gives f(x+eps) - f(x); backward gives f(x) - f(x-eps).
-    """
-    eps = float(eps)
-    _check_eps(eps)
-    _check_window(f, x, eps, direction)
-    if direction is Direction.FORWARD:
-        return float(_feval(f, x + eps) - _feval(f, x))
-    return float(_feval(f, x) - _feval(f, x - eps))
-
-
 def variation_values(f, x, beta: float, direction: Direction, eps) -> np.ndarray:
     """Fractional variation difference/eps**beta over an array of increments.
 
@@ -108,12 +93,6 @@ def variation_values(f, x, beta: float, direction: Direction, eps) -> np.ndarray
     else:
         delta = fx - _feval(f, xs[..., None] - eps)
     return delta / eps ** beta
-
-
-def fractional_variation(f, x: float, eps: float, beta: float,
-                         direction: Direction) -> float:
-    """Difference quotient against eps**beta; the pre-limit velocity value."""
-    return float(variation_values(f, x, beta, direction, [float(eps)])[0])
 
 
 def _osc_offsets(n: int) -> np.ndarray:

@@ -11,13 +11,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import diffops
 from .diffops import Direction, variation_values
-from .errors import LocallyConstantError, PreconditionError, ScheduleUnderflowError
+from .errors import LocallyConstantError, ScheduleUnderflowError
 
 __all__ = [
     "DEFAULT_TOL",
@@ -30,12 +30,8 @@ __all__ = [
     "velocity_limit",
     "VelocityReport",
     "estimate_velocity",
-    "ConditionsReport",
-    "check_conditions",
     "HolderEstimate",
     "estimate_holder_exponent",
-    "variation_bound_constants",
-    "taylor_residual",
 ]
 
 DEFAULT_TOL = 1e-6
@@ -54,7 +50,8 @@ MIN_USABLE = 4
 # least this many increments.
 MIN_FITTED = 8
 
-# Consecutive growth-ratio cutoff for the bounded-oscillation check.
+# c1 holds while the deep-half maximum of the growth ratios stays within
+# this factor of the shallow-half maximum.
 C1_RATIO_CUTOFF = 10.0
 
 _EPS_MACH = np.finfo(float).eps
@@ -181,8 +178,7 @@ def classify_limit(values, tol: float) -> LimitEstimate:
     entry, or a window entry past DIVERGENCE_CUTOFF in magnitude,
     reports DIVERGED.  Otherwise the window spread is compared with tol:
     within tol (ties included) is CONVERGED, else OSCILLATORY.  That
-    spread, the residual, is also the c2 value of estimate_velocity and
-    check_conditions.
+    spread, the residual, is also the c2 value of estimate_velocity.
     """
     values = np.asarray(values, dtype=float).reshape(1, -1)
     window, status, value, residual = _classify_rows(values, tol)
@@ -240,13 +236,18 @@ def _velocity_limits(f, xs: np.ndarray, beta: float, direction: Direction,
 
 @dataclass(frozen=True)
 class VelocityReport:
-    """One-sided velocity estimate with the two side conditions.
+    """One-sided velocity estimate with the paper's two side conditions.
 
-    c1_constant is the smallest C with osc <= C * eps**beta over the
-    schedule, inf when some ratio is not finite.  c2_oscillation is the
-    limit's residual, the spread of the variation over the
-    classification window (NaN when the limit diverged), so c2 <= tol
-    exactly when the limit converged.
+    c1 bounds the oscillation growth osc/eps**beta.  c1_constant is the
+    largest ratio over the schedule, inf when some ratio is not finite.
+    c1_holds compares the deep half of the ratios with the shallow half:
+    the deep-half maximum may exceed the shallow-half maximum by at most
+    C1_RATIO_CUTOFF (when the shallow half is all zero, the deep half
+    must be too).  A per-step ratio would miss slow blow-ups like a jump
+    discontinuity, whose ratio grows only by 2**beta per halving.
+    c2_oscillation is the limit's residual, the spread of the variation
+    over the classification window (NaN when the limit diverged), so
+    c2 <= tol exactly when the limit converged.
     """
 
     x: float
@@ -254,27 +255,11 @@ class VelocityReport:
     direction: Direction
     limit: LimitEstimate
     c1_constant: float
+    c1_holds: bool
 
     @property
     def c2_oscillation(self) -> float:
         return self.limit.residual
-
-
-def _limit_and_growth(f, x: float, beta: float, direction: Direction,
-                      schedule: Optional[EpsilonSchedule], tol: float):
-    """The limit at x, the growth ratios osc/eps**beta and the c1 constant.
-
-    One variation walk and one oscillation ladder over the usable
-    increments.  c1 is the largest ratio, inf when some ratio is not
-    finite.
-    """
-    eps, vals = _variations(f, x, beta, direction, schedule)
-    limit = classify_limit(vals, tol)
-    osc = diffops._osc_ladder(f, x, eps, direction)[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        growth = osc / eps ** beta
-    c1 = float(np.max(growth)) if np.all(np.isfinite(growth)) else math.inf
-    return limit, growth, c1
 
 
 def estimate_velocity(f, x: float, beta: float, direction: Direction,
@@ -282,7 +267,11 @@ def estimate_velocity(f, x: float, beta: float, direction: Direction,
                       tol: float = DEFAULT_TOL) -> VelocityReport:
     """Estimate the one-sided fractional velocity of order beta at x.
 
-    The limit is velocity_limit's; this adds the c1 growth constant.
+    The limit is velocity_limit's, and c2 is its residual.  One
+    oscillation ladder over the same increments adds c1: the growth
+    ratios osc/eps**beta, their maximum as c1_constant, and c1_holds when
+    the deep-half maximum stays within C1_RATIO_CUTOFF times the
+    shallow-half maximum.
 
     Parameters
     ----------
@@ -307,43 +296,20 @@ def estimate_velocity(f, x: float, beta: float, direction: Direction,
     -------
     VelocityReport
     """
-    limit, _, c1 = _limit_and_growth(f, x, beta, direction, schedule, tol)
-    return VelocityReport(float(x), float(beta), direction, limit, c1)
-
-
-class ConditionsReport(NamedTuple):
-    c1_holds: bool
-    c1_constant: float
-    c2_holds: bool
-    c2_value: float
-
-
-def check_conditions(f, x: float, beta: float, direction: Direction,
-                     schedule: Optional[EpsilonSchedule] = None,
-                     tol: float = DEFAULT_TOL) -> ConditionsReport:
-    """Evaluate the two side conditions for velocity existence at x.
-
-    c1 (necessary): the growth ratios osc/eps**beta stay bounded as the
-    increments shrink.  The deep-half maximum is compared against the
-    shallow-half maximum; exceeding it by C1_RATIO_CUTOFF breaks the bound.
-    A per-step ratio would miss slow blow-ups like a jump discontinuity,
-    whose ratio grows only by 2**beta per halving.  c2 (necessary and
-    sufficient): the spread of the fractional variation over the
-    classification window is within tol, so c2_holds is exactly a
-    CONVERGED limit.  c1_constant and c2_value are estimate_velocity's
-    c1_constant and c2_oscillation; the pair here is the diagnostic view.
-    """
-    limit, growth, c1_constant = _limit_and_growth(f, x, beta, direction,
-                                                   schedule, tol)
+    eps, vals = _variations(f, x, beta, direction, schedule)
+    limit = classify_limit(vals, tol)
+    osc = diffops._osc_ladder(f, x, eps, direction)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        growth = osc / eps ** beta
+    c1 = float(np.max(growth)) if np.all(np.isfinite(growth)) else math.inf
     half = math.ceil(growth.size / 2)
     shallow_ref = float(np.max(growth[:-half]))
     deep_max = float(np.max(growth[-half:]))
     if shallow_ref > 0.0:
-        c1_holds = bool(deep_max <= C1_RATIO_CUTOFF * shallow_ref)
+        c1_holds = deep_max <= C1_RATIO_CUTOFF * shallow_ref
     else:
-        c1_holds = bool(deep_max == 0.0)
-    return ConditionsReport(c1_holds, c1_constant,
-                            limit.status is LimitStatus.CONVERGED, limit.residual)
+        c1_holds = deep_max == 0.0
+    return VelocityReport(float(x), float(beta), direction, limit, c1, c1_holds)
 
 
 @dataclass(frozen=True)
@@ -394,35 +360,3 @@ def estimate_holder_exponent(f, x: float, direction: Direction,
     exponent = float(np.clip(slope, 0.0, 1.5))
     return HolderEstimate(exponent, float(np.exp(intercept)), float(r2),
                           (float(np.min(eps[keep])), float(np.max(eps[keep]))))
-
-
-def variation_bound_constants(f, x: float, beta: float, direction: Direction,
-                              schedule: Optional[EpsilonSchedule] = None,
-                              tol: float = DEFAULT_TOL) -> Tuple[float, float]:
-    """Envelope of |difference| / eps**beta over the classification window.
-
-    Only defined when the velocity converges to a nonzero value; both
-    constants then bracket |velocity| and tighten as the schedule deepens.
-    Returns (lower, upper).
-    """
-    limit = velocity_limit(f, x, beta, direction, schedule, tol)
-    if limit.status is not LimitStatus.CONVERGED or limit.value == 0.0:
-        raise PreconditionError(
-            "bound constants require a converged nonzero velocity "
-            f"(status={limit.status.value}, value={limit.value!r})")
-    tail = np.abs(limit.tail_values)
-    return (float(np.min(tail)), float(np.max(tail)))
-
-
-def taylor_residual(f, x: float, beta: float, v: float, eps: float,
-                    direction: Direction) -> float:
-    """Normalized remainder |difference - v*eps**beta| / eps**beta.
-
-    Measures how well v plays the role of a fractional slope in the
-    one-sided expansion of f at x at the probe width eps.  The backward
-    difference already carries its sign, so one formula serves both sides.
-    """
-    diffops._check_beta(beta)
-    d = diffops.difference(f, x, eps, direction)
-    scale = float(eps) ** beta
-    return float(abs(d - v * scale) / scale)

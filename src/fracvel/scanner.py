@@ -251,7 +251,8 @@ def verify_mean_value(f, a: float, b: float, beta: float,
     The ratio r = (f(b)-f(a)) / (b-a)**beta must be attained by the
     forward velocity at a or the backward velocity at b; below order one
     there is no interior c playing the classical role, and the notes
-    report how many interior grid points (out of grid_n) attain r anyway.
+    report how many interior grid points (out of grid_n, at least 1)
+    attain r anyway.
     """
     a, b = float(a), float(b)
     if not a < b:
@@ -259,6 +260,9 @@ def verify_mean_value(f, a: float, b: float, beta: float,
     if not 0.0 < beta < 1.0:
         raise PreconditionError(
             f"the endpoint form needs order in (0, 1), got {beta}")
+    grid_n = int(grid_n)
+    if grid_n < 1:
+        raise ValueError(f"need at least 1 interior grid point, got {grid_n}")
     schedule = schedule or DEFAULT_SCHEDULE
     fa, fb = float(np.asarray(f(a))), float(np.asarray(f(b)))
     if abs(fa - fb) <= tol:
@@ -279,7 +283,7 @@ def verify_mean_value(f, a: float, b: float, beta: float,
 
     attained = 0
     skipped = 0
-    xs = np.linspace(a, b, int(grid_n) + 2)[1:-1]
+    xs = np.linspace(a, b, grid_n + 2)[1:-1]
     for x in xs:
         x = float(x)
         hit = False

@@ -60,6 +60,14 @@ def osc_sampled(f, x, eps, direction, n):
     return float(np.max(v) - np.min(v))
 
 
+def one_sided_difference(f, x, eps, direction):
+    """f(x+eps) - f(x) forward and f(x) - f(x-eps) backward, one float."""
+    fx = float(_feval(f, x))
+    if direction is Direction.FORWARD:
+        return float(_feval(f, x + eps)) - fx
+    return fx - float(_feval(f, x - eps))
+
+
 def reference_ladder(f, x, eps, direction, n0=OSC_N0, cap=OSC_SAMPLE_CAP):
     """The oscillation doubling ladder one increment at a time, on full grids.
 

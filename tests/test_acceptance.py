@@ -97,7 +97,7 @@ def test_criterion_01_chirp_critical_order(capsys):
     assert code == 0
     fwd = json.loads(out)["reports"]["forward"]
     assert fwd["status"] == "oscillatory"
-    assert fwd["c2_oscillation"] == pytest.approx(2.0, abs=0.05)
+    assert fwd["residual"] == pytest.approx(2.0, abs=0.05)
     # below the critical order the same point converges to zero; the
     # classification tolerance covers the eps**(1/4) window drift
     code, out = run_cli(["analyze", "--fn", "chirp:gamma=0.5", "--x", "0",

@@ -368,8 +368,27 @@ class TestMainCommands:
         assert code == 0
         out = capsys.readouterr().out
         lines = out.strip().split("\n")
-        assert lines[0] == "direction,status,value,residual,c1_constant,c2_oscillation"
+        assert lines[0] == "direction,status,value,residual,c1_constant,c1_holds"
         assert len(lines) == 3  # header + both directions
+
+    def test_analyze_prints_the_c1_verdict(self, capsys):
+        # far above the Weierstrass exponent ln 2/ln 3 the growth ratios
+        # blow up on both sides
+        code = main(["analyze", "--fn", "weierstrass:", "--x", "0.3", "--beta", "0.9",
+                     "--format", "csv"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["direction"] for r in rows] == ["backward", "forward"]
+        assert [r["c1_holds"] for r in rows] == ["false", "false"]
+
+    def test_analyze_c1_holds_where_the_limit_oscillates(self, capsys):
+        # the chirp at its critical order: bounded growth, no limit
+        code = main(["analyze", "--fn", "chirp:gamma=0.5", "--x", "0", "--beta", "0.5"])
+        assert code == 0
+        fwd = json.loads(capsys.readouterr().out)["reports"]["forward"]
+        assert fwd["c1_holds"] is True
+        assert fwd["status"] == "oscillatory"
+        assert "c2_oscillation" not in fwd
 
     def test_holder_cusp(self, capsys):
         code = main(["holder", "--fn", "cusp:beta=0.5", "--x", "0",
@@ -451,6 +470,37 @@ class TestMainCommands:
         assert code == 1
         want = f"error: need at least 3 grid points, got {argv[-1]}\n"
         assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_verify_mean_value_needs_an_interior_point(self, n, capsys):
+        code = main(["verify", "--fn", "cusp:", "--theorem", "mean_value",
+                     "--interval", "0,1", "--beta", "0.5", "--n", n])
+        assert code == 1
+        want = f"error: need at least 1 interior grid point, got {n}\n"
+        assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("argv,flag,cap", [
+        (["analyze", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "--count", "1025"],
+         "--count", 1024),
+        (["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5",
+          "--approach-count", "1025"], "--approach-count", 1024),
+        (["scan", "--fn", "cusp:", "--interval=-1,1", "--beta", "0.5", "--n", "65537"],
+         "--n", 65536),
+        (["verify", "--fn", "cusp:", "--theorem", "mean_value", "--interval", "0,1",
+          "--beta", "0.5", "--n", "65537"], "--n", 65536),
+    ])
+    def test_sizes_past_their_cap_exit_2(self, argv, flag, cap, capsys):
+        assert main(argv) == 2
+        want = f"error: {flag} must be at most {cap}, got {argv[-1]}\n"
+        assert capsys.readouterr().err == want
+
+    def test_sizes_at_their_cap_are_accepted(self):
+        cfg = parse_args(["scan", "--fn", "cusp:", "--interval=-1,1", "--beta", "0.5",
+                          "--n", "65536", "--count", "1024"])
+        assert (cfg.n, cfg.count) == (65536, 1024)
+        cfg = parse_args(["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5",
+                          "--approach-count", "1024"])
+        assert cfg.approach_count == 1024
 
     def test_missing_file_exit_1(self, capsys):
         code = main(["analyze", "--fn", "file:/no/such/file.csv", "--x", "0",
@@ -565,6 +615,15 @@ def sample_file(tmp_path_factory):
 @example(argv=["verify", "--fn=poly:coeffs=0;0;1", "--theorem=rolle",
                "--interval=-1,1", "--beta=0.5", "--n=2"])
 @example(argv=["analyze", "--fn=weierstrass:n_terms=1000000000", "--x=0", "--beta=0.5"])
+@example(argv=["verify", "--fn=cusp:", "--theorem=mean_value", "--interval=0,1",
+               "--beta=0.5", "--n=0"])
+@example(argv=["verify", "--fn=cusp:", "--theorem=mean_value", "--interval=0,1",
+               "--beta=0.5", "--n=-5"])
+@example(argv=["analyze", "--fn=cusp:", "--x=0", "--beta=0.5", "--count=100000000"])
+@example(argv=["lfd", "--fn=cusp:", "--x=0", "--beta=0.5", "--approach-count=100000000"])
+@example(argv=["scan", "--fn=cusp:", "--interval=-1,1", "--beta=0.5", "--n=100000000"])
+@example(argv=["verify", "--fn=cusp:", "--theorem=mean_value", "--interval=0,1",
+               "--beta=0.5", "--n=100000000"])
 def test_any_command_line_exits_cleanly(sample_file, argv):
     # exit 0, 1 or 2 with a one-line reason, never a traceback; any other
     # exception escapes main and fails the test

@@ -5,14 +5,18 @@ from fracvel import (
     Direction,
     DomainError,
     EpsilonSchedule,
-    difference,
-    fractional_variation,
     make_chirp,
     make_power_cusp,
     make_weierstrass,
     variation_values,
 )
-from common import SummedWeierstrass, osc_sampled, reference_ladder, same_bits
+from common import (
+    SummedWeierstrass,
+    one_sided_difference,
+    osc_sampled,
+    reference_ladder,
+    same_bits,
+)
 from fracvel.diffops import OSC_SAMPLE_CAP, _osc_ladder
 
 FWD = Direction.FORWARD
@@ -24,38 +28,45 @@ def square(t):
     return t * t
 
 
+def variation(f, x, eps, beta, direction):
+    """variation_values at the single increment eps."""
+    return float(variation_values(f, x, beta, direction, [eps])[0])
+
+
 class TestDifference:
+    """The difference inside the variation, read at order one."""
+
     def test_forward_on_square(self):
-        assert difference(square, 1.0, 0.5, FWD) == (1.5 ** 2 - 1.0)
+        assert variation(square, 1.0, 0.5, 1.0, FWD) == (1.5 ** 2 - 1.0) / 0.5
 
     def test_backward_on_square(self):
-        assert difference(square, 1.0, 0.5, BWD) == (1.0 - 0.5 ** 2)
+        assert variation(square, 1.0, 0.5, 1.0, BWD) == (1.0 - 0.5 ** 2) / 0.5
 
     def test_cusp_forward_is_power(self):
         f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
         for eps in (0.5, 2.0 ** -10, 2.0 ** -30):
-            assert difference(f, 0.0, eps, FWD) == eps ** 0.5
+            assert variation(f, 0.0, eps, 1.0, FWD) == eps ** 0.5 / eps
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
-            difference(square, 0.0, 0.0, FWD)
+            variation_values(square, 0.0, 0.5, FWD, [0.0])
         with pytest.raises(ValueError):
-            difference(square, 0.0, -0.1, BWD)
+            variation_values(square, 0.0, 0.5, BWD, [0.25, -0.1])
 
     def test_domain_enforced(self):
         f = make_power_cusp(0.0, 0.5, 1.0, 0.0)  # domain (-2, 2)
         with pytest.raises(DomainError):
-            difference(f, 1.99, 0.5, FWD)
+            variation_values(f, 1.99, 0.5, FWD, [0.5])
         with pytest.raises(DomainError):
-            difference(f, -1.99, 0.5, BWD)
+            variation_values(f, -1.99, 0.5, BWD, [2.0 ** -10, 0.5])
 
 
 class TestVariation:
     def test_cusp_is_exactly_strength(self):
         f = make_power_cusp(0.0, 0.5, 3.0, 0.0)
         for eps in (0.25, 2.0 ** -8, 2.0 ** -20):
-            assert fractional_variation(f, 0.0, eps, 0.5, FWD) == 3.0
-            assert fractional_variation(f, 0.0, eps, 0.5, BWD) == 3.0
+            assert variation(f, 0.0, eps, 0.5, FWD) == 3.0
+            assert variation(f, 0.0, eps, 0.5, BWD) == 3.0
 
     def test_vectorized_matches_scalar(self):
         # BLAS may reassociate the series sum, so agreement is to rounding,
@@ -63,7 +74,7 @@ class TestVariation:
         f = make_weierstrass(0.5, 3, 24)
         eps = EpsilonSchedule(2.0 ** -4, 0.5, 12).increments(0.3)
         vals = variation_values(f, 0.3, 0.6, FWD, eps)
-        singles = [fractional_variation(f, 0.3, float(e), 0.6, FWD) for e in eps]
+        singles = [variation(f, 0.3, float(e), 0.6, FWD) for e in eps]
         assert np.allclose(vals, singles, rtol=1e-12, atol=1e-12)
 
     def test_backward_sign_convention(self):
@@ -78,7 +89,7 @@ class TestVariation:
             variation_values(square, 0.0, beta, FWD, np.array([0.1]))
 
     def test_order_one_allowed(self):
-        v = fractional_variation(square, 1.0, 2.0 ** -20, 1.0, FWD)
+        v = variation(square, 1.0, 2.0 ** -20, 1.0, FWD)
         assert v == pytest.approx(2.0, abs=1e-5)
 
 
@@ -110,7 +121,7 @@ class TestIntervalOscillation:
         for x in (0.1, 0.3, 0.7):
             for eps in (2.0 ** -4, 2.0 ** -7, 2.0 ** -11):
                 osc, _, _ = one_window(f, x, eps, FWD, n0=33, cap=33)
-                assert osc >= abs(difference(f, x, eps, FWD)) - 1e-12
+                assert osc >= abs(one_sided_difference(f, x, eps, FWD)) - 1e-12
 
 
 class TestRefineOscillation:

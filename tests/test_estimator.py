@@ -10,9 +10,7 @@ from fracvel import (
     HolderEstimate,
     LimitStatus,
     LocallyConstantError,
-    PreconditionError,
     ScheduleUnderflowError,
-    check_conditions,
     classify_limit,
     estimate_holder_exponent,
     estimate_velocity,
@@ -20,8 +18,6 @@ from fracvel import (
     make_polynomial,
     make_power_cusp,
     make_weierstrass,
-    taylor_residual,
-    variation_bound_constants,
 )
 
 FWD = Direction.FORWARD
@@ -194,66 +190,73 @@ class TestEstimateVelocity:
 
 
 class TestCheckConditions:
+    """The paper's two side conditions as estimate_velocity reports them."""
+
     def test_chirp_critical(self):
         f = make_chirp(0.5, 0.0)
-        rep = check_conditions(f, 0.0, 0.5, FWD)
+        rep = estimate_velocity(f, 0.0, 0.5, FWD)
         assert rep.c1_holds           # growth stays bounded near 2
         assert rep.c1_constant == pytest.approx(1.9840843438048452, abs=1e-9)
-        assert not rep.c2_holds       # variation keeps swinging
-        assert rep.c2_value > 1.5
+        assert rep.limit.status is not LimitStatus.CONVERGED   # c2 fails
+        assert rep.c2_oscillation > 1.5
 
     def test_cusp_satisfies_both(self):
         f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
-        rep = check_conditions(f, 0.0, 0.5, FWD)
-        assert rep.c1_holds and rep.c2_holds
+        rep = estimate_velocity(f, 0.0, 0.5, FWD)
+        assert rep.c1_holds and rep.limit.status is LimitStatus.CONVERGED
         assert rep.c1_constant == 1.0
-        assert rep.c2_value == 0.0
+        assert rep.c2_oscillation == 0.0
 
     def test_jump_breaks_growth_bound(self):
         # a unit jump at x keeps osc at 1, so osc/eps**beta blows up
         def step(t):
             return (np.asarray(t, dtype=float) > 0.0).astype(float)
-        rep = check_conditions(step, 0.0, 0.5, FWD)
+        rep = estimate_velocity(step, 0.0, 0.5, FWD)
         assert not rep.c1_holds
-        assert not rep.c2_holds
+        assert rep.limit.status is not LimitStatus.CONVERGED
 
     def test_weierstrass_growth_bound_tracks_exponent(self):
         # far above the regularity ~0.63 the growth factor over the schedule
         # is 2**(38*(0.9-0.63)) and the bound clearly fails; at the exponent
         # itself the ratios stay near constant
         f = make_weierstrass(0.5, 3, 24)
-        rep = check_conditions(f, 0.3, 0.9, FWD)
+        rep = estimate_velocity(f, 0.3, 0.9, FWD)
         assert not rep.c1_holds
-        rep = check_conditions(f, 0.3, np.log(2.0) / np.log(3.0), FWD)
+        rep = estimate_velocity(f, 0.3, np.log(2.0) / np.log(3.0), FWD)
         assert rep.c1_holds
 
     def test_nan_patch_reads_as_estimate_velocity_does(self):
         # NaN on (0.01, 0.011) falls inside the widest oscillation windows
         # but on no probe increment: the limit converges while c1 is inf
+        # and, with a NaN ratio in the shallow half, cannot hold
         def patched(t):
             t = np.asarray(t, dtype=float)
             return np.where((t > 0.01) & (t < 0.011), math.nan, np.abs(t) ** 0.5)
         rep = estimate_velocity(patched, 0.0, 0.5, FWD)
-        cond = check_conditions(patched, 0.0, 0.5, FWD)
         assert rep.limit.status is LimitStatus.CONVERGED
-        assert rep.c1_constant == cond.c1_constant == math.inf
-        assert cond.c2_value == rep.c2_oscillation
-        assert cond.c2_holds == (rep.limit.status is LimitStatus.CONVERGED)
+        assert rep.c1_constant == math.inf
+        assert not rep.c1_holds
+        assert rep.c2_oscillation == rep.limit.residual == 0.0
 
     def test_diverged_limit_has_no_c2(self):
         # a unit jump at x gives variations 1/eps, past the cutoff at 2**-42
         def step(t):
             return (np.asarray(t, dtype=float) > 0.0).astype(float)
         rep = estimate_velocity(step, 0.0, 1.0, FWD)
-        cond = check_conditions(step, 0.0, 1.0, FWD)
         assert rep.limit.status is LimitStatus.DIVERGED
-        assert math.isnan(rep.c2_oscillation) and math.isnan(cond.c2_value)
-        assert not cond.c2_holds
+        assert math.isnan(rep.c2_oscillation)
 
     def test_smooth_point_passes(self):
         f = make_polynomial((0.0, 0.0, 1.0))
-        rep = check_conditions(f, 1.0, 1.0, FWD, SCHED24, tol=1e-4)
-        assert rep.c1_holds and rep.c2_holds
+        rep = estimate_velocity(f, 1.0, 1.0, FWD, SCHED24, tol=1e-4)
+        assert rep.c1_holds and rep.limit.status is LimitStatus.CONVERGED
+
+    def test_all_zero_ratios_hold(self):
+        # a locally constant f has zero oscillation everywhere: the shallow
+        # half gives no scale, and an all-zero deep half holds
+        rep = estimate_velocity(lambda t: np.full_like(np.asarray(t, dtype=float), 3.0),
+                                0.0, 0.5, FWD)
+        assert rep.c1_holds and rep.c1_constant == 0.0
 
 
 class TestHolderExponent:
@@ -298,45 +301,3 @@ class TestHolderExponent:
         assert est.low_confidence
         est = HolderEstimate(0.4, 1.0, 0.51, (1e-6, 1e-1))
         assert not est.low_confidence
-
-
-class TestBoundConstants:
-    def test_cusp_bounds_pin_strength(self):
-        f = make_power_cusp(0.0, 0.5, 2.0, 0.0)
-        lo, hi = variation_bound_constants(f, 0.0, 0.5, FWD)
-        assert lo == hi == 2.0
-
-    def test_bounds_read_the_classification_window(self):
-        # the variation of 2|t|**0.5 + t at 0 is 2 + eps**0.5; the window
-        # holds the deepest 9 of 39 increments, eps = 2**-34 .. 2**-42
-        f = lambda t: 2.0 * np.abs(t) ** 0.5 + np.asarray(t, dtype=float)
-        lo, hi = variation_bound_constants(f, 0.0, 0.5, FWD, tol=1e-5)
-        assert lo == pytest.approx(2.0 + 2.0 ** -21, abs=1e-12)
-        assert hi == pytest.approx(2.0 + 2.0 ** -17, abs=1e-12)
-
-    def test_requires_convergence(self):
-        f = make_chirp(0.5, 0.0)
-        with pytest.raises(PreconditionError):
-            variation_bound_constants(f, 0.0, 0.5, FWD)
-
-    def test_requires_nonzero_velocity(self):
-        with pytest.raises(PreconditionError):
-            variation_bound_constants(lambda t: np.full_like(np.asarray(t, dtype=float), 3.0),
-                                      0.0, 0.5, FWD)
-
-
-class TestTaylorResidual:
-    def test_true_velocity_zeroes_the_remainder(self):
-        f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
-        assert taylor_residual(f, 0.0, 0.5, 1.0, 2.0 ** -10, FWD) == 0.0
-        assert taylor_residual(f, 0.0, 0.5, 1.0, 2.0 ** -10, BWD) == 0.0
-
-    def test_wrong_velocity_leaves_unit_remainder(self):
-        f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
-        assert taylor_residual(f, 0.0, 0.5, 0.0, 2.0 ** -10, FWD) == 1.0
-
-    def test_order_one_remainder_is_curvature(self):
-        f = make_polynomial((0.0, 0.0, 1.0))
-        eps = 2.0 ** -12
-        r = taylor_residual(f, 1.0, 1.0, 2.0, eps, FWD)
-        assert r == pytest.approx(eps, rel=1e-6)
