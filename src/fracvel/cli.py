@@ -380,6 +380,9 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     if cfg.command == "verify" and cfg.theorem == Theorem.MEAN_VALUE.value:
         if not 0.0 < (cfg.beta or 0.0) < 1.0:
             raise UsageError("mean_value needs --beta strictly below 1")
+    if (cfg.command == "verify" and cfg.theorem == Theorem.WEAK_DARBOUX.value
+            and cfg.beta == 1.0 and cfg.target is None):
+        raise UsageError("weak_darboux at --beta 1 needs --target")
     if not 0.0 < cfg.ratio < 1.0:
         raise UsageError(f"--ratio must lie in (0, 1), got {cfg.ratio}")
     if not (math.isfinite(cfg.eps0) and cfg.eps0 > 0.0):
@@ -388,8 +391,9 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
                         ("--threshold", cfg.threshold)):
         if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise UsageError(f"{flag} must be nonnegative and finite, got {value}")
-    if cfg.count < 4:
-        raise UsageError(f"--count must be at least 4, got {cfg.count}")
+    for flag, value in (("--count", cfg.count), ("--approach-count", cfg.approach_count)):
+        if value < 4:
+            raise UsageError(f"{flag} must be at least 4, got {value}")
     for flag, value, cap in (("--count", cfg.count, MAX_COUNT),
                              ("--approach-count", cfg.approach_count, MAX_COUNT),
                              ("--n", cfg.n, MAX_GRID_N)):

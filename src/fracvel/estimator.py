@@ -219,7 +219,9 @@ def _velocity_limits(f, xs: np.ndarray, beta: float, direction: Direction,
     (points x increments) blocks and classified row by row.  Returns two
     arrays: the LimitStatus of each point and its value.  A point whose
     ladder underflows raises ScheduleUnderflowError, though not
-    necessarily at the first such point in xs.
+    necessarily at the first such point in xs, and any other error need
+    not come from the first failing point either; the scanner replays a
+    failed batch point by point to name that point.
     """
     kept = np.count_nonzero(schedule.raw() > _floor(xs)[:, None], axis=1)
     status = np.empty(xs.size, dtype=object)

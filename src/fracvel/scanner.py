@@ -5,12 +5,16 @@ points where a converged, clearly nonzero value appears.  For functions
 whose roughness lives on a null set the flagged fraction falls off like
 1/n as the grid refines; the verifiers below reuse the same machinery to
 check the classical interval theorems in their fractional form.
+
+Every probe, in a scan or a verifier, goes through _probe_limits: the
+probes of one call are evaluated together as (points x increments)
+arrays, and each reports exactly what velocity_limit reports there.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -19,7 +23,6 @@ from .errors import DomainError, PreconditionError
 from .estimator import (
     DEFAULT_SCHEDULE,
     EpsilonSchedule,
-    LimitEstimate,
     LimitStatus,
     _velocity_limits,
     velocity_limit,
@@ -91,6 +94,60 @@ def _probes(n: int):
             yield i, Direction.BACKWARD
 
 
+_Probe = Tuple[float, Direction]
+
+
+def _both_sides(xs) -> List[_Probe]:
+    """The forward and then the backward probe of each point of xs."""
+    return [(x, d) for x in xs.tolist() for d in (Direction.FORWARD, Direction.BACKWARD)]
+
+
+def _probe_limits(f, probes: List[_Probe], beta: float, schedule: EpsilonSchedule,
+                  tol: float) -> Iterator[Optional[Tuple[LimitStatus, float]]]:
+    """Status and value of the velocity limit at each (x, direction) probe, in order.
+
+    Each probe's schedule is fitted to its domain margin; a probe it
+    leaves no room yields None, any other one what velocity_limit
+    reports with the fitted schedule.  Probes that share a direction and
+    a fitted schedule are evaluated together by _velocity_limits, all of
+    them at the first next().  A failed batch does not say which probe
+    failed first, so the probes are then replayed one by one through
+    velocity_limit, lazily and in order: a consumer that stops early
+    sees what point-by-point code sees, and otherwise meets the error
+    the first failing probe raises on its own, at that probe.  Asked for
+    a result past the last probe, a replay that raised nothing re-raises
+    the batch's error: the scan drains the iterator and so raises it,
+    while a verifier zips it with its probes, stops at the last one and
+    keeps the verdict of the point-by-point results.
+    """
+    lo, hi = domain_of(f)
+    fits = [schedule.fitted(margin=hi - x if d is Direction.FORWARD else x - lo)
+            for x, d in probes]
+    groups: Dict[Tuple[Direction, EpsilonSchedule], List[int]] = {}
+    for i, ((_, d), fit) in enumerate(zip(probes, fits)):
+        if fit is not None:
+            groups.setdefault((d, fit), []).append(i)
+    out: List[Optional[Tuple[LimitStatus, float]]] = [None] * len(probes)
+    try:
+        for (d, fit), idx in groups.items():
+            xs = np.array([probes[i][0] for i in idx])
+            status, value = _velocity_limits(f, xs, beta, d, fit, tol)
+            for i, st, v in zip(idx, status, value.tolist()):
+                out[i] = (st, v)
+    except Exception as err:
+        failure = err
+    else:
+        yield from out
+        return
+    for (x, d), fit in zip(probes, fits):
+        if fit is None:
+            yield None
+        else:
+            lim = velocity_limit(f, x, beta, d, fit, tol)
+            yield lim.status, lim.value
+    raise failure
+
+
 def scan_change_set(f, interval, beta: float, n: int,
                     flag_threshold: Optional[float] = None,
                     schedule: Optional[EpsilonSchedule] = None,
@@ -114,29 +171,13 @@ def scan_change_set(f, interval, beta: float, n: int,
     _require_margin(f, a, b, schedule.eps0)
 
     xs = np.linspace(a, b, n)
-    try:
-        sides = {
-            Direction.FORWARD: _velocity_limits(f, xs[:-1], beta, Direction.FORWARD,
-                                                schedule, tol),
-            Direction.BACKWARD: _velocity_limits(f, xs[1:], beta, Direction.BACKWARD,
-                                                 schedule, tol),
-        }
-    except Exception:
-        # A failed batch does not say which probe failed first: replay the
-        # probes one by one so the error is the one the first failing probe
-        # raises on its own, then fall back to the batch's error.
-        for i, d in _probes(n):
-            velocity_limit(f, float(xs[i]), beta, d, schedule, tol)
-        raise
+    probes = [(float(xs[i]), d) for i, d in _probes(n)]
+    limits = list(_probe_limits(f, probes, beta, schedule, tol))
     points = []
     flagged = []
-    for i, d in _probes(n):
-        x = float(xs[i])
-        status, values = sides[d]
-        j = i if d is Direction.FORWARD else i - 1
-        value = float(values[j])
-        hit = status[j] is LimitStatus.CONVERGED and abs(value) > threshold
-        points.append(GridPointResult(x, d, status[j], value, hit))
+    for (x, d), (status, value) in zip(probes, limits):
+        hit = status is LimitStatus.CONVERGED and abs(value) > threshold
+        points.append(GridPointResult(x, d, status, value, hit))
         if hit:
             flagged.append((x, value, d))
     fraction = len({x for x, _, _ in flagged}) / n
@@ -172,17 +213,6 @@ class IntervalVerdict:
     notes: str
 
 
-def _velocity_at(f, x: float, beta: float, direction: Direction,
-                 schedule: EpsilonSchedule, tol: float) -> Optional[LimitEstimate]:
-    """velocity_limit with the schedule trimmed to the domain; None if no room."""
-    lo, hi = domain_of(f)
-    margin = hi - x if direction is Direction.FORWARD else x - lo
-    fitted = schedule.fitted(margin=margin)
-    if fitted is None:
-        return None
-    return velocity_limit(f, x, beta, direction, fitted, tol)
-
-
 def verify_rolle(f, a: float, b: float, beta: float, n: int = 101,
                  schedule: Optional[EpsilonSchedule] = None,
                  tol: float = 1e-3) -> IntervalVerdict:
@@ -193,7 +223,9 @@ def verify_rolle(f, a: float, b: float, beta: float, n: int = 101,
     and backward velocities take opposite (weak) signs.  With weak
     inequalities almost every point of a flat region qualifies, so the
     witness is the qualifying point with the widest split between the
-    two sides: that is where the extremum actually sits.
+    two sides: that is where the extremum actually sits.  All probes are
+    evaluated as one batch; the verdict fails at the first grid point
+    where either side does not converge.
     """
     a, b = float(a), float(b)
     if not a < b:
@@ -207,24 +239,22 @@ def verify_rolle(f, a: float, b: float, beta: float, n: int = 101,
         raise PreconditionError(
             f"endpoint values differ by {abs(fa - fb):g} > tol={tol:g}")
 
-    xs = np.linspace(a, b, n)[1:-1]
+    probes = _both_sides(np.linspace(a, b, n)[1:-1])
+    limits = _probe_limits(f, probes, beta, schedule, tol)
     best = None
     best_split = -1.0
     checked = 0
-    for x in xs:
-        x = float(x)
-        rf = _velocity_at(f, x, beta, Direction.FORWARD, schedule, tol)
-        rb = _velocity_at(f, x, beta, Direction.BACKWARD, schedule, tol)
+    # the forward and then the backward result of each point
+    for (x, _), rf, rb in zip(probes[::2], limits, limits):
         if rf is None or rb is None:
             continue
         checked += 1
-        if (rf.status is not LimitStatus.CONVERGED
-                or rb.status is not LimitStatus.CONVERGED):
+        (sf, vf), (sb, vb) = rf, rb
+        if sf is not LimitStatus.CONVERGED or sb is not LimitStatus.CONVERGED:
             return IntervalVerdict(
                 Theorem.ROLLE, False, None,
                 f"velocity scan fails at x={x:g}: "
-                f"forward {rf.status.value}, backward {rb.status.value}")
-        vf, vb = rf.value, rb.value
+                f"forward {sf.value}, backward {sb.value}")
         up_down = vf <= tol and vb >= -tol
         down_up = vf >= -tol and vb <= tol
         if up_down or down_up:
@@ -252,7 +282,8 @@ def verify_mean_value(f, a: float, b: float, beta: float,
     forward velocity at a or the backward velocity at b; below order one
     there is no interior c playing the classical role, and the notes
     report how many interior grid points (out of grid_n, at least 1)
-    attain r anyway.
+    attain r anyway.  The endpoint at b is probed only when a does not
+    attain r; the interior grid is one batch.
     """
     a, b = float(a), float(b)
     if not a < b:
@@ -270,34 +301,29 @@ def verify_mean_value(f, a: float, b: float, beta: float,
             f"endpoint values agree within tol={tol:g}; the ratio is degenerate")
 
     r = (fb - fa) / (b - a) ** beta
-    witness = None
-    rep_a = _velocity_at(f, a, beta, Direction.FORWARD, schedule, tol)
-    if (rep_a is not None and rep_a.status is LimitStatus.CONVERGED
-            and abs(rep_a.value - r) <= tol):
-        witness = {"x": a, "endpoint": 0.0, "velocity": rep_a.value, "ratio": r}
-    else:
-        rep_b = _velocity_at(f, b, beta, Direction.BACKWARD, schedule, tol)
-        if (rep_b is not None and rep_b.status is LimitStatus.CONVERGED
-                and abs(rep_b.value - r) <= tol):
-            witness = {"x": b, "endpoint": 1.0, "velocity": rep_b.value, "ratio": r}
 
-    attained = 0
+    def attains(lim) -> bool:
+        return (lim is not None and lim[0] is LimitStatus.CONVERGED
+                and abs(lim[1] - r) <= tol)
+
+    witness = None
+    for x, d, endpoint in ((a, Direction.FORWARD, 0.0), (b, Direction.BACKWARD, 1.0)):
+        lim = next(_probe_limits(f, [(x, d)], beta, schedule, tol))
+        if attains(lim):
+            witness = {"x": x, "endpoint": endpoint, "velocity": lim[1], "ratio": r}
+            break
+
+    probes = _both_sides(np.linspace(a, b, grid_n + 2)[1:-1])
+    hit = np.zeros(grid_n, dtype=bool)
     skipped = 0
-    xs = np.linspace(a, b, grid_n + 2)[1:-1]
-    for x in xs:
-        x = float(x)
-        hit = False
-        for d in (Direction.FORWARD, Direction.BACKWARD):
-            rep = _velocity_at(f, x, beta, d, schedule, tol)
-            if rep is None:
-                skipped += 1
-                continue
-            if (rep.status is LimitStatus.CONVERGED
-                    and abs(rep.value - r) <= tol):
-                hit = True
-        if hit:
-            attained += 1
-    notes = (f"ratio {r:.6g}; interior attainment: {attained} of {len(xs)} grid points"
+    # zip stops at the last probe, before the iterator would re-raise
+    for i, lim in zip(range(len(probes)), _probe_limits(f, probes, beta, schedule, tol)):
+        if lim is None:
+            skipped += 1
+        elif attains(lim):
+            hit[i // 2] = True
+    attained = int(np.count_nonzero(hit))
+    notes = (f"ratio {r:.6g}; interior attainment: {attained} of {grid_n} grid points"
              + (f" ({skipped} side probes skipped for domain room)" if skipped else ""))
     return IntervalVerdict(Theorem.MEAN_VALUE, witness is not None, witness, notes)
 
@@ -313,7 +339,8 @@ def verify_weak_darboux(f, a: float, b: float, beta: float, n: int = 101,
     content is degenerate: when both endpoint velocities vanish, some
     grid point must also carry a vanishing velocity; with nonzero
     endpoint velocities the weak form asserts nothing and the verdict
-    holds vacuously.
+    holds vacuously.  All probes are evaluated as one batch; the verdict
+    fails at the first grid point without room or convergence.
     """
     a, b = float(a), float(b)
     if not a < b:
@@ -321,27 +348,28 @@ def verify_weak_darboux(f, a: float, b: float, beta: float, n: int = 101,
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"order must lie in (0, 1], got {beta}")
     n = _grid_size(n)
+    if beta == 1.0 and target is None:
+        raise ValueError("order-one check needs an explicit target value")
     schedule = schedule or DEFAULT_SCHEDULE
 
     xs = np.linspace(a, b, n)
+    # forward from every point but the last, backward from the last
+    probes = [(float(x), Direction.FORWARD) for x in xs[:-1]]
+    probes.append((float(xs[-1]), Direction.BACKWARD))
     vels = []
-    for i, x in enumerate(xs):
-        x = float(x)
-        d = Direction.BACKWARD if i == len(xs) - 1 else Direction.FORWARD
-        rep = _velocity_at(f, x, beta, d, schedule, tol)
-        if rep is None:
+    for (x, _), lim in zip(probes, _probe_limits(f, probes, beta, schedule, tol)):
+        if lim is None:
             return IntervalVerdict(Theorem.WEAK_DARBOUX, False, None,
                                    f"no room for the schedule at x={x:g}")
-        if rep.status is not LimitStatus.CONVERGED:
+        status, value = lim
+        if status is not LimitStatus.CONVERGED:
             return IntervalVerdict(
                 Theorem.WEAK_DARBOUX, False, None,
-                f"velocity scan fails at x={x:g}: {rep.status.value}")
-        vels.append(rep.value)
+                f"velocity scan fails at x={x:g}: {status.value}")
+        vels.append(value)
     v = np.asarray(vels)
 
     if beta == 1.0:
-        if target is None:
-            raise ValueError("order-one check needs an explicit target value")
         lo, hi = min(v[0], v[-1]), max(v[0], v[-1])
         if not lo <= target <= hi:
             return IntervalVerdict(

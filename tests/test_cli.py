@@ -89,6 +89,9 @@ class TestParseArgs:
         ["scan", "--fn", "cusp:", "--interval=nan,1", "--beta", "0.5", "--n", "11"],
         ["verify", "--fn", "cusp:", "--theorem", "mean_value",
          "--interval", "0,inf", "--beta", "0.5"],
+        ["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "--approach-count", "3"],
+        ["verify", "--fn", "poly:coeffs=0;1", "--theorem", "weak_darboux",
+         "--interval", "0,1", "--beta", "1"],
     ])
     def test_usage_errors(self, argv):
         with pytest.raises(UsageError):
@@ -478,6 +481,21 @@ class TestMainCommands:
         assert code == 1
         want = f"error: need at least 1 interior grid point, got {n}\n"
         assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("argv,want", [
+        (["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "--approach-count", "3"],
+         "--approach-count must be at least 4, got 3"),
+        (["verify", "--fn", "poly:coeffs=0;1", "--theorem", "weak_darboux",
+          "--interval=0,1", "--beta", "1", "--count", "24"],
+         "weak_darboux at --beta 1 needs --target"),
+        # the grid-size error no longer comes first
+        (["verify", "--fn", "poly:coeffs=0;1", "--theorem", "weak_darboux",
+          "--interval=0,1", "--beta", "1", "--n", "2"],
+         "weak_darboux at --beta 1 needs --target"),
+    ])
+    def test_usage_found_before_any_analysis_exits_2(self, argv, want, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
 
     @pytest.mark.parametrize("argv,flag,cap", [
         (["analyze", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "--count", "1025"],

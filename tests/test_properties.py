@@ -5,9 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fracvel import (
+    AnalyticTestFunction,
     Direction,
     EpsilonSchedule,
     LimitStatus,
@@ -16,9 +17,13 @@ from fracvel import (
     estimate_holder_exponent,
     estimate_velocity,
     make_chirp,
+    make_polynomial,
     make_power_cusp,
     variation_values,
     velocity_limit,
+    verify_mean_value,
+    verify_rolle,
+    verify_weak_darboux,
 )
 from common import (
     SummedWeierstrass,
@@ -26,7 +31,7 @@ from common import (
     osc_sampled,
     reference_ladder,
 )
-from fracvel import diffops
+from fracvel import diffops, scanner
 from fracvel.diffops import _osc_ladder
 from fracvel.estimator import FLOOR_FACTOR
 
@@ -194,3 +199,53 @@ def test_batched_oscillations_equal_the_per_increment_ladder(kind, order, u, fre
     got = outcomes()
     with mock.patch.object(diffops, "_osc_ladder", reference_ladder):
         assert got == outcomes()
+
+
+def _hump(t):
+    return -np.abs(np.asarray(t, dtype=float) - 0.5) ** 0.5
+
+
+# (function, the centre of its symmetric intervals)
+VERIFIER_FUNCTIONS = {
+    "cusp": (make_power_cusp(0.0, 0.5, 1.0, 0.0), 0.0),
+    "chirp": (make_chirp(0.5, 0.0), 0.0),
+    "poly": (make_polynomial((0.0, 1.0, -1.0)), 0.5),
+    # the domain leaves the schedule no room near its ends
+    "narrow": (AnalyticTestFunction("narrow-hump", (-0.01, 1.01), _hump, ()), 0.5),
+}
+
+
+def _verdict(theorem, f, a, b, beta, n, target):
+    try:
+        if theorem == "rolle":
+            return verify_rolle(f, a, b, beta, n)
+        if theorem == "mean_value":
+            return verify_mean_value(f, a, b, beta, grid_n=n)
+        return verify_weak_darboux(f, a, b, beta, n, target=target)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(VERIFIER_FUNCTIONS)),
+       theorem=st.sampled_from(["rolle", "mean_value", "weak_darboux"]),
+       symmetric=st.booleans(), u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
+       beta=st.sampled_from([0.3, 0.5, 0.75, 1.0]), n=st.integers(3, 21),
+       target=st.none() | st.floats(-2.0, 2.0))
+def test_verifier_verdicts_equal_their_pointwise_replay(name, theorem, symmetric, u, v,
+                                                         beta, n, target):
+    # a batch that cannot run replays every probe through velocity_limit,
+    # the point-by-point definition of each verdict
+    f, centre = VERIFIER_FUNCTIONS[name]
+    lo, hi = f.domain
+    if symmetric or theorem == "rolle":   # Rolle needs f(a) = f(b)
+        h = max(u, v) * min(centre - lo, hi - centre)
+        a, b = centre - h, centre + h
+    else:
+        a, b = lo + min(u, v) * (hi - lo), lo + max(u, v) * (hi - lo)
+    assume(a < b)
+    batched = _verdict(theorem, f, a, b, beta, n, target)
+    with mock.patch.object(scanner, "_velocity_limits",
+                           side_effect=RuntimeError("batch refused")):
+        replayed = _verdict(theorem, f, a, b, beta, n, target)
+    assert batched == replayed

@@ -22,6 +22,7 @@ from fracvel import (
     verify_weak_darboux,
     velocity_limit,
 )
+from fracvel import scanner
 from fracvel.estimator import DEFAULT_SCHEDULE
 
 FWD = Direction.FORWARD
@@ -252,6 +253,13 @@ class TestVerifyWeakDarboux:
         with pytest.raises(ValueError):
             verify_weak_darboux(f, 0.0, 1.0, 1.0, 51, SCHED24)
 
+    def test_order_one_without_target_fails_before_any_probe(self):
+        def untouchable(t):
+            raise AssertionError("probed before the target check")
+
+        with pytest.raises(ValueError, match="order-one check needs an explicit target"):
+            verify_weak_darboux(untouchable, 0.0, 1.0, 1.0, 51, SCHED24)
+
     def test_target_outside_range_fails(self):
         f = make_polynomial((0.0, 0.0, 1.0))
         verdict = verify_weak_darboux(f, 0.0, 1.0, 1.0, 51, SCHED24,
@@ -284,3 +292,64 @@ class TestVerifyWeakDarboux:
         verdict = verify_weak_darboux(even_chirp, -1.0, 1.0, 0.5, 101)
         assert not verdict.holds
         assert "scan fails" in verdict.notes
+
+
+# make_chirp(0.5, -0.5) less the linear term that levels f(-1) = 0 with f(0.75)
+LEVELLED_CHIRP = make_chirp(0.5, -0.5)
+LEVEL_SLOPE = LEVELLED_CHIRP(0.75) / 1.75
+
+
+def chirp_refusing_past_half(t):
+    # levelled chirp that refuses any array argument with an entry above
+    # 1/2, so every probe from x >= 7/16 fails
+    if isinstance(t, np.ndarray) and np.any(t > 0.5):
+        raise RuntimeError("refused an argument above 0.5")
+    return LEVELLED_CHIRP(t) - LEVEL_SLOPE * (np.asarray(t, dtype=float) + 1.0)
+
+
+class TestBatchedVerifiersStopEarly:
+    # the batch fails on the probes past 1/2; a verdict that the first
+    # failing grid point settles must still come out, as point by point
+
+    def test_rolle_fails_at_the_first_oscillatory_point(self):
+        verdict = verify_rolle(chirp_refusing_past_half, -1.0, 0.75, 0.5, 101)
+        assert not verdict.holds
+        assert verdict.notes == ("velocity scan fails at x=-0.4925: "
+                                 "forward oscillatory, backward oscillatory")
+
+    def test_weak_darboux_fails_at_the_first_oscillatory_point(self):
+        verdict = verify_weak_darboux(chirp_refusing_past_half, -1.0, 1.0, 0.5, 101)
+        assert not verdict.holds
+        assert verdict.notes == "velocity scan fails at x=-0.5: oscillatory"
+
+    def test_an_unsettled_verdict_raises_the_first_probe_error(self):
+        # every point left of 0.45 converges, so the refusal comes first
+        with pytest.raises(RuntimeError, match="refused an argument above 0.5"):
+            verify_weak_darboux(chirp_refusing_past_half, 0.25, 0.75, 0.5, 11)
+
+
+class NoPointwiseProbes:
+    """Run a verifier test class with velocity_limit unavailable to the scanner.
+
+    A batch that succeeds answers every probe by itself; only a failed
+    batch replays its probes point by point.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _refuse_pointwise_probes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("probed point by point after a good batch")
+
+        monkeypatch.setattr(scanner, "velocity_limit", refuse)
+
+
+class TestVerifyRolleInOneBatch(NoPointwiseProbes, TestVerifyRolle):
+    pass
+
+
+class TestVerifyMeanValueInOneBatch(NoPointwiseProbes, TestVerifyMeanValue):
+    pass
+
+
+class TestVerifyWeakDarbouxInOneBatch(NoPointwiseProbes, TestVerifyWeakDarboux):
+    pass
