@@ -7,10 +7,19 @@ tests compare against values the library code never produced.  The
 helpers at the end restate algorithms in their plainest form, for
 comparison with the optimized library paths.
 """
+import math
+
 import numpy as np
 from scipy.special import gamma
 
-from fracvel import Direction, EpsilonSchedule, classify_limit
+from fracvel import (
+    Direction,
+    DomainError,
+    EpsilonSchedule,
+    QuadScheme,
+    QuadratureError,
+    classify_limit,
+)
 from fracvel.diffops import (
     OSC_N0,
     OSC_REL_CHANGE,
@@ -22,7 +31,16 @@ from fracvel.diffops import (
     _osc_offsets,
     _window_points,
 )
-from fracvel.rlcalc import KG_H_FACTOR, KG_TOL, _approach_default, _jacobi_rule
+from fracvel.rlcalc import (
+    DEFAULT_QUAD,
+    GRADED_NODE_CAP,
+    JACOBI_NODE_CAP,
+    KG_H_FACTOR,
+    KG_TOL,
+    QUAD_REL_CHANGE,
+    _approach_default,
+    _jacobi_rule,
+)
 
 # Shallower ladder for order-1 probes: at eps near 2**-42 the difference
 # f(x+eps)-f(x) is pure cancellation noise of size eps_mach*|f|/eps.
@@ -93,6 +111,94 @@ def reference_ladder(f, x, eps, direction, n0=OSC_N0, cap=OSC_SAMPLE_CAP):
         out.append(row or (prev, n, False))
     value, n_samples, refined = zip(*out)
     return np.array(value), np.array(n_samples), np.array(refined)
+
+
+def _graded_pass(f, a, x, mu, n):
+    """The graded product rule over [a, x] on n cells, one float."""
+    s = (np.arange(n + 1, dtype=float) / n) ** (2.0 / min(mu, 1.0 - mu))
+    t = a + (x - a) * s
+    t[0], t[-1] = a, x
+    ft = np.asarray(f(t), dtype=float)
+    u0 = x - t[:-1]
+    u1 = x - t[1:]
+    m0 = (u0 ** mu - u1 ** mu) / mu
+    m1 = x * m0 - (u0 ** (mu + 1.0) - u1 ** (mu + 1.0)) / (mu + 1.0)
+    dt = t[1:] - t[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(dt > 0.0, (ft[1:] - ft[:-1]) / np.where(dt > 0.0, dt, 1.0), 0.0)
+    return float(np.sum(ft[:-1] * m0 + slope * (m1 - t[:-1] * m0)))
+
+
+def _jacobi_pass(f, a, x, mu, n):
+    """The n-node Gauss-Jacobi rule over [a, x], one float."""
+    s, w = _jacobi_rule(n, mu - 1.0)
+    t = a + (x - a) * (s + 1.0) / 2.0
+    return float(((x - a) / 2.0) ** mu * np.dot(w, np.asarray(f(t), dtype=float)))
+
+
+def _reference_point(f, a, mu, x, config):
+    if not 0.0 < mu < 1.0:
+        raise ValueError(f"order must lie in (0, 1), got {mu}")
+    if not math.isfinite(a):
+        raise ValueError(f"base point must be finite, got {a}")
+    if not math.isfinite(x):
+        raise ValueError(f"evaluation point must be finite, got {x}")
+    if x == a:
+        raise ValueError("evaluation point must differ from the base point")
+    lo, hi = getattr(f, "domain", (-math.inf, math.inf))
+    base, end = min(a, x), max(a, x)
+    if base < lo or end > hi:
+        raise DomainError(f"[{base:g}, {end:g}] is not inside the domain [{lo:g}, {hi:g}]")
+    g = f
+    if x < a:
+        # the right-sided integral over [x, a] is the left-sided one of
+        # t -> f(x + a - t) based at x
+        def g(t):
+            return f(x + a - np.asarray(t, dtype=float))
+    graded = config.scheme is QuadScheme.GRADED_PRODUCT
+    one_pass = _graded_pass if graded else _jacobi_pass
+    cap = GRADED_NODE_CAP if graded else JACOBI_NODE_CAP
+    n = config.n_nodes
+    if 2 * n > cap:
+        raise QuadratureError(
+            f"{n} starting nodes leave no room to double under the cap of {cap}")
+    prev = one_pass(g, base, end, mu, n)
+    while 2 * n <= cap:
+        n *= 2
+        cur = one_pass(g, base, end, mu, n)
+        if abs(cur - prev) <= QUAD_REL_CHANGE * max(abs(cur), abs(prev), _TINY):
+            return cur / float(gamma(mu))
+        prev = cur
+    raise QuadratureError(f"no stabilization by {n} nodes")
+
+
+def reference_rl_integral(f, a, mu, xs, config=DEFAULT_QUAD):
+    """rl_integral one point at a time, each doubling its own nodes.
+
+    Each pass is one evaluator call on one point's nodes, and a point
+    below a integrates a mirrored copy of f: the plainest form of the
+    checks, the stop and cap rules and the reflection.  Returns one float
+    per entry of xs, or raises what the first failing point raises.
+    """
+    return np.array([_reference_point(f, float(a), mu, x, config)
+                     for x in np.atleast_1d(np.asarray(xs, dtype=float)).tolist()])
+
+
+def reference_rl_derivative(f, a, beta, xs, config=DEFAULT_QUAD, h_diff=None):
+    """rl_derivative one point at a time from reference_rl_integral.
+
+    Per point: the x+h integral, then the x-h one, their central
+    difference, negated below a.  h_diff is None (|x-a|/8), one step or
+    one step per point.  Returns one float per entry of xs.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    h = np.abs(xs - a) / 8.0 if h_diff is None else np.asarray(h_diff, dtype=float)
+    out = []
+    for x, hx in zip(xs.tolist(), np.broadcast_to(h, xs.shape).tolist()):
+        hi, lo = reference_rl_integral(f, a, 1.0 - beta, [x + hx, x - hx], config)
+        d = (hi - lo) / (2.0 * hx)
+        out.append(d if x > a else -d)
+    return np.array(out)
 
 
 def kg_lfd_rescaled(f, a, beta, direction):

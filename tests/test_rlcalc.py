@@ -1,12 +1,22 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gamma
 
-from common import GAMMA_15, RL_LINEAR_AT_1, kg_lfd_rescaled
+from common import (
+    GAMMA_15,
+    RL_LINEAR_AT_1,
+    kg_lfd_rescaled,
+    reference_rl_derivative,
+    reference_rl_integral,
+    same_bits,
+)
 from fracvel import (
     Direction,
+    DomainError,
     EpsilonSchedule,
     LimitStatus,
     PreconditionError,
@@ -19,12 +29,15 @@ from fracvel import (
     make_power_cusp,
     rl_derivative,
     rl_integral,
+    rlcalc,
 )
+from fracvel.rlcalc import GRADED_NODE_CAP, JACOBI_NODE_CAP
 
 FWD = Direction.FORWARD
 BWD = Direction.BACKWARD
 
 JACOBI = QuadratureConfig(scheme=QuadScheme.JACOBI_WEIGHTED)
+SCHEMES = {"graded": QuadratureConfig(), "jacobi": JACOBI}
 
 
 def power(p):
@@ -95,6 +108,26 @@ class TestRlIntegral:
             rl_integral(f, 0.0, 0.5, 1.0, config)
         assert calls == []
 
+    def test_reflected_interval_must_lie_in_the_domain(self):
+        # [-3, 0] leaves the cusp's domain (-2, 2) as [0, 3] does
+        f, calls = counting(make_power_cusp(0.0, 0.5, 1.0, 0.0))
+        for x in (-3.0, 3.0):
+            lo, hi = min(0.0, x), max(0.0, x)
+            with pytest.raises(DomainError,
+                               match=rf"\[{lo:g}, {hi:g}\] is not inside the domain \[-2, 2\]"):
+                rl_integral(f, 0.0, 0.5, x)
+        assert calls == []
+
+    @pytest.mark.parametrize("a, x", [(math.nan, 0.5), (math.inf, 0.5), (0.0, math.nan),
+                                      (0.0, -math.inf), (0.0, [math.nan, 0.5])])
+    def test_non_finite_points_rejected_before_any_evaluation(self, a, x):
+        f, calls = counting(lambda t: np.asarray(t, dtype=float))
+        with pytest.raises(ValueError, match="must be finite"):
+            rl_integral(f, a, 0.5, x)
+        with pytest.raises(ValueError, match="must be finite"):
+            rl_derivative(f, a, 0.5, x)
+        assert calls == []
+
     def test_unresolvable_integrand_raises(self):
         # 1024-node cap of the weighted-gauss scheme cannot track this
         f = lambda t: np.cos(50000.0 * np.asarray(t, dtype=float))
@@ -126,6 +159,13 @@ class TestRlDerivative:
     def test_step_must_fit(self):
         with pytest.raises(ValueError):
             rl_derivative(lambda t: t, 0.0, 0.5, 0.1, h_diff=0.2)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_step_rejected(self, h):
+        f, calls = counting(lambda t: np.asarray(t, dtype=float))
+        with pytest.raises(ValueError, match="difference step must be finite"):
+            rl_derivative(f, 0.0, 0.5, 0.1, h_diff=h)
+        assert calls == []
 
 
 class TestKgLfd:
@@ -197,3 +237,151 @@ class TestEquivalence:
         assert rep.passed
         assert abs(rep.velocity) <= 1e-6
         assert abs(rep.lfd.value) <= 1e-3
+
+
+def counting(f):
+    """f with its domain, and the list of the sizes of the calls made to it."""
+    calls = []
+
+    def g(t):
+        calls.append(np.size(t))
+        return f(t)
+
+    g.domain = getattr(f, "domain", (-math.inf, math.inf))
+    return g, calls
+
+
+def outcome(call):
+    """The value of call(), or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as e:
+        return type(e), str(e)
+
+
+def same_outcome(got, want) -> bool:
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        return got == want
+    return same_bits(got, want)
+
+
+def _integrand(kind, c, p):
+    if kind == "cusp":
+        return make_power_cusp(c, p, 1.5, 0.25)   # domain (c-2, c+2)
+    if kind == "power":
+        return lambda t: np.abs(np.asarray(t, dtype=float) - c) ** p
+    return lambda t: np.exp(p * np.asarray(t, dtype=float)) * np.cos(3.0 * np.asarray(t) + c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["cusp", "power", "smooth"]),
+       scheme=st.sampled_from(sorted(SCHEMES)),
+       c=st.floats(-1.0, 1.0), p=st.floats(0.1, 0.9), shift=st.floats(-0.4, 0.4),
+       mu=st.floats(0.1, 0.9),
+       offsets=st.lists(st.floats(0.01, 1.5), min_size=1, max_size=6),
+       below=st.lists(st.booleans(), min_size=6, max_size=6),
+       direction=st.sampled_from([FWD, BWD]))
+def test_batched_quadrature_equals_the_per_point_loop(kind, scheme, c, p, shift, mu,
+                                                       offsets, below, direction):
+    # the active set gives every point the bits, or the error, of a loop
+    # that integrates the points one at a time, on either side of a
+    f, config, a = _integrand(kind, c, p), SCHEMES[scheme], c + shift
+    xs = a + np.array([-o if b else o for o, b in zip(offsets, below)])
+    assert same_outcome(outcome(lambda: rl_integral(f, a, mu, xs, config)),
+                        outcome(lambda: reference_rl_integral(f, a, mu, xs, config)))
+    assert same_outcome(outcome(lambda: rl_derivative(f, a, 1.0 - mu, xs, config)),
+                        outcome(lambda: reference_rl_derivative(f, a, 1.0 - mu, xs, config)))
+
+    def lfd():
+        return repr(kg_lfd(f, a, 1.0 - mu, direction, config=config))
+
+    got = outcome(lfd)
+    with mock.patch.object(rlcalc, "rl_derivative", reference_rl_derivative):
+        assert got == outcome(lfd)
+
+
+class TestBatchedLadder:
+    @pytest.mark.parametrize("config, bound", [(QuadratureConfig(), GRADED_NODE_CAP + 1),
+                                               (JACOBI, JACOBI_NODE_CAP)])
+    def test_no_evaluator_call_exceeds_the_block_bound(self, config, bound):
+        # a new constant at each call never settles, so every point runs
+        # the whole ladder up to the cap, on both sides of the base point
+        sizes = []
+
+        def f(t):
+            sizes.append(np.size(t))
+            return np.full(np.shape(t), float(len(sizes)))
+
+        xs = np.concatenate([np.linspace(-1.0, -0.05, 20), np.linspace(0.05, 1.0, 20)])
+        with pytest.raises(QuadratureError, match="no stabilization"):
+            rl_integral(f, 0.0, 0.5, xs, config)
+        assert bound // 2 < max(sizes) <= bound
+
+    def test_chirp_raises_what_the_per_integral_loop_raises(self):
+        c = make_chirp(0.5, 0.0)
+        got = outcome(lambda: kg_lfd(c, 0.0, 0.5, FWD))
+        with mock.patch.object(rlcalc, "rl_integral", reference_rl_integral):
+            want = outcome(lambda: kg_lfd(c, 0.0, 0.5, FWD))
+        assert got == want == (QuadratureError, "no stabilization by 65536 nodes")
+
+    def test_first_bad_point_raises_its_domain_error(self):
+        f = make_power_cusp(0.0, 0.5, 1.0, 0.0)   # domain (-2, 2)
+        xs = [0.5, -1.0, -2.5, 3.0, 1.0]
+        want = (DomainError, "[-2.5, 0] is not inside the domain [-2, 2]")
+        assert outcome(lambda: rl_integral(f, 0.0, 0.5, xs)) == want
+        assert outcome(lambda: reference_rl_integral(f, 0.0, 0.5, xs)) == want
+        # x + h of the second point leaves the domain before x - h of the third
+        xs = [0.5, 1.9, -1.9]
+        want = (DomainError, "[0, 2.1375] is not inside the domain [-2, 2]")
+        assert outcome(lambda: rl_derivative(f, 0.0, 0.5, xs)) == want
+        assert outcome(lambda: reference_rl_derivative(f, 0.0, 0.5, xs)) == want
+
+    @staticmethod
+    def picky(limit):
+        """The unit cusp, refusing any call with a point beyond limit in size."""
+        cusp = make_power_cusp(0.0, 0.5, 1.0, 0.0)
+
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            if np.any(np.abs(t) > limit):
+                raise RuntimeError(f"refused {t.size} points up to {np.abs(t).max():g}")
+            return cusp(t)
+
+        f.domain = cusp.domain
+        return f
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_refusing_evaluator_raises_what_the_loop_raises(self, scheme):
+        # the first refused point is -0.7, though the first call of a
+        # batch would hold 0.9 too
+        f, config = self.picky(0.6), SCHEMES[scheme]
+        xs = [0.3, -0.5, -0.7, 0.9]
+        got = outcome(lambda: rl_integral(f, 0.0, 0.5, xs, config))
+        assert got == outcome(lambda: reference_rl_integral(f, 0.0, 0.5, xs, config))
+        assert got[0] is RuntimeError
+
+        # the first step's x - h integral reaches -0.5625: the loop's
+        # call holds that one integral's nodes
+        f = self.picky(0.5)
+
+        def lfd():
+            return kg_lfd(f, 0.0, 0.5, BWD, EpsilonSchedule(0.5, 0.5, 16), config)
+
+        got = outcome(lfd)
+        with mock.patch.object(rlcalc, "rl_integral", reference_rl_integral):
+            assert got == outcome(lfd)
+        assert got[0] is RuntimeError
+
+    def test_a_batch_the_evaluator_refuses_is_replayed(self):
+        # calls of one point's nodes pass, so the loop's values come out
+        f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
+
+        def small_calls_only(t):
+            if np.size(t) > GRADED_NODE_CAP // 2:
+                raise MemoryError("call too large")
+            return f(t)
+
+        small_calls_only.domain = f.domain
+        xs = np.linspace(-1.5, 1.5, 8)
+        got = rl_integral(small_calls_only, 0.1, 0.5, xs)
+        assert same_bits(got, reference_rl_integral(f, 0.1, 0.5, xs))
