@@ -24,8 +24,9 @@ OSC_REL_CHANGE = 1e-3
 # Hard ceiling on oscillation sampling: 2**16 subintervals.
 OSC_SAMPLE_CAP = 2 ** 16 + 1
 
-# Points in the first grid of the oscillation doubling ladder.
-OSC_N0 = 17
+# Points in the first grid of each annulus of the oscillation doubling
+# ladder: at ratio 1/2 the same spacing as 17 points over the whole window.
+OSC_N0 = 9
 
 _TINY = np.finfo(float).tiny
 
@@ -116,40 +117,33 @@ def _check_windows(f, x: float, eps: np.ndarray, direction: Direction) -> None:
         _check_window(f, x, bad, direction)
 
 
-def _window_points(x: float, eps, offs, direction: Direction):
-    part = eps * offs
+def _annulus_points(x: float, outer, inner, offs, direction: Direction):
+    # outer*o + inner*(1-o) is outer at o=1 and inner at o=0 exactly, at
+    # any ratio, so no point leaves the window [x, x+outer] (x-outer backward)
+    part = outer * offs + inner * (1.0 - offs)
     return x + part if direction is Direction.FORWARD else x - part
 
 
-def _window_extrema(f, x: float, eps: np.ndarray, offs: np.ndarray,
-                    direction: Direction, with_x: bool = False):
-    """Max and min of f over x + e*offs (x - e*offs backward), per e in eps.
+def _annulus_extrema(f, x: float, outer: np.ndarray, inner: np.ndarray,
+                     offs: np.ndarray, direction: Direction):
+    """Max and min of f over the points of each annulus at offsets offs.
 
-    Whole rows go to f, at most OSC_SAMPLE_CAP points a call unless one
-    row alone holds more.  with_x adds x itself to the first call and
-    folds f(x) into every row: each window starts there.
+    Row k holds the points between inner[k] and outer[k] away from x
+    (_annulus_points).  Whole rows go to f, at most OSC_SAMPLE_CAP points
+    a call unless one row alone holds more.  Also returns the value at
+    the last row's first offset: f(x) when that row is [0, e] and offs
+    starts at 0.
     """
-    hi = np.empty(eps.size)
-    lo = np.empty(eps.size)
-    step = max(1, (OSC_SAMPLE_CAP - 1) // offs.size)
-    fx = None
-    for i in range(0, eps.size, step):
-        t = _window_points(x, eps[i:i + step, None], offs, direction)
-        shape = t.shape
-        first = with_x and i == 0
-        if first:
-            # the offset-0 point, formed as for any window
-            t = np.append(t, _window_points(x, 0.0, 0.0, direction))
-        v = np.broadcast_to(_feval(f, t.ravel()), (t.size,))
-        if first:
-            fx, v = v[-1], v[:-1]
-        v = v.reshape(shape)
+    hi = np.empty(outer.size)
+    lo = np.empty(outer.size)
+    step = max(1, OSC_SAMPLE_CAP // offs.size)
+    for i in range(0, outer.size, step):
+        t = _annulus_points(x, outer[i:i + step, None], inner[i:i + step, None],
+                            offs, direction)
+        v = np.broadcast_to(_feval(f, t.ravel()), (t.size,)).reshape(t.shape)
         hi[i:i + step] = v.max(axis=1)
         lo[i:i + step] = v.min(axis=1)
-    if fx is not None:
-        np.maximum(hi, fx, out=hi)
-        np.minimum(lo, fx, out=lo)
-    return hi, lo
+    return hi, lo, v[-1, 0]
 
 
 def _osc_ladder(f, x: float, eps, direction: Direction, n0: int = OSC_N0,
@@ -157,43 +151,58 @@ def _osc_ladder(f, x: float, eps, direction: Direction, n0: int = OSC_N0,
     """Sampled oscillation sup f - inf f over each window of eps, by doubling.
 
     The window of an increment e is [x, x+e] forward and [x-e, x]
-    backward.  It is first sampled on n0 uniform points, endpoints
-    included, and then on nested grids n -> 2n-1, so the estimate never
-    decreases.  The first doubling that gains less than OSC_REL_CHANGE
-    relative stops that window's ladder (refined=True); a window whose
-    next grid would pass cap keeps its last value with refined=False.
-    The library always starts from OSC_N0 points under OSC_SAMPLE_CAP;
-    n0 and cap are there for tests (n0 = cap gives one fixed grid of n0
-    points, and n0 is not checked).  Returns three arrays, one entry per
-    increment: the value, the number of samples it rests on and the
-    refined flag.
+    backward.  eps runs from the largest increment down, as every
+    schedule does, so each window holds all the deeper ones.  Row k of
+    the ladder samples only the annulus between eps[k+1] and eps[k] away
+    from x; the last row samples [0, eps[-1]], whose first point is x
+    itself.  A row starts from n0 uniform points, both ends included,
+    and doubles on nested grids n -> 2n-1.  Its stop rule reads the
+    oscillation over its own samples plus f(x): the first doubling that
+    gains less than OSC_REL_CHANGE relative stops that row
+    (refined=True), and a row whose next grid would pass cap keeps its
+    samples with refined=False.  A window's value is the max minus the
+    min over its own row and every deeper one, folded from the deepest
+    row out, so it never increases as e shrinks.  The library always
+    starts from OSC_N0 points under OSC_SAMPLE_CAP; n0 and cap are there
+    for tests (n0 = cap gives one fixed grid of n0 points per annulus,
+    and n0 is not checked).  Returns three arrays, one entry per
+    increment: the window's value, and the number of samples of its
+    annulus and that annulus's refined flag.
 
-    All windows are sampled together: the first grid in one pass, then
-    each doubling samples only the new midpoints of the windows that
-    have not settled, folding them into running maxima and minima.  The
-    nested grids make this exact: every coarse offset reappears bit for
-    bit at an even index of the finer grid, so the extrema over the
-    union are the extrema over the full grid.  That holds for any f
-    whose value at a point does not depend on the other points of the
-    call.
+    All rows are sampled together: the first grid in one pass, which
+    brings f(x) with it, then each doubling samples only the new
+    midpoints of the rows that have not settled, folding them into
+    running maxima and minima.  The nested grids make this exact: every
+    coarse offset reappears bit for bit at an even index of the finer
+    grid, so the extrema over the union are the extrema over the full
+    grid.  That holds for any f whose value at a point does not depend
+    on the other points of the call.
     """
     eps = np.asarray(eps, dtype=float)
     _check_windows(f, x, eps, direction)
+    inner = np.append(eps[1:], 0.0)
     n = int(n0)
-    hi, lo = _window_extrema(f, x, eps, _osc_offsets(n)[1:], direction, with_x=True)
-    value = hi - lo
+    hi, lo, fx = _annulus_extrema(f, x, eps, inner, _osc_offsets(n), direction)
+    # each row's stop rule reads f(x); the last row holds it already, so
+    # this leaves every fold unchanged
+    np.maximum(hi, fx, out=hi)
+    np.minimum(lo, fx, out=lo)
+    own = hi - lo
     n_samples = np.full(eps.size, n)
     refined = np.zeros(eps.size, dtype=bool)
     active = np.arange(eps.size)
     while active.size and 2 * n - 1 <= cap:
         n = 2 * n - 1
-        h, l = _window_extrema(f, x, eps[active], _osc_offsets(n)[1::2], direction)
+        h, l, _ = _annulus_extrema(f, x, eps[active], inner[active],
+                                   _osc_offsets(n)[1::2], direction)
         hi[active] = np.maximum(hi[active], h)
         lo[active] = np.minimum(lo[active], l)
         cur = hi[active] - lo[active]
-        settled = cur - value[active] <= OSC_REL_CHANGE * np.maximum(cur, _TINY)
-        value[active] = cur
+        settled = cur - own[active] <= OSC_REL_CHANGE * np.maximum(cur, _TINY)
+        own[active] = cur
         n_samples[active] = n
         refined[active] = settled
         active = active[~settled]
+    value = (np.maximum.accumulate(hi[::-1])[::-1]
+             - np.minimum.accumulate(lo[::-1])[::-1])
     return value, n_samples, refined

@@ -199,8 +199,9 @@ def make_weierstrass(amp: float = 0.5, freq: int = 3,
 
     def f(x):
         arr = np.asarray(x, dtype=float)
-        out = np.cos(arr[..., None] * freqs) @ amps
-        return _descale(np.asarray(out))
+        # a sum along the last axis rounds each point alike whatever else
+        # shares the call; a BLAS product does not
+        return _descale((np.cos(arr[..., None] * freqs) * amps).sum(axis=-1))
 
     exponent = float(np.log(1.0 / amp) / np.log(freq))
     marks = tuple(MarkedPoint(float(x), exponent, UNDEFINED, UNDEFINED)

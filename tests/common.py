@@ -25,11 +25,11 @@ from fracvel.diffops import (
     OSC_REL_CHANGE,
     OSC_SAMPLE_CAP,
     _TINY,
+    _annulus_points,
     _check_eps,
     _check_window,
     _feval,
     _osc_offsets,
-    _window_points,
 )
 from fracvel.rlcalc import (
     DEFAULT_QUAD,
@@ -60,13 +60,13 @@ RL_LINEAR_AT_1 = 0.7522527780636750413
 # ln(2)/ln(3), the uniform exponent of the default Weierstrass member
 WEIER_EXPONENT = 0.6309297535714574
 
-# Brute-force oscillation-regression slopes at the marked points
-# (2**14+1 point sampling per window, dyadic eps in [2**-20, 2**-6],
-# plain polyfit in log-log; frozen from the reference script)
+# Oscillation-regression slopes at the marked points: reference_ladder
+# below (annuli on full grids, folded) over WEIER_FIT's windows, plain
+# polyfit of log osc on log eps; frozen from that script
 WEIER_SLOPES = {
-    "1/pi": 0.6083347154680686,
-    "sqrt2-1": 0.6046651450337249,
-    "0.7": 0.6301167253408679,
+    "1/pi": 0.6053555452391591,
+    "sqrt2-1": 0.6047558395690336,
+    "0.7": 0.6337060777571578,
 }
 
 WEIER_MARK_XS = (1.0 / np.pi, np.sqrt(2.0) - 1.0, 0.7)
@@ -74,7 +74,7 @@ WEIER_MARK_XS = (1.0 / np.pi, np.sqrt(2.0) - 1.0, 0.7)
 
 def osc_sampled(f, x, eps, direction, n):
     """Oscillation max - min of f over the full n-point grid of one window."""
-    v = _feval(f, _window_points(x, eps, _osc_offsets(n), direction))
+    v = _feval(f, _annulus_points(x, eps, 0.0, _osc_offsets(n), direction))
     return float(np.max(v) - np.min(v))
 
 
@@ -87,29 +87,37 @@ def one_sided_difference(f, x, eps, direction):
 
 
 def reference_ladder(f, x, eps, direction, n0=OSC_N0, cap=OSC_SAMPLE_CAP):
-    """The oscillation doubling ladder one increment at a time, on full grids.
+    """The annulus ladder one annulus at a time, on full grids, then folded.
 
-    Each level samples the whole n-point grid of one window in its own
-    call, the plainest form of the ladder's stop and cap rules.
-    Returns (value, n_samples, refined) arrays like diffops._osc_ladder.
+    Row k is the annulus between eps[k+1] and eps[k] away from x, the
+    last row [0, eps[-1]].  Each level samples a row's whole n-point grid
+    in its own call, and the row's stop rule reads those samples plus
+    f(x), which is evaluated alone at the last row's offset-0 point.  A
+    window's value is max - min over the last samples of its own row and
+    of every deeper one.  Returns (value, n_samples, refined) arrays like
+    diffops._osc_ladder.
     """
-    out = []
-    for e in np.asarray(eps, dtype=float):
-        e = float(e)
+    eps = [float(e) for e in np.asarray(eps, dtype=float)]
+    for e in eps:
         _check_eps(e)
         _check_window(f, x, e, direction)
+    fx = _feval(f, _annulus_points(x, eps[-1], 0.0, np.zeros(1), direction))
+    rows = []
+    for outer, inner in zip(eps, eps[1:] + [0.0]):
         n = int(n0)
-        prev = osc_sampled(f, x, e, direction, n)
+        v = _feval(f, _annulus_points(x, outer, inner, _osc_offsets(n), direction))
         row = None
         while 2 * n - 1 <= cap:
+            prev = np.ptp(np.append(v, fx))
             n = 2 * n - 1
-            cur = osc_sampled(f, x, e, direction, n)
+            v = _feval(f, _annulus_points(x, outer, inner, _osc_offsets(n), direction))
+            cur = np.ptp(np.append(v, fx))
             if cur - prev <= OSC_REL_CHANGE * max(cur, _TINY):
-                row = (cur, n, True)
+                row = (v, n, True)
                 break
-            prev = cur
-        out.append(row or (prev, n, False))
-    value, n_samples, refined = zip(*out)
+        rows.append(row or (v, n, False))
+    samples, n_samples, refined = zip(*rows)
+    value = [np.ptp(np.concatenate(samples[k:])) for k in range(len(samples))]
     return np.array(value), np.array(n_samples), np.array(refined)
 
 
@@ -233,24 +241,3 @@ def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
             and np.array_equal(np.signbit(a), np.signbit(b)))
-
-
-class SummedWeierstrass:
-    """Weierstrass series on (-2, 2) summed term by term.
-
-    The zoo member sums its terms with a matrix product, whose BLAS
-    kernels may round a point differently depending on how many points
-    share the call.  Summing along the last axis gives each point the
-    same bits whatever else is evaluated with it, which is what a
-    bit-for-bit comparison of two sampling orders needs.
-    """
-
-    domain = (-2.0, 2.0)
-
-    def __init__(self, amp=0.5, freq=3, n_terms=24):
-        self.amps = amp ** np.arange(n_terms)
-        self.freqs = np.pi * float(freq) ** np.arange(n_terms)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return (np.cos(t[..., None] * self.freqs) * self.amps).sum(axis=-1)

@@ -19,6 +19,7 @@ from fracvel import (
     make_chirp,
     make_polynomial,
     make_power_cusp,
+    make_weierstrass,
     variation_values,
     velocity_limit,
     verify_mean_value,
@@ -26,10 +27,10 @@ from fracvel import (
     verify_weak_darboux,
 )
 from common import (
-    SummedWeierstrass,
     one_sided_difference,
     osc_sampled,
     reference_ladder,
+    same_bits,
 )
 from fracvel import diffops, scanner
 from fracvel.diffops import _osc_ladder
@@ -174,7 +175,7 @@ def _member(kind, order, u, freq):
         return make_power_cusp(0.0, order, 1.0, 0.0), u
     if kind == "chirp":
         return make_chirp(order, 0.0), (u if u > 0.25 else 0.0)
-    return SummedWeierstrass(order / freq + 1.0 / freq, freq), u
+    return make_weierstrass(order / freq + 1.0 / freq, freq), u
 
 
 @settings(max_examples=25, deadline=None)
@@ -185,7 +186,7 @@ def _member(kind, order, u, freq):
 def test_batched_oscillations_equal_the_per_increment_ladder(kind, order, u, freq,
                                                              beta, direction):
     # c1 and the Holder fit read the same oscillations, bit for bit, as
-    # when every window is refined alone on full grids
+    # when every annulus is refined alone on full grids and then folded
     f, x = _member(kind, order, u, freq)
 
     def outcomes():
@@ -199,6 +200,67 @@ def test_batched_oscillations_equal_the_per_increment_ladder(kind, order, u, fre
     got = outcomes()
     with mock.patch.object(diffops, "_osc_ladder", reference_ladder):
         assert got == outcomes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["cusp", "chirp", "weierstrass"]),
+       order=st.floats(0.1, 0.9), u=st.floats(-0.5, 0.5),
+       freq=st.integers(2, 4), ratio=st.floats(0.1, 0.9),
+       direction=st.sampled_from([FWD, BWD]))
+def test_oscillation_never_increases_as_the_window_shrinks(kind, order, u, freq,
+                                                           ratio, direction):
+    # each window holds the deeper ones, so its sampled oscillation holds
+    # theirs; and no sample leaves the largest window, at any ratio
+    f, x = _member(kind, order, u, freq)
+    eps = EpsilonSchedule(2.0 ** -4, ratio, 40).increments(x)
+    seen = []
+
+    def recorded(t):
+        seen.append(np.array(t))
+        return f(t)
+
+    recorded.domain = f.domain
+    value = _osc_ladder(recorded, x, eps, direction)[0]
+    assert np.all(np.diff(value) <= 0.0)
+    t = np.concatenate(seen)
+    if direction is FWD:
+        assert x <= t.min() and t.max() <= x + eps[0]
+    else:
+        assert x - eps[0] <= t.min() and t.max() <= x
+
+
+def _zoo_member(kind, order, freq):
+    if kind == "cusp":
+        return make_power_cusp(0.25, order, 1.5, -0.5)
+    if kind == "chirp":
+        return make_chirp(order, 0.25)
+    if kind == "poly":
+        return make_polynomial((0.5, -1.0, order, 2.0))
+    # long and short truncations: 30, 8 and 24 terms by frequency
+    return make_weierstrass(order / freq + 1.0 / freq, freq, (30, 8, 24)[freq - 2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["cusp", "chirp", "poly", "weierstrass"]),
+       order=st.floats(0.1, 0.9), freq=st.integers(2, 4),
+       seed=st.integers(0, 2 ** 32 - 1), size=st.integers(2, 80),
+       start=st.integers(0, 79))
+def test_zoo_members_give_a_point_the_same_bits_in_any_array_call(kind, order, freq,
+                                                                   seed, size, start):
+    # 0-d scalars are left out: numpy may round a 0-d power differently.
+    # The points are drawn by numpy: simple floats evaluate exactly.
+    f = _zoo_member(kind, order, freq)
+    lo, hi = f.domain
+    t = np.random.default_rng(seed).uniform(lo, hi, size)
+    t[0] = 0.25   # the cusp and the chirp's singular point
+    whole = f(t)
+    for i in range(size):
+        assert same_bits(f(t[i:i + 1]), whole[i:i + 1])
+    start %= size
+    for stop in range(start + 1, size + 1):
+        assert same_bits(f(t[start:stop]), whole[start:stop])
+    m = size - size % 2
+    assert same_bits(f(t[:m].reshape(2, -1)), whole[:m].reshape(2, -1))
 
 
 def _hump(t):
