@@ -27,6 +27,7 @@ import functools
 import io
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Tuple
@@ -446,6 +447,8 @@ def _plain(obj):
         return v if math.isfinite(v) else None
     if isinstance(obj, np.integer):
         return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     return obj
 
 
@@ -458,19 +461,35 @@ def render_json(obj) -> str:
 def _csv_cell(v) -> str:
     if isinstance(v, enum.Enum):
         return str(v.value)
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
         return _float_token(float(v))
     return str(v)
 
 
+def _csv_column(cells) -> list:
+    """_csv_cell of every cell, by one renderer when all cells share a type."""
+    kinds = set(map(type, cells))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is str:
+        return list(cells)
+    if kind is float:
+        return [repr(v) if math.isfinite(v) else "null" for v in cells]
+    if kind in (bool, np.bool_):
+        return ["true" if v else "false" for v in cells]
+    if kind is not None and issubclass(kind, enum.Enum):
+        return [str(v._value_) for v in cells]
+    return list(map(_csv_cell, cells))
+
+
 def render_csv(header, rows) -> str:
+    """Header and rows as CSV, every cell rendered as _csv_cell renders it,
+    a column at a time; rows of unequal length raise ValueError."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(c) for c in row])
+    writer.writerows(zip(*map(_csv_column, zip(*rows, strict=True))))
     return buf.getvalue()
 
 
@@ -635,8 +654,7 @@ def _run_scan(cfg: RunConfig) -> RunResult:
         "meta": _meta(),
     }
     header = ("x", "direction", "status", "value", "flagged")
-    rows = [(p.x, p.direction, p.status, p.value, p.flagged)
-            for p in rep.points]
+    rows = list(map(operator.attrgetter(*header), rep.points))
     return RunResult(payload, header, rows)
 
 

@@ -66,6 +66,24 @@ def _check_window(f, x: float, eps: float, direction: Direction) -> None:
             f"leaves the domain [{lo:g}, {hi:g}]")
 
 
+def _check_windows(f, x, eps, direction: Direction) -> None:
+    """Raise what _check_eps and _check_window raise for the first bad
+    (x, eps) pair, x and eps broadcast against each other."""
+    lo, hi = domain_of(f)
+    with np.errstate(invalid="ignore"):
+        ok = np.isfinite(eps) & (eps > 0.0)
+        if direction is Direction.FORWARD:
+            ok = ok & (lo <= x) & (x + eps <= hi)
+        else:
+            ok = ok & (lo <= x - eps) & (x <= hi)
+    if not ok.all():
+        i = np.argmin(ok)
+        x, eps = np.broadcast_arrays(x, eps)
+        bad = float(eps.flat[i])
+        _check_eps(bad)
+        _check_window(f, float(x.flat[i]), bad, direction)
+
+
 def _feval(f, t):
     return np.asarray(f(np.asarray(t, dtype=float)), dtype=float)
 
@@ -73,26 +91,29 @@ def _feval(f, t):
 def variation_values(f, x, beta: float, direction: Direction, eps) -> np.ndarray:
     """Fractional variation difference/eps**beta over an array of increments.
 
-    The whole array is evaluated in one vectorized call so deep schedules
-    stay cheap.  x may also be a 1-D array of base points, giving one row
-    per point from a single call on the (points x increments) array.
-    f(x) itself is evaluated one point at a time, as a scalar: numpy may
-    round a scalar power differently from an array one, and this keeps
-    every row bit for bit equal to its single-point result.
+    x may be a point or a 1-D array of base points, giving one row per
+    point.  f(x) and every f(x +- eps) come from one vectorized call on
+    the (points x (1 + increments)) array x +- [0, eps...], so deep
+    schedules and whole grids stay cheap.
     """
     eps = np.asarray(eps, dtype=float)
     _check_eps(eps)
     _check_beta(beta)
     xs = np.asarray(x, dtype=float)
-    width = float(eps.max())
-    fx = np.empty(xs.shape + (1,))
-    for i, v in enumerate(xs.flat):
-        _check_window(f, float(v), width, direction)
-        fx.flat[i] = _feval(f, v)
+    steps = np.concatenate(([0.0], eps))
+    t = xs[..., None] + steps if direction is Direction.FORWARD else xs[..., None] - steps
+    # t holds each window's ends x and x +- max(eps), and rounding keeps
+    # order, so t lies in the domain exactly when every window does
+    lo, hi = domain_of(f)
+    if t.size and not lo <= t.min() <= t.max() <= hi:
+        _check_windows(f, xs, eps.max(), direction)
+    v = _feval(f, t)
+    if v.shape != t.shape:
+        v = np.broadcast_to(v, t.shape)
     if direction is Direction.FORWARD:
-        delta = _feval(f, xs[..., None] + eps) - fx
+        delta = v[..., 1:] - v[..., :1]
     else:
-        delta = fx - _feval(f, xs[..., None] - eps)
+        delta = v[..., :1] - v[..., 1:]
     return delta / eps ** beta
 
 
@@ -100,21 +121,6 @@ def _osc_offsets(n: int) -> np.ndarray:
     # arange/(n-1) so that the 2n-1 refinement reproduces every coarse
     # point bit-exactly (numerator and denominator both double)
     return np.arange(n, dtype=float) / (n - 1)
-
-
-def _check_windows(f, x: float, eps: np.ndarray, direction: Direction) -> None:
-    """Raise what _check_eps and _check_window raise for the first bad entry of eps."""
-    lo, hi = domain_of(f)
-    with np.errstate(invalid="ignore"):
-        ok = np.isfinite(eps) & (eps > 0.0)
-        if direction is Direction.FORWARD:
-            ok &= (lo <= x) & (x + eps <= hi)
-        else:
-            ok &= (lo <= x - eps) & (x <= hi)
-    if not ok.all():
-        bad = float(eps[np.argmin(ok)])
-        _check_eps(bad)
-        _check_window(f, x, bad, direction)
 
 
 def _annulus_points(x: float, outer, inner, offs, direction: Direction):

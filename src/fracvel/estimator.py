@@ -56,8 +56,9 @@ C1_RATIO_CUTOFF = 10.0
 
 _EPS_MACH = np.finfo(float).eps
 
-# Points per block of a grid evaluation scale so that a block holds about
-# this many (point, increment) entries, bounding the evaluator's working set.
+# A block of a grid evaluation holds at most this many (point, increment)
+# entries, f(x) counted, unless one point alone needs more: this bounds
+# the evaluator's working set.
 GRID_BLOCK_ENTRIES = 2 ** 14
 
 
@@ -229,7 +230,9 @@ def _velocity_limits(f, xs: np.ndarray, beta: float, direction: Direction,
     for k in np.unique(kept):
         rows = np.flatnonzero(kept == k)
         eps = schedule.increments(float(xs[rows[0]]))
-        n_blocks = math.ceil(rows.size * eps.size / GRID_BLOCK_ENTRIES)
+        # variation_values adds a column for f(x) itself
+        per_block = max(1, GRID_BLOCK_ENTRIES // (eps.size + 1))
+        n_blocks = math.ceil(rows.size / per_block)
         for block in np.array_split(rows, n_blocks):
             vals = variation_values(f, xs[block], beta, direction, eps)
             _, status[block], value[block], _ = _classify_rows(vals, tol)

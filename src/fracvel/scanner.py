@@ -6,7 +6,7 @@ whose roughness lives on a null set the flagged fraction falls off like
 1/n as the grid refines; the verifiers below reuse the same machinery to
 check the classical interval theorems in their fractional form.
 
-Every probe, in a scan or a verifier, goes through _probe_limits: the
+Every probe, in a scan or a verifier, goes through _batch_limits: the
 probes of one call are evaluated together as (points x increments)
 arrays, and each reports exactly what velocity_limit reports there.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -85,67 +85,100 @@ def _grid_size(n) -> int:
     return n
 
 
-def _probes(n: int):
-    """(grid index, direction) of every scan probe, in grid order."""
-    for i in range(n):
-        if i < n - 1:
-            yield i, Direction.FORWARD
-        if i > 0:
-            yield i, Direction.BACKWARD
+def _grid_probes(xs: np.ndarray):
+    """Abscissae and forward flags of a scan's probes, in grid order:
+    forward from every point but the last, backward from every point
+    but the first."""
+    n = xs.size
+    keep = np.ones(2 * n, dtype=bool)
+    keep[[1, 2 * n - 2]] = False
+    return np.repeat(xs, 2)[keep], np.tile([True, False], n)[keep]
 
 
-_Probe = Tuple[float, Direction]
+def _both_sides(xs: np.ndarray):
+    """Abscissae and forward flags of the forward and then the backward
+    probe of each point of xs."""
+    return np.repeat(xs, 2), np.tile([True, False], xs.size)
 
 
-def _both_sides(xs) -> List[_Probe]:
-    """The forward and then the backward probe of each point of xs."""
-    return [(x, d) for x in xs.tolist() for d in (Direction.FORWARD, Direction.BACKWARD)]
+def _direction(forward: bool) -> Direction:
+    return Direction.FORWARD if forward else Direction.BACKWARD
 
 
-def _probe_limits(f, probes: List[_Probe], beta: float, schedule: EpsilonSchedule,
-                  tol: float) -> Iterator[Optional[Tuple[LimitStatus, float]]]:
-    """Status and value of the velocity limit at each (x, direction) probe, in order.
+def _batch_limits(f, xs: np.ndarray, forward: np.ndarray, beta: float,
+                  schedule: EpsilonSchedule, tol: float):
+    """Status and value of the velocity limit at each probe, as arrays.
 
-    Each probe's schedule is fitted to its domain margin; a probe it
-    leaves no room yields None, any other one what velocity_limit
-    reports with the fitted schedule.  Probes that share a direction and
-    a fitted schedule are evaluated together by _velocity_limits, all of
-    them at the first next().  A failed batch does not say which probe
-    failed first, so the probes are then replayed one by one through
-    velocity_limit, lazily and in order: a consumer that stops early
-    sees what point-by-point code sees, and otherwise meets the error
-    the first failing probe raises on its own, at that probe.  Asked for
-    a result past the last probe, a replay that raised nothing re-raises
-    the batch's error: the scan drains the iterator and so raises it,
-    while a verifier zips it with its probes, stops at the last one and
-    keeps the verdict of the point-by-point results.
+    Probe i is at xs[i], forward where forward[i] and backward
+    elsewhere.  Each probe's schedule is fitted to its domain margin; a
+    probe it leaves no room gets status None, any other one what
+    velocity_limit reports with the fitted schedule.  Only probes whose
+    margin falls short of eps0 need a fitted schedule of their own.
+    Probes that share a direction and a fitted schedule are evaluated
+    together by _velocity_limits.  Returns (status, value, None).
+
+    A failed batch does not say which probe failed first, so it returns
+    (None, None, replay) instead: replay runs the probes one by one
+    through velocity_limit, lazily and in order, yielding None or
+    (status, value) for each.  A consumer that stops early sees what
+    point-by-point code sees, and otherwise meets the error the first
+    failing probe raises on its own, at that probe.  Asked for a result
+    past the last probe, a replay that raised nothing re-raises the
+    batch's error: the scan drains the replay and so raises it, while a
+    verifier zips it with its probes, stops at the last one and keeps
+    the verdict of the point-by-point results.
     """
     lo, hi = domain_of(f)
-    fits = [schedule.fitted(margin=hi - x if d is Direction.FORWARD else x - lo)
-            for x, d in probes]
-    groups: Dict[Tuple[Direction, EpsilonSchedule], List[int]] = {}
-    for i, ((_, d), fit) in enumerate(zip(probes, fits)):
-        if fit is not None:
-            groups.setdefault((d, fit), []).append(i)
-    out: List[Optional[Tuple[LimitStatus, float]]] = [None] * len(probes)
-    try:
-        for (d, fit), idx in groups.items():
-            xs = np.array([probes[i][0] for i in idx])
-            status, value = _velocity_limits(f, xs, beta, d, fit, tol)
-            for i, st, v in zip(idx, status, value.tolist()):
-                out[i] = (st, v)
-    except Exception as err:
-        failure = err
-    else:
-        yield from out
-        return
-    for (x, d), fit in zip(probes, fits):
+    with np.errstate(invalid="ignore"):
+        margin = np.where(forward, hi - xs, xs - lo)
+    # probe i uses fits[fit_of[i]], or none where fit_of[i] is -1;
+    # not (margin >= eps0) also sends a NaN margin to fitted()
+    fits = [schedule]
+    fit_of = np.zeros(xs.size, dtype=int)
+    for i in np.flatnonzero(~(margin >= schedule.eps0)):
+        fit = schedule.fitted(margin=float(margin[i]))
         if fit is None:
+            fit_of[i] = -1
+        else:
+            if fit not in fits:
+                fits.append(fit)
+            fit_of[i] = fits.index(fit)
+    group = np.where(fit_of < 0, -1, 2 * fit_of + ~forward)
+    status = np.full(xs.size, None, dtype=object)
+    value = np.full(xs.size, np.nan)
+    _, first = np.unique(group, return_index=True)
+    try:
+        for i in np.sort(first):
+            if group[i] >= 0:
+                idx = np.flatnonzero(group == group[i])
+                status[idx], value[idx] = _velocity_limits(
+                    f, xs[idx], beta, _direction(forward[i]), fits[fit_of[i]], tol)
+    except Exception as err:
+        return None, None, _replay(f, xs, forward, beta, fits, fit_of, tol, err)
+    return status, value, None
+
+
+def _replay(f, xs, forward, beta, fits, fit_of, tol, failure):
+    """_batch_limits's probes through velocity_limit one by one, then failure."""
+    for x, fwd, k in zip(xs.tolist(), forward.tolist(), fit_of.tolist()):
+        if k < 0:
             yield None
         else:
-            lim = velocity_limit(f, x, beta, d, fit, tol)
+            lim = velocity_limit(f, x, beta, _direction(fwd), fits[k], tol)
             yield lim.status, lim.value
     raise failure
+
+
+def _probe_limits(f, xs: np.ndarray, forward: np.ndarray, beta: float,
+                  schedule: EpsilonSchedule,
+                  tol: float) -> Iterator[Optional[Tuple[LimitStatus, float]]]:
+    """None or (status, value) at each probe, in order: _batch_limits's
+    results, or its replay when the batch failed."""
+    status, value, replay = _batch_limits(f, xs, forward, beta, schedule, tol)
+    if replay is not None:
+        return replay
+    return (None if st is None else (st, v)
+            for st, v in zip(status.tolist(), value.tolist()))
 
 
 def scan_change_set(f, interval, beta: float, n: int,
@@ -170,17 +203,16 @@ def scan_change_set(f, interval, beta: float, n: int,
     threshold = 10.0 * tol if flag_threshold is None else float(flag_threshold)
     _require_margin(f, a, b, schedule.eps0)
 
-    xs = np.linspace(a, b, n)
-    probes = [(float(xs[i]), d) for i, d in _probes(n)]
-    limits = list(_probe_limits(f, probes, beta, schedule, tol))
-    points = []
-    flagged = []
-    for (x, d), (status, value) in zip(probes, limits):
-        hit = status is LimitStatus.CONVERGED and abs(value) > threshold
-        points.append(GridPointResult(x, d, status, value, hit))
-        if hit:
-            flagged.append((x, value, d))
-    fraction = len({x for x, _, _ in flagged}) / n
+    px, forward = _grid_probes(np.linspace(a, b, n))
+    status, value, replay = _batch_limits(f, px, forward, beta, schedule, tol)
+    if replay is not None:
+        list(replay)   # raises the first failing probe's error, else the batch's
+    hit = (status == LimitStatus.CONVERGED) & (np.abs(value) > threshold)
+    sides = np.where(forward, Direction.FORWARD, Direction.BACKWARD)
+    points = map(GridPointResult, px.tolist(), sides.tolist(), status.tolist(),
+                 value.tolist(), hit.tolist())
+    flagged = zip(px[hit].tolist(), value[hit].tolist(), sides[hit].tolist())
+    fraction = np.unique(px[hit]).size / n
     return ChangeSetReport((a, b), float(beta), n, threshold,
                            tuple(flagged), fraction, tuple(points))
 
@@ -239,13 +271,13 @@ def verify_rolle(f, a: float, b: float, beta: float, n: int = 101,
         raise PreconditionError(
             f"endpoint values differ by {abs(fa - fb):g} > tol={tol:g}")
 
-    probes = _both_sides(np.linspace(a, b, n)[1:-1])
-    limits = _probe_limits(f, probes, beta, schedule, tol)
+    px, forward = _both_sides(np.linspace(a, b, n)[1:-1])
+    limits = _probe_limits(f, px, forward, beta, schedule, tol)
     best = None
     best_split = -1.0
     checked = 0
     # the forward and then the backward result of each point
-    for (x, _), rf, rb in zip(probes[::2], limits, limits):
+    for x, rf, rb in zip(px[::2].tolist(), limits, limits):
         if rf is None or rb is None:
             continue
         checked += 1
@@ -307,17 +339,17 @@ def verify_mean_value(f, a: float, b: float, beta: float,
                 and abs(lim[1] - r) <= tol)
 
     witness = None
-    for x, d, endpoint in ((a, Direction.FORWARD, 0.0), (b, Direction.BACKWARD, 1.0)):
-        lim = next(_probe_limits(f, [(x, d)], beta, schedule, tol))
+    for x, fwd, endpoint in ((a, True, 0.0), (b, False, 1.0)):
+        lim = next(_probe_limits(f, np.array([x]), np.array([fwd]), beta, schedule, tol))
         if attains(lim):
             witness = {"x": x, "endpoint": endpoint, "velocity": lim[1], "ratio": r}
             break
 
-    probes = _both_sides(np.linspace(a, b, grid_n + 2)[1:-1])
+    px, forward = _both_sides(np.linspace(a, b, grid_n + 2)[1:-1])
     hit = np.zeros(grid_n, dtype=bool)
     skipped = 0
     # zip stops at the last probe, before the iterator would re-raise
-    for i, lim in zip(range(len(probes)), _probe_limits(f, probes, beta, schedule, tol)):
+    for i, lim in zip(range(px.size), _probe_limits(f, px, forward, beta, schedule, tol)):
         if lim is None:
             skipped += 1
         elif attains(lim):
@@ -354,10 +386,9 @@ def verify_weak_darboux(f, a: float, b: float, beta: float, n: int = 101,
 
     xs = np.linspace(a, b, n)
     # forward from every point but the last, backward from the last
-    probes = [(float(x), Direction.FORWARD) for x in xs[:-1]]
-    probes.append((float(xs[-1]), Direction.BACKWARD))
+    forward = np.arange(n) < n - 1
     vels = []
-    for (x, _), lim in zip(probes, _probe_limits(f, probes, beta, schedule, tol)):
+    for x, lim in zip(xs.tolist(), _probe_limits(f, xs, forward, beta, schedule, tol)):
         if lim is None:
             return IntervalVerdict(Theorem.WEAK_DARBOUX, False, None,
                                    f"no room for the schedule at x={x:g}")

@@ -12,6 +12,7 @@ from fracvel import Direction, default_zoo
 from fracvel.cli import (
     DataError,
     _build_parser,
+    _csv_cell,
     SampledFunction,
     UsageError,
     build_function,
@@ -326,7 +327,15 @@ class TestRendering:
         with pytest.raises(TypeError):
             render_json(object())
         with pytest.raises(TypeError):
-            render_json({"flag": np.bool_(True)})
+            render_json({"flags": {True}})
+
+    def test_numpy_bools_render_as_bools(self):
+        # a column computed as an array holds np.bool_, not bool
+        flags = np.array([True, False])
+        assert render_json({"f": flags[0], "g": flags}) == '{"f":true,"g":[true,false]}'
+        assert _csv_cell(flags[0]) == "true" and _csv_cell(flags[1]) == "false"
+        text = render_csv(("x", "flagged"), [(0.5, flags[0]), (1.0, flags[1])])
+        assert text == "x,flagged\n0.5,true\n1.0,false\n"
 
     @pytest.mark.parametrize("value,text", [
         (-0.0, "-0.0"),
@@ -341,6 +350,31 @@ class TestRendering:
     ])
     def test_scalars_and_containers(self, value, text):
         assert render_json(value) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 4), st.lists(st.sampled_from([
+        0.1, -0.0, math.inf, math.nan, 1e16, np.float64(2.5), np.float32(0.1),
+        True, False, np.bool_(True), 3, np.int64(-7), Direction.FORWARD,
+        "a, b", 'say "x"', "", None]), min_size=1, max_size=6))
+    def test_csv_columns_render_cell_by_cell(self, n_rows, pool):
+        # one renderer per column gives the bytes _csv_cell gives each cell,
+        # whether a column holds one type or several
+        rows = [tuple(pool[(i + j) % len(pool)] for j in range(3)) for i in range(n_rows)]
+        rows += [(c, c, 1.0) for c in pool]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("a", "b", "c"))
+        writer.writerows([_csv_cell(c) for c in row] for row in rows)
+        assert render_csv(("a", "b", "c"), rows) == buf.getvalue()
+
+    def test_csv_rows_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError):
+            render_csv(("a", "b"), [(1.0, 2.0), (3.0,)])
+
+    def test_csv_quotes_notes_with_commas(self):
+        notes = "forward oscillatory, backward converged"
+        text = render_csv(("theorem", "notes"), [(Direction.FORWARD, notes)])
+        assert text == 'theorem,notes\nforward,"forward oscillatory, backward converged"\n'
 
     def test_csv_unix_newlines(self):
         text = render_csv(("a", "b"), [(1.0, True), (math.inf, False)])

@@ -5,10 +5,14 @@ from fracvel import (
     Direction,
     DomainError,
     EpsilonSchedule,
+    LimitStatus,
+    estimate_velocity,
     make_chirp,
     make_power_cusp,
     make_weierstrass,
+    scan_change_set,
     variation_values,
+    velocity_limit,
 )
 from common import (
     WEIER_MARK_XS,
@@ -18,6 +22,7 @@ from common import (
     same_bits,
 )
 from fracvel.diffops import OSC_N0, OSC_SAMPLE_CAP, _osc_ladder
+from fracvel.estimator import DEFAULT_SCHEDULE, GRID_BLOCK_ENTRIES
 
 FWD = Direction.FORWARD
 BWD = Direction.BACKWARD
@@ -90,6 +95,74 @@ class TestVariation:
     def test_order_one_allowed(self):
         v = variation(square, 1.0, 2.0 ** -20, 1.0, FWD)
         assert v == pytest.approx(2.0, abs=1e-5)
+
+
+class TestBatchedVariation:
+    """A batch of base points goes through the one-point array path."""
+
+    @pytest.mark.parametrize("direction", [FWD, BWD])
+    def test_first_bad_point_is_named(self, direction):
+        # points 2, 4 and 5 leave the cusp's domain (-2, 2) at width 0.5;
+        # the batch names point 2 as the one-point call does
+        f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
+        xs = np.array([0.0, -0.25, 1.75, 0.5, 1.875, -1.875, 0.125])
+        if direction is BWD:
+            xs = -xs
+        eps = [0.5, 0.25, 0.125]
+        with pytest.raises(DomainError) as batch:
+            variation_values(f, xs, 0.5, direction, eps)
+        with pytest.raises(DomainError) as single:
+            variation_values(f, xs[2], 0.5, direction, eps)
+        assert str(batch.value) == str(single.value)
+        assert str(batch.value) == (f"probe of width 0.5 at x={xs[2]:g} "
+                                    f"({direction.value}) leaves the domain [-2, 2]")
+
+    @pytest.mark.parametrize("direction", [FWD, BWD])
+    def test_nan_point_is_named(self, direction):
+        xs = np.array([0.25, np.nan, 0.5])
+        with pytest.raises(DomainError, match=r"at x=nan"):
+            variation_values(square, xs, 0.5, direction, [0.5, 0.25])
+
+    @pytest.mark.parametrize("direction", [FWD, BWD])
+    def test_evaluators_returning_one_number(self, direction):
+        # a plain callable may answer any argument with a single number
+        def const(t):
+            return 1.0
+
+        eps = EpsilonSchedule(2.0 ** -4, 0.5, 12).increments()
+        assert same_bits(variation_values(const, 0.3, 0.5, direction, eps),
+                         np.zeros(eps.size))
+        assert same_bits(variation_values(const, np.array([0.3, -0.7]), 0.5, direction, eps),
+                         np.zeros((2, eps.size)))
+        lim = velocity_limit(const, 0.3, 0.5, direction)
+        assert (lim.status, lim.value) == (LimitStatus.CONVERGED, 0.0)
+        rep = estimate_velocity(const, 0.3, 0.5, direction)
+        assert (rep.limit.value, rep.c1_constant, rep.c1_holds) == (0.0, 0.0, True)
+        scan = scan_change_set(const, (0.0, 1.0), 0.5, 11)
+        assert scan.flagged == ()
+        assert {(p.status, p.value) for p in scan.points} == {(LimitStatus.CONVERGED, 0.0)}
+
+    @pytest.mark.parametrize("direction", [FWD, BWD])
+    def test_a_block_is_one_array_call(self, direction):
+        f = CountingEvaluator(make_power_cusp(0.0, 0.3, 2.0, 0.0))
+        eps = EpsilonSchedule(2.0 ** -4, 0.5, 12).increments()
+        variation_values(f, np.linspace(-1.0, 1.0, 7), 0.3, direction, eps)
+        variation_values(f, 0.25, 0.3, direction, eps)
+        assert f.shapes == [(7, 13), (13,)]
+
+    def test_grid_blocks_stay_within_the_entry_bound(self):
+        # per direction, as many probes as fit the bound without the f(x)
+        # column but not with it
+        k = DEFAULT_SCHEDULE.increments(0.0).size
+        probes = GRID_BLOCK_ENTRIES // k
+        assert probes * (k + 1) > GRID_BLOCK_ENTRIES
+        f = CountingEvaluator(make_power_cusp(0.0, 0.3, 2.0, 0.0))
+        scan_change_set(f, (-1.0, 1.0), 0.3, probes + 1)
+        per_block = GRID_BLOCK_ENTRIES // (k + 1)
+        assert all(len(shape) == 2 and shape[1] == k + 1 for shape in f.shapes)
+        assert max(f.sizes) <= GRID_BLOCK_ENTRIES
+        assert sum(f.sizes) == 2 * probes * (k + 1)
+        assert len(f.sizes) == 2 * -(-probes // per_block)
 
 
 def one_window(f, x, eps, direction, n0=OSC_N0, cap=OSC_SAMPLE_CAP):
@@ -176,10 +249,12 @@ class CountingEvaluator:
     def __init__(self, f):
         self.f = f
         self.sizes = []
+        self.shapes = []
         self.domain = getattr(f, "domain", (-np.inf, np.inf))
 
     def __call__(self, t):
         self.sizes.append(np.size(t))
+        self.shapes.append(np.shape(t))
         return self.f(t)
 
 

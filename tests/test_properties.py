@@ -14,6 +14,7 @@ from fracvel import (
     LimitStatus,
     LocallyConstantError,
     classify_limit,
+    default_zoo,
     estimate_holder_exponent,
     estimate_velocity,
     make_chirp,
@@ -33,6 +34,7 @@ from common import (
     same_bits,
 )
 from fracvel import diffops, scanner
+from fracvel.cli import SampledFunction
 from fracvel.diffops import _osc_ladder
 from fracvel.estimator import FLOOR_FACTOR
 
@@ -247,7 +249,8 @@ def _zoo_member(kind, order, freq):
        start=st.integers(0, 79))
 def test_zoo_members_give_a_point_the_same_bits_in_any_array_call(kind, order, freq,
                                                                    seed, size, start):
-    # 0-d scalars are left out: numpy may round a 0-d power differently.
+    # 0-d scalars are left out: numpy may round a 0-d power differently,
+    # and the library never passes one.
     # The points are drawn by numpy: simple floats evaluate exactly.
     f = _zoo_member(kind, order, freq)
     lo, hi = f.domain
@@ -261,6 +264,32 @@ def test_zoo_members_give_a_point_the_same_bits_in_any_array_call(kind, order, f
         assert same_bits(f(t[start:stop]), whole[start:stop])
     m = size - size % 2
     assert same_bits(f(t[:m].reshape(2, -1)), whole[:m].reshape(2, -1))
+
+
+_SAMPLE_XS = np.linspace(-2.0, 2.0, 4097)
+
+# every zoo member and a file: evaluator, sampled from a cusp and a sine
+VARIATION_MEMBERS = [*default_zoo(), SampledFunction(
+    "file:samples", _SAMPLE_XS,
+    np.abs(_SAMPLE_XS - 0.25) ** 0.3 + np.sin(7.0 * _SAMPLE_XS))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(member=st.integers(0, len(VARIATION_MEMBERS) - 1),
+       seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 40),
+       beta=st.floats(0.1, 1.0), count=st.integers(4, 40),
+       direction=st.sampled_from([FWD, BWD]))
+def test_batched_variation_rows_equal_the_one_point_call(member, seed, size, beta,
+                                                         count, direction):
+    f = VARIATION_MEMBERS[member]
+    eps = EpsilonSchedule(2.0 ** -4, 0.5, count).raw()
+    lo, hi = f.domain
+    xs = np.random.default_rng(seed).uniform(lo + eps[0], hi - eps[0], size)
+    xs[0] = f.marks[0].x if getattr(f, "marks", ()) else 0.25
+    rows = variation_values(f, xs, beta, direction, eps)
+    assert rows.shape == (size, count)
+    for x, row in zip(xs.tolist(), rows):
+        assert same_bits(variation_values(f, x, beta, direction, eps), row)
 
 
 def _hump(t):
