@@ -27,7 +27,6 @@ import functools
 import io
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Tuple
@@ -44,13 +43,17 @@ from .errors import (
     ScheduleUnderflowError,
 )
 from .estimator import (
+    DEFAULT_TOL,
     EpsilonSchedule,
     VelocityReport,
     estimate_holder_exponent,
     estimate_velocity,
 )
-from .rlcalc import QuadScheme, QuadratureConfig, check_lfd_equivalence
+from .rlcalc import (_RULES, KG_TOL, MIN_NODES, QuadratureConfig, QuadScheme,
+                     check_lfd_equivalence)
 from .scanner import (
+    SCAN_TOL,
+    VERIFY_TOL,
     Theorem,
     scan_change_set,
     verify_mean_value,
@@ -256,18 +259,18 @@ class RunConfig:
     beta: Optional[float] = None
     direction: str = "both"
     tol: Optional[float] = None
-    eps0: float = 2.0 ** -4
-    ratio: float = 0.5
-    count: int = 40
+    eps0: float = EpsilonSchedule.eps0
+    ratio: float = EpsilonSchedule.ratio
+    count: int = EpsilonSchedule.count
     interval: Optional[Tuple[float, float]] = None
     n: Optional[int] = None
     threshold: Optional[float] = None
     theorem: Optional[str] = None
     target: Optional[float] = None
-    kg_tol: float = 1e-3
+    kg_tol: float = KG_TOL
     approach_count: int = 16
-    scheme: str = "graded_product"
-    nodes: int = 64
+    scheme: str = QuadratureConfig.scheme.value
+    nodes: int = QuadratureConfig.n_nodes
     fmt: str = "json"
     out: Optional[str] = None
     zoo_action: Optional[str] = None
@@ -277,11 +280,11 @@ def _add_common(p, with_direction=True, both_ok=True):
     p.add_argument("--fn", required=True, help="function spec, kind:key=val,...")
     p.add_argument("--tol", type=float, default=None,
                    help="limit classification tolerance")
-    p.add_argument("--eps0", type=float, default=2.0 ** -4,
+    p.add_argument("--eps0", type=float, default=RunConfig.eps0,
                    help="largest probe increment")
-    p.add_argument("--ratio", type=float, default=0.5,
+    p.add_argument("--ratio", type=float, default=RunConfig.ratio,
                    help="geometric decay of the increments")
-    p.add_argument("--count", type=int, default=40,
+    p.add_argument("--count", type=int, default=RunConfig.count,
                    help="number of schedule steps")
     if with_direction:
         choices = ["fwd", "bwd"] + (["both"] if both_ok else [])
@@ -330,11 +333,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, both_ok=False)
     p.add_argument("--x", type=float, required=True, help="base point")
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--kg-tol", dest="kg_tol", type=float, default=1e-3)
-    p.add_argument("--approach-count", dest="approach_count", type=int, default=16)
+    p.add_argument("--kg-tol", dest="kg_tol", type=float, default=RunConfig.kg_tol)
+    p.add_argument("--approach-count", dest="approach_count", type=int,
+                   default=RunConfig.approach_count)
     p.add_argument("--scheme", choices=[s.value for s in QuadScheme],
-                   default=QuadScheme.GRADED_PRODUCT.value)
-    p.add_argument("--nodes", type=int, default=64)
+                   default=RunConfig.scheme)
+    p.add_argument("--nodes", type=int, default=RunConfig.nodes)
     _add_output(p)
 
     p = sub.add_parser("verify", help="interval theorem checks")
@@ -395,6 +399,12 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     for flag, value in (("--count", cfg.count), ("--approach-count", cfg.approach_count)):
         if value < 4:
             raise UsageError(f"{flag} must be at least 4, got {value}")
+    if cfg.command == "lfd":
+        # the first doubling of the starting nodes must stay under the cap
+        _, cap = _RULES[QuadScheme(cfg.scheme)]
+        if not MIN_NODES <= cfg.nodes <= cap // 2:
+            raise UsageError(f"--nodes must lie in [{MIN_NODES}, {cap // 2}] "
+                             f"for {cfg.scheme}, got {cfg.nodes}")
     for flag, value, cap in (("--count", cfg.count, MAX_COUNT),
                              ("--approach-count", cfg.approach_count, MAX_COUNT),
                              ("--n", cfg.n, MAX_GRID_N)):
@@ -408,7 +418,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
 def _default_tol(cfg: RunConfig) -> float:
     if cfg.tol is not None:
         return cfg.tol
-    return {"scan": 1e-4, "verify": 1e-3}.get(cfg.command, 1e-6)
+    return {"scan": SCAN_TOL, "verify": VERIFY_TOL}.get(cfg.command, DEFAULT_TOL)
 
 
 def _effective_schedule(cfg: RunConfig, f) -> EpsilonSchedule:
@@ -653,9 +663,7 @@ def _run_scan(cfg: RunConfig) -> RunResult:
         "flagged_fraction": rep.flagged_fraction,
         "meta": _meta(),
     }
-    header = ("x", "direction", "status", "value", "flagged")
-    rows = list(map(operator.attrgetter(*header), rep.points))
-    return RunResult(payload, header, rows)
+    return RunResult(payload, rep.points._fields, list(zip(*rep.points)))
 
 
 def _run_lfd(cfg: RunConfig) -> RunResult:

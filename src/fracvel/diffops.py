@@ -24,6 +24,11 @@ OSC_REL_CHANGE = 1e-3
 # Hard ceiling on oscillation sampling: 2**16 subintervals.
 OSC_SAMPLE_CAP = 2 ** 16 + 1
 
+# Batched paths (scan rows, oscillation annuli, quadrature rows) call the
+# evaluator on at most this many points at a time, unless one row alone
+# holds more: this bounds the evaluator's working set.
+EVAL_CALL_POINTS = 2 ** 16 + 1
+
 # Points in the first grid of each annulus of the oscillation doubling
 # ladder: at ratio 1/2 the same spacing as 17 points over the whole window.
 OSC_N0 = 9
@@ -88,6 +93,14 @@ def _feval(f, t):
     return np.asarray(f(np.asarray(t, dtype=float)), dtype=float)
 
 
+def _row_blocks(n_rows: int, row_len: int):
+    """Slices of consecutive rows, in order, for the evaluator calls over
+    n_rows rows of row_len points: at most EVAL_CALL_POINTS points a
+    call, or one row where a row alone holds more."""
+    step = max(1, EVAL_CALL_POINTS // row_len)
+    return (slice(i, i + step) for i in range(0, n_rows, step))
+
+
 def variation_values(f, x, beta: float, direction: Direction, eps) -> np.ndarray:
     """Fractional variation difference/eps**beta over an array of increments.
 
@@ -135,20 +148,17 @@ def _annulus_extrema(f, x: float, outer: np.ndarray, inner: np.ndarray,
     """Max and min of f over the points of each annulus at offsets offs.
 
     Row k holds the points between inner[k] and outer[k] away from x
-    (_annulus_points).  Whole rows go to f, at most OSC_SAMPLE_CAP points
-    a call unless one row alone holds more.  Also returns the value at
-    the last row's first offset: f(x) when that row is [0, e] and offs
-    starts at 0.
+    (_annulus_points).  Whole rows go to f, in the blocks of _row_blocks.
+    Also returns the value at the last row's first offset: f(x) when that
+    row is [0, e] and offs starts at 0.
     """
     hi = np.empty(outer.size)
     lo = np.empty(outer.size)
-    step = max(1, OSC_SAMPLE_CAP // offs.size)
-    for i in range(0, outer.size, step):
-        t = _annulus_points(x, outer[i:i + step, None], inner[i:i + step, None],
-                            offs, direction)
+    for rows in _row_blocks(outer.size, offs.size):
+        t = _annulus_points(x, outer[rows, None], inner[rows, None], offs, direction)
         v = np.broadcast_to(_feval(f, t.ravel()), (t.size,)).reshape(t.shape)
-        hi[i:i + step] = v.max(axis=1)
-        lo[i:i + step] = v.min(axis=1)
+        hi[rows] = v.max(axis=1)
+        lo[rows] = v.min(axis=1)
     return hi, lo, v[-1, 0]
 
 

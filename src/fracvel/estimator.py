@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import diffops
-from .diffops import Direction, variation_values
+from .diffops import Direction, _row_blocks, variation_values
 from .errors import LocallyConstantError, ScheduleUnderflowError
 
 __all__ = [
@@ -55,11 +55,6 @@ MIN_FITTED = 8
 C1_RATIO_CUTOFF = 10.0
 
 _EPS_MACH = np.finfo(float).eps
-
-# A block of a grid evaluation holds at most this many (point, increment)
-# entries, f(x) counted, unless one point alone needs more: this bounds
-# the evaluator's working set.
-GRID_BLOCK_ENTRIES = 2 ** 14
 
 
 def _floor(x):
@@ -221,7 +216,7 @@ def _velocity_limits(f, xs: np.ndarray, beta: float, direction: Direction,
     arrays: the LimitStatus of each point and its value.  A point whose
     ladder underflows raises ScheduleUnderflowError, though not
     necessarily at the first such point in xs, and any other error need
-    not come from the first failing point either; the scanner replays a
+    not come from the first failing point either; the scanner answers a
     failed batch point by point to name that point.
     """
     kept = np.count_nonzero(schedule.raw() > _floor(xs)[:, None], axis=1)
@@ -231,11 +226,10 @@ def _velocity_limits(f, xs: np.ndarray, beta: float, direction: Direction,
         rows = np.flatnonzero(kept == k)
         eps = schedule.increments(float(xs[rows[0]]))
         # variation_values adds a column for f(x) itself
-        per_block = max(1, GRID_BLOCK_ENTRIES // (eps.size + 1))
-        n_blocks = math.ceil(rows.size / per_block)
-        for block in np.array_split(rows, n_blocks):
-            vals = variation_values(f, xs[block], beta, direction, eps)
-            _, status[block], value[block], _ = _classify_rows(vals, tol)
+        for block in _row_blocks(rows.size, eps.size + 1):
+            idx = rows[block]
+            vals = variation_values(f, xs[idx], beta, direction, eps)
+            _, status[idx], value[idx], _ = _classify_rows(vals, tol)
     return status, value
 
 

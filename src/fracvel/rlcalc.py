@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import roots_jacobi
 
-from .diffops import Direction, _feval, domain_of
+from .diffops import Direction, _feval, _row_blocks, domain_of
 from .errors import DomainError, PreconditionError, QuadratureError
 from .estimator import (
     DEFAULT_TOL,
@@ -50,6 +50,9 @@ QUAD_REL_CHANGE = 1e-4
 GRADED_NODE_CAP = 2 ** 16
 JACOBI_NODE_CAP = 2 ** 10
 KG_TOL = 1e-3
+
+# Fewest starting nodes a QuadratureConfig accepts.
+MIN_NODES = 8
 
 # kg_lfd differences the derivative at a +/- eps over a step eps / KG_H_FACTOR.
 KG_H_FACTOR = 8.0
@@ -77,8 +80,8 @@ class QuadratureConfig:
     scheme: QuadScheme = QuadScheme.GRADED_PRODUCT
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 8:
-            raise ValueError(f"n_nodes must be at least 8, got {self.n_nodes}")
+        if self.n_nodes < MIN_NODES:
+            raise ValueError(f"n_nodes must be at least {MIN_NODES}, got {self.n_nodes}")
 
 
 DEFAULT_QUAD = QuadratureConfig()
@@ -119,7 +122,7 @@ def _check_rows(f, a: float, xs: np.ndarray) -> None:
 
 
 def _graded_product_rule(mu: float, n: int):
-    """Product rule on a mesh graded toward the base, as (mesh, values, nodes, limit).
+    """Product rule on a mesh graded toward the base, as (mesh, values, nodes).
 
     Within each cell f is linear and the kernel (x-t)**(mu-1) is kept
     exact through its first two moments, so endpoint-singular integrands
@@ -147,7 +150,7 @@ def _graded_product_rule(mu: float, n: int):
                              (ft[:, 1:] - ft[:, :-1]) / np.where(dt > 0.0, dt, 1.0), 0.0)
         return (ft[:, :-1] * m0 + slope * (m1 - t[:, :-1] * m0)).sum(axis=-1)
 
-    return mesh, values, n + 1, GRADED_NODE_CAP + 1
+    return mesh, values, n + 1
 
 
 @lru_cache(maxsize=64)
@@ -157,7 +160,7 @@ def _jacobi_rule(n: int, alpha: float):
 
 
 def _jacobi_weighted_rule(mu: float, n: int):
-    """Gauss-Jacobi rule with the kernel in the weight, as (mesh, values, nodes, limit).
+    """Gauss-Jacobi rule with the kernel in the weight, as (mesh, values, nodes).
 
     Node s=+1 maps to t=x, absorbing the kernel blow-up.  Each row takes
     its own dot product: a matrix product could round a row differently
@@ -172,7 +175,14 @@ def _jacobi_weighted_rule(mu: float, n: int):
         return np.array([((hi - lo) / 2.0) ** mu * float(np.dot(w, row))
                          for lo, hi, row in zip(b[:, 0].tolist(), e[:, 0].tolist(), ft)])
 
-    return mesh, values, n, JACOBI_NODE_CAP
+    return mesh, values, n
+
+
+# Each scheme's rule and the node count its doubling may not pass.
+_RULES = {
+    QuadScheme.GRADED_PRODUCT: (_graded_product_rule, GRADED_NODE_CAP),
+    QuadScheme.JACOBI_WEIGHTED: (_jacobi_weighted_rule, JACOBI_NODE_CAP),
+}
 
 
 def _block_values(f, b, e, mirror, mesh, values):
@@ -181,7 +191,7 @@ def _block_values(f, b, e, mirror, mesh, values):
     A mirrored row evaluates f at (b + e) - t: the right-sided integral
     over [x, a] is the left-sided integral of t -> f(x + a - t) based at x.
     The block's arrays die on return, before the next block is built, so
-    the call limit bounds the memory a pass holds.
+    the call bound bounds the memory a pass holds.
     """
     t = mesh(b, e)
     pts = np.where(mirror[:, None], (b + e) - t, t) if mirror.any() else t
@@ -191,13 +201,11 @@ def _block_values(f, b, e, mirror, mesh, values):
 def _passes(f, base, end, mirror, rows: np.ndarray, rule):
     """Yield (rows of a block, their pass values), block by block in row order.
 
-    Whole rows go to f, at most rule's limit of points a call unless one
-    row alone holds more.
+    Whole rows go to f, in the blocks of _row_blocks.
     """
-    mesh, values, nodes, limit = rule
-    step = max(1, limit // nodes)
-    for i in range(0, rows.size, step):
-        idx = rows[i:i + step]
+    mesh, values, nodes = rule
+    for block in _row_blocks(rows.size, nodes):
+        idx = rows[block]
         yield idx, _block_values(f, base[idx, None], end[idx, None], mirror[idx],
                                  mesh, values)
 
@@ -215,10 +223,7 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
     evaluating anything.
     """
     _check_rows(f, a, xs)
-    if config.scheme is QuadScheme.GRADED_PRODUCT:
-        rule, cap = _graded_product_rule, GRADED_NODE_CAP
-    else:
-        rule, cap = _jacobi_weighted_rule, JACOBI_NODE_CAP
+    rule, cap = _RULES[config.scheme]
     n = int(config.n_nodes)
     if 2 * n > cap:
         raise QuadratureError(
@@ -253,12 +258,11 @@ def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = 
     x may be a 1-D array of points on either side of a; the result is
     then an array, each entry bit for bit the one-point result.  All
     points double their nodes together, and f sees whole rows of nodes
-    in calls of at most GRADED_NODE_CAP + 1 points (JACOBI_NODE_CAP for
-    the Jacobi rule) unless one row alone holds more.  Errors come out
-    as a loop over the points would raise them, the first failing point
-    first: a point that does not stabilize raises the QuadratureError
-    every such point shares, and any other failure of the batch is
-    replayed one point at a time.
+    in calls of at most EVAL_CALL_POINTS points unless one row alone
+    holds more.  Errors come out as a loop over the points would raise
+    them, the first failing point first: a point that does not stabilize
+    raises the QuadratureError every such point shares, and any other
+    failure of the batch is replayed one point at a time.
     """
     _check_order(mu)
     config = config or DEFAULT_QUAD
@@ -342,10 +346,9 @@ def kg_lfd(f, a: float, beta: float, direction: Direction,
     and the sequence is classified by the usual windowed Cauchy rule.
 
     All approach points go to one rl_derivative call, so their 2 x steps
-    integrals double as one active set, f seeing at most
-    GRADED_NODE_CAP + 1 points a call (JACOBI_NODE_CAP for the Jacobi
-    rule).  Errors come out as a loop over the steps would raise them:
-    step by step, the x+h integral before the x-h one.
+    integrals double as one active set, f seeing at most EVAL_CALL_POINTS
+    points a call.  Errors come out as a loop over the steps would raise
+    them: step by step, the x+h integral before the x-h one.
     """
     _check_order(beta)
     a = float(a)

@@ -8,17 +8,18 @@ check the classical interval theorems in their fractional form.
 
 Every probe, in a scan or a verifier, goes through _batch_limits: the
 probes of one call are evaluated together as (points x increments)
-arrays, and each reports exactly what velocity_limit reports there.
+arrays, and each reports exactly what velocity_limit reports there.  A
+scan reports its probes as columns, one tuple per field of ScanPoints.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .diffops import Direction, domain_of
+from .diffops import Direction, _check_beta, domain_of
 from .errors import DomainError, PreconditionError
 from .estimator import (
     DEFAULT_SCHEDULE,
@@ -30,7 +31,7 @@ from .estimator import (
 
 __all__ = [
     "Theorem",
-    "GridPointResult",
+    "ScanPoints",
     "ChangeSetReport",
     "scan_change_set",
     "null_measure_trend",
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 SCAN_TOL = 1e-4
+VERIFY_TOL = 1e-3
 
 
 class Theorem(enum.Enum):
@@ -49,13 +51,14 @@ class Theorem(enum.Enum):
     WEAK_DARBOUX = "weak_darboux"
 
 
-@dataclass(frozen=True)
-class GridPointResult:
-    x: float
-    direction: Direction
-    status: LimitStatus
-    value: float
-    flagged: bool
+class ScanPoints(NamedTuple):
+    """A scan's probes in grid order, one tuple per column."""
+
+    x: Tuple[float, ...]
+    direction: Tuple[Direction, ...]
+    status: Tuple[LimitStatus, ...]
+    value: Tuple[float, ...]
+    flagged: Tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ class ChangeSetReport:
     flag_threshold: float
     flagged: Tuple[Tuple[float, float, Direction], ...]
     flagged_fraction: float
-    points: Tuple[GridPointResult, ...]
+    points: ScanPoints
 
 
 def _require_margin(f, a: float, b: float, eps0: float) -> None:
@@ -115,18 +118,14 @@ def _batch_limits(f, xs: np.ndarray, forward: np.ndarray, beta: float,
     velocity_limit reports with the fitted schedule.  Only probes whose
     margin falls short of eps0 need a fitted schedule of their own.
     Probes that share a direction and a fitted schedule are evaluated
-    together by _velocity_limits.  Returns (status, value, None).
+    together by _velocity_limits.
 
-    A failed batch does not say which probe failed first, so it returns
-    (None, None, replay) instead: replay runs the probes one by one
-    through velocity_limit, lazily and in order, yielding None or
-    (status, value) for each.  A consumer that stops early sees what
-    point-by-point code sees, and otherwise meets the error the first
-    failing probe raises on its own, at that probe.  Asked for a result
-    past the last probe, a replay that raised nothing re-raises the
-    batch's error: the scan drains the replay and so raises it, while a
-    verifier zips it with its probes, stops at the last one and keeps
-    the verdict of the point-by-point results.
+    Returns (status, value, stop, error).  A failed batch does not say
+    which probe failed first, so it is answered probe by probe through
+    velocity_limit, in order: stop is the index of the first probe that
+    fails by itself, error what it raises, and the arrays hold every
+    result before stop.  Otherwise stop is len(xs) and error None, and
+    a clean replay's results stand, as rl_integral's do.
     """
     lo, hi = domain_of(f)
     with np.errstate(invalid="ignore"):
@@ -153,32 +152,15 @@ def _batch_limits(f, xs: np.ndarray, forward: np.ndarray, beta: float,
                 idx = np.flatnonzero(group == group[i])
                 status[idx], value[idx] = _velocity_limits(
                     f, xs[idx], beta, _direction(forward[i]), fits[fit_of[i]], tol)
-    except Exception as err:
-        return None, None, _replay(f, xs, forward, beta, fits, fit_of, tol, err)
-    return status, value, None
-
-
-def _replay(f, xs, forward, beta, fits, fit_of, tol, failure):
-    """_batch_limits's probes through velocity_limit one by one, then failure."""
-    for x, fwd, k in zip(xs.tolist(), forward.tolist(), fit_of.tolist()):
-        if k < 0:
-            yield None
-        else:
-            lim = velocity_limit(f, x, beta, _direction(fwd), fits[k], tol)
-            yield lim.status, lim.value
-    raise failure
-
-
-def _probe_limits(f, xs: np.ndarray, forward: np.ndarray, beta: float,
-                  schedule: EpsilonSchedule,
-                  tol: float) -> Iterator[Optional[Tuple[LimitStatus, float]]]:
-    """None or (status, value) at each probe, in order: _batch_limits's
-    results, or its replay when the batch failed."""
-    status, value, replay = _batch_limits(f, xs, forward, beta, schedule, tol)
-    if replay is not None:
-        return replay
-    return (None if st is None else (st, v)
-            for st, v in zip(status.tolist(), value.tolist()))
+    except Exception:
+        for i in np.flatnonzero(fit_of >= 0).tolist():
+            try:
+                lim = velocity_limit(f, float(xs[i]), beta, _direction(forward[i]),
+                                     fits[fit_of[i]], tol)
+            except Exception as err:
+                return status, value, i, err
+            status[i], value[i] = lim.status, lim.value
+    return status, value, xs.size, None
 
 
 def scan_change_set(f, interval, beta: float, n: int,
@@ -204,17 +186,16 @@ def scan_change_set(f, interval, beta: float, n: int,
     _require_margin(f, a, b, schedule.eps0)
 
     px, forward = _grid_probes(np.linspace(a, b, n))
-    status, value, replay = _batch_limits(f, px, forward, beta, schedule, tol)
-    if replay is not None:
-        list(replay)   # raises the first failing probe's error, else the batch's
+    status, value, _, error = _batch_limits(f, px, forward, beta, schedule, tol)
+    if error is not None:
+        raise error
     hit = (status == LimitStatus.CONVERGED) & (np.abs(value) > threshold)
     sides = np.where(forward, Direction.FORWARD, Direction.BACKWARD)
-    points = map(GridPointResult, px.tolist(), sides.tolist(), status.tolist(),
-                 value.tolist(), hit.tolist())
+    points = ScanPoints(*(tuple(c.tolist()) for c in (px, sides, status, value, hit)))
     flagged = zip(px[hit].tolist(), value[hit].tolist(), sides[hit].tolist())
     fraction = np.unique(px[hit]).size / n
     return ChangeSetReport((a, b), float(beta), n, threshold,
-                           tuple(flagged), fraction, tuple(points))
+                           tuple(flagged), fraction, points)
 
 
 def null_measure_trend(f, interval, beta: float, refinements,
@@ -247,7 +228,7 @@ class IntervalVerdict:
 
 def verify_rolle(f, a: float, b: float, beta: float, n: int = 101,
                  schedule: Optional[EpsilonSchedule] = None,
-                 tol: float = 1e-3) -> IntervalVerdict:
+                 tol: float = VERIFY_TOL) -> IntervalVerdict:
     """Find an interior point whose one-sided velocities split signs.
 
     Hypothesis: f(a) and f(b) agree within tol.  Every interior grid
@@ -257,13 +238,13 @@ def verify_rolle(f, a: float, b: float, beta: float, n: int = 101,
     witness is the qualifying point with the widest split between the
     two sides: that is where the extremum actually sits.  All probes are
     evaluated as one batch; the verdict fails at the first grid point
-    where either side does not converge.
+    where either side does not converge, and a probe that fails by
+    itself raises once the points before it settle nothing.
     """
     a, b = float(a), float(b)
     if not a < b:
         raise ValueError(f"need a < b, got ({a}, {b})")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"order must lie in (0, 1], got {beta}")
+    _check_beta(beta)
     n = _grid_size(n)
     schedule = schedule or DEFAULT_SCHEDULE
     fa, fb = float(np.asarray(f(a))), float(np.asarray(f(b)))
@@ -272,16 +253,17 @@ def verify_rolle(f, a: float, b: float, beta: float, n: int = 101,
             f"endpoint values differ by {abs(fa - fb):g} > tol={tol:g}")
 
     px, forward = _both_sides(np.linspace(a, b, n)[1:-1])
-    limits = _probe_limits(f, px, forward, beta, schedule, tol)
+    status, value, stop, error = _batch_limits(f, px, forward, beta, schedule, tol)
     best = None
     best_split = -1.0
     checked = 0
-    # the forward and then the backward result of each point
-    for x, rf, rb in zip(px[::2].tolist(), limits, limits):
-        if rf is None or rb is None:
+    # the forward and then the backward result of each point, whole pairs before stop
+    end = stop - stop % 2
+    for x, sf, sb, vf, vb in zip(px[:end:2].tolist(), status[:end:2], status[1:end:2],
+                                 value[:end:2].tolist(), value[1:end:2].tolist()):
+        if sf is None or sb is None:
             continue
         checked += 1
-        (sf, vf), (sb, vb) = rf, rb
         if sf is not LimitStatus.CONVERGED or sb is not LimitStatus.CONVERGED:
             return IntervalVerdict(
                 Theorem.ROLLE, False, None,
@@ -294,6 +276,8 @@ def verify_rolle(f, a: float, b: float, beta: float, n: int = 101,
             if split > best_split:
                 best_split = split
                 best = {"x": x, "forward": vf, "backward": vb}
+    if error is not None:
+        raise error
     if checked == 0:
         return IntervalVerdict(Theorem.ROLLE, False, None,
                                "no interior point leaves room for the schedule")
@@ -307,7 +291,7 @@ def verify_rolle(f, a: float, b: float, beta: float, n: int = 101,
 
 def verify_mean_value(f, a: float, b: float, beta: float,
                       schedule: Optional[EpsilonSchedule] = None,
-                      tol: float = 1e-3, *, grid_n: int = 33) -> IntervalVerdict:
+                      tol: float = VERIFY_TOL, *, grid_n: int = 33) -> IntervalVerdict:
     """Check the endpoint form of the fractional mean value relation.
 
     The ratio r = (f(b)-f(a)) / (b-a)**beta must be attained by the
@@ -334,27 +318,23 @@ def verify_mean_value(f, a: float, b: float, beta: float,
 
     r = (fb - fa) / (b - a) ** beta
 
-    def attains(lim) -> bool:
-        return (lim is not None and lim[0] is LimitStatus.CONVERGED
-                and abs(lim[1] - r) <= tol)
+    def attains(xs, forward):
+        """Velocities at the probes, and where they attain r."""
+        status, value, _, error = _batch_limits(f, xs, forward, beta, schedule, tol)
+        if error is not None:
+            raise error
+        return status, value, (status == LimitStatus.CONVERGED) & (np.abs(value - r) <= tol)
 
     witness = None
     for x, fwd, endpoint in ((a, True, 0.0), (b, False, 1.0)):
-        lim = next(_probe_limits(f, np.array([x]), np.array([fwd]), beta, schedule, tol))
-        if attains(lim):
-            witness = {"x": x, "endpoint": endpoint, "velocity": lim[1], "ratio": r}
+        _, value, hit = attains(np.array([x]), np.array([fwd]))
+        if hit[0]:
+            witness = {"x": x, "endpoint": endpoint, "velocity": float(value[0]), "ratio": r}
             break
 
-    px, forward = _both_sides(np.linspace(a, b, grid_n + 2)[1:-1])
-    hit = np.zeros(grid_n, dtype=bool)
-    skipped = 0
-    # zip stops at the last probe, before the iterator would re-raise
-    for i, lim in zip(range(px.size), _probe_limits(f, px, forward, beta, schedule, tol)):
-        if lim is None:
-            skipped += 1
-        elif attains(lim):
-            hit[i // 2] = True
-    attained = int(np.count_nonzero(hit))
+    status, _, hit = attains(*_both_sides(np.linspace(a, b, grid_n + 2)[1:-1]))
+    skipped = status.tolist().count(None)
+    attained = int(np.count_nonzero(hit.reshape(grid_n, 2).any(axis=1)))
     notes = (f"ratio {r:.6g}; interior attainment: {attained} of {grid_n} grid points"
              + (f" ({skipped} side probes skipped for domain room)" if skipped else ""))
     return IntervalVerdict(Theorem.MEAN_VALUE, witness is not None, witness, notes)
@@ -362,7 +342,8 @@ def verify_mean_value(f, a: float, b: float, beta: float,
 
 def verify_weak_darboux(f, a: float, b: float, beta: float, n: int = 101,
                         schedule: Optional[EpsilonSchedule] = None,
-                        tol: float = 1e-3, target: Optional[float] = None) -> IntervalVerdict:
+                        tol: float = VERIFY_TOL,
+                        target: Optional[float] = None) -> IntervalVerdict:
     """Weak intermediate-value check for the velocity along a grid.
 
     At order one a target between the endpoint derivatives must be given
@@ -372,13 +353,14 @@ def verify_weak_darboux(f, a: float, b: float, beta: float, n: int = 101,
     grid point must also carry a vanishing velocity; with nonzero
     endpoint velocities the weak form asserts nothing and the verdict
     holds vacuously.  All probes are evaluated as one batch; the verdict
-    fails at the first grid point without room or convergence.
+    fails at the first grid point without room or convergence, and a
+    probe that fails by itself raises once the points before it settle
+    nothing.
     """
     a, b = float(a), float(b)
     if not a < b:
         raise ValueError(f"need a < b, got ({a}, {b})")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"order must lie in (0, 1], got {beta}")
+    _check_beta(beta)
     n = _grid_size(n)
     if beta == 1.0 and target is None:
         raise ValueError("order-one check needs an explicit target value")
@@ -387,18 +369,17 @@ def verify_weak_darboux(f, a: float, b: float, beta: float, n: int = 101,
     xs = np.linspace(a, b, n)
     # forward from every point but the last, backward from the last
     forward = np.arange(n) < n - 1
-    vels = []
-    for x, lim in zip(xs.tolist(), _probe_limits(f, xs, forward, beta, schedule, tol)):
-        if lim is None:
+    status, v, stop, error = _batch_limits(f, xs, forward, beta, schedule, tol)
+    for x, st in zip(xs[:stop].tolist(), status[:stop]):
+        if st is None:
             return IntervalVerdict(Theorem.WEAK_DARBOUX, False, None,
                                    f"no room for the schedule at x={x:g}")
-        status, value = lim
-        if status is not LimitStatus.CONVERGED:
+        if st is not LimitStatus.CONVERGED:
             return IntervalVerdict(
                 Theorem.WEAK_DARBOUX, False, None,
-                f"velocity scan fails at x={x:g}: {status.value}")
-        vels.append(value)
-    v = np.asarray(vels)
+                f"velocity scan fails at x={x:g}: {st.value}")
+    if error is not None:
+        raise error
 
     if beta == 1.0:
         lo, hi = min(v[0], v[-1]), max(v[0], v[-1])

@@ -554,6 +554,31 @@ class TestMainCommands:
                           "--approach-count", "1024"])
         assert cfg.approach_count == 1024
 
+    @pytest.mark.parametrize("scheme, nodes, most", [
+        ("graded_product", 7, 32768),
+        ("graded_product", 40000, 32768),
+        ("jacobi_weighted", 7, 512),
+        ("jacobi_weighted", 513, 512),
+    ])
+    def test_nodes_the_rule_cannot_double_exit_2(self, scheme, nodes, most, capsys):
+        # below 8, or past half the rule's node cap, the first doubling
+        # cannot happen: a usage error, not an analysis failure
+        argv = ["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5",
+                "--scheme", scheme, "--nodes", str(nodes)]
+        with pytest.raises(UsageError):
+            parse_args(argv)
+        assert main(argv) == 2
+        want = f"error: --nodes must lie in [8, {most}] for {scheme}, got {nodes}\n"
+        assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("scheme, most", [("graded_product", 32768),
+                                              ("jacobi_weighted", 512)])
+    def test_nodes_the_rule_can_double_are_accepted(self, scheme, most):
+        for nodes in (8, most):
+            cfg = parse_args(["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5",
+                              "--scheme", scheme, "--nodes", str(nodes)])
+            assert cfg.nodes == nodes
+
     def test_missing_file_exit_1(self, capsys):
         code = main(["analyze", "--fn", "file:/no/such/file.csv", "--x", "0",
                      "--beta", "0.5"])

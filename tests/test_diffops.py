@@ -21,8 +21,9 @@ from common import (
     reference_ladder,
     same_bits,
 )
-from fracvel.diffops import OSC_N0, OSC_SAMPLE_CAP, _osc_ladder
-from fracvel.estimator import DEFAULT_SCHEDULE, GRID_BLOCK_ENTRIES
+from fracvel.diffops import (EVAL_CALL_POINTS, OSC_N0, OSC_SAMPLE_CAP, _osc_ladder,
+                             _row_blocks)
+from fracvel.estimator import DEFAULT_SCHEDULE
 
 FWD = Direction.FORWARD
 BWD = Direction.BACKWARD
@@ -140,7 +141,7 @@ class TestBatchedVariation:
         assert (rep.limit.value, rep.c1_constant, rep.c1_holds) == (0.0, 0.0, True)
         scan = scan_change_set(const, (0.0, 1.0), 0.5, 11)
         assert scan.flagged == ()
-        assert {(p.status, p.value) for p in scan.points} == {(LimitStatus.CONVERGED, 0.0)}
+        assert set(zip(scan.points.status, scan.points.value)) == {(LimitStatus.CONVERGED, 0.0)}
 
     @pytest.mark.parametrize("direction", [FWD, BWD])
     def test_a_block_is_one_array_call(self, direction):
@@ -154,15 +155,29 @@ class TestBatchedVariation:
         # per direction, as many probes as fit the bound without the f(x)
         # column but not with it
         k = DEFAULT_SCHEDULE.increments(0.0).size
-        probes = GRID_BLOCK_ENTRIES // k
-        assert probes * (k + 1) > GRID_BLOCK_ENTRIES
+        probes = EVAL_CALL_POINTS // k
+        assert probes * (k + 1) > EVAL_CALL_POINTS
         f = CountingEvaluator(make_power_cusp(0.0, 0.3, 2.0, 0.0))
         scan_change_set(f, (-1.0, 1.0), 0.3, probes + 1)
-        per_block = GRID_BLOCK_ENTRIES // (k + 1)
+        per_block = EVAL_CALL_POINTS // (k + 1)
         assert all(len(shape) == 2 and shape[1] == k + 1 for shape in f.shapes)
-        assert max(f.sizes) <= GRID_BLOCK_ENTRIES
+        assert max(f.sizes) <= EVAL_CALL_POINTS
         assert sum(f.sizes) == 2 * probes * (k + 1)
         assert len(f.sizes) == 2 * -(-probes // per_block)
+
+    @pytest.mark.parametrize("n_rows, row_len, per_call", [
+        (1000, 100, 655),   # whole rows up to the bound
+        (7, 3, 7),          # everything in one call
+        (3, EVAL_CALL_POINTS, 1),
+        (3, EVAL_CALL_POINTS + 1, 1),   # a row alone past the bound
+    ])
+    def test_row_blocks_cover_the_rows_within_the_call_bound(self, n_rows, row_len,
+                                                             per_call):
+        blocks = [range(n_rows)[b] for b in _row_blocks(n_rows, row_len)]
+        assert [i for b in blocks for i in b] == list(range(n_rows))
+        assert {len(b) for b in blocks[:-1]} <= {per_call} and len(blocks[-1]) <= per_call
+        assert per_call == 1 or per_call * row_len <= EVAL_CALL_POINTS
+        assert per_call == n_rows or (per_call + 1) * row_len > EVAL_CALL_POINTS
 
 
 def one_window(f, x, eps, direction, n0=OSC_N0, cap=OSC_SAMPLE_CAP):
@@ -333,7 +348,7 @@ class TestOscillationLadder:
         eps = EpsilonSchedule().increments(0.0)
         value, n, refined = _osc_ladder(f, 0.0, eps, FWD)
         assert (n == OSC_SAMPLE_CAP).all() and not refined.any()
-        assert max(f.sizes) <= OSC_SAMPLE_CAP
+        assert max(f.sizes) <= EVAL_CALL_POINTS
         want = reference_ladder(dyadic_depth, 0.0, eps, FWD)
         for g, w in zip((value, n, refined), want):
             assert same_bits(g, w)

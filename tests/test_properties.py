@@ -21,6 +21,7 @@ from fracvel import (
     make_polynomial,
     make_power_cusp,
     make_weierstrass,
+    scan_change_set,
     variation_values,
     velocity_limit,
     verify_mean_value,
@@ -339,4 +340,30 @@ def test_verifier_verdicts_equal_their_pointwise_replay(name, theorem, symmetric
     with mock.patch.object(scanner, "_velocity_limits",
                            side_effect=RuntimeError("batch refused")):
         replayed = _verdict(theorem, f, a, b, beta, n, target)
+    assert batched == replayed
+
+
+def _scan(f, a, b, beta, n, tol):
+    try:
+        return repr(scan_change_set(f, (a, b), beta, n, tol=tol))
+    except Exception as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(VERIFIER_FUNCTIONS)),
+       u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
+       beta=st.sampled_from([0.3, 0.5, 0.75, 1.0]), n=st.integers(3, 21),
+       tol=st.sampled_from([1e-4, 1e-6, math.nan]))
+def test_scan_reports_equal_their_pointwise_replay(name, u, v, beta, n, tol):
+    # a scan whose batch cannot run answers every probe through
+    # velocity_limit, and gives the batched report or raises its error
+    f, _ = VERIFIER_FUNCTIONS[name]
+    lo, hi = f.domain
+    a, b = lo + min(u, v) * (hi - lo), lo + max(u, v) * (hi - lo)
+    assume(a < b)
+    batched = _scan(f, a, b, beta, n, tol)
+    with mock.patch.object(scanner, "_velocity_limits",
+                           side_effect=RuntimeError("batch refused")):
+        replayed = _scan(f, a, b, beta, n, tol)
     assert batched == replayed

@@ -31,7 +31,8 @@ from fracvel import (
     rl_integral,
     rlcalc,
 )
-from fracvel.rlcalc import GRADED_NODE_CAP, JACOBI_NODE_CAP
+from fracvel.diffops import EVAL_CALL_POINTS
+from fracvel.rlcalc import GRADED_NODE_CAP
 
 FWD = Direction.FORWARD
 BWD = Direction.BACKWARD
@@ -301,8 +302,8 @@ def test_batched_quadrature_equals_the_per_point_loop(kind, scheme, c, p, shift,
 
 
 class TestBatchedLadder:
-    @pytest.mark.parametrize("config, bound", [(QuadratureConfig(), GRADED_NODE_CAP + 1),
-                                               (JACOBI, JACOBI_NODE_CAP)])
+    @pytest.mark.parametrize("config, bound", [(QuadratureConfig(), EVAL_CALL_POINTS),
+                                               (JACOBI, EVAL_CALL_POINTS)])
     def test_no_evaluator_call_exceeds_the_block_bound(self, config, bound):
         # a new constant at each call never settles, so every point runs
         # the whole ladder up to the cap, on both sides of the base point
@@ -316,6 +317,19 @@ class TestBatchedLadder:
         with pytest.raises(QuadratureError, match="no stabilization"):
             rl_integral(f, 0.0, 0.5, xs, config)
         assert bound // 2 < max(sizes) <= bound
+
+    def test_jacobi_calls_split_at_the_bound(self):
+        # at 1024 nodes a call holds 64 rows: 100 rows take two calls, and
+        # the pass stops after the first, whose rows do not settle
+        sizes = []
+
+        def f(t):
+            sizes.append(np.size(t))
+            return np.full(np.shape(t), float(len(sizes)))
+
+        with pytest.raises(QuadratureError, match="no stabilization by 1024 nodes"):
+            rl_integral(f, 0.0, 0.5, np.linspace(0.01, 1.0, 100), JACOBI)
+        assert max(sizes) == sizes[-1] == 64 * 1024 <= EVAL_CALL_POINTS
 
     def test_chirp_raises_what_the_per_integral_loop_raises(self):
         c = make_chirp(0.5, 0.0)

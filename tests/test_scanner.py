@@ -35,6 +35,11 @@ def hump(t):
     return -np.abs(t - 0.5) ** 0.5
 
 
+def probes(rep):
+    """A scan's probes one by one, each cell under its column's name."""
+    return [rep.points._make(row) for row in zip(*rep.points)]
+
+
 def even_chirp(t):
     # symmetric chirp: equal values at +/-x, oscillatory point at 0
     t = np.asarray(t, dtype=float)
@@ -63,13 +68,13 @@ class TestScanChangeSet:
         rep = scan_change_set(f, (0.0, 1.0), 1.0, 51, flag_threshold=0.5,
                               schedule=SCHED24)
         assert rep.flagged_fraction == 1.0
-        assert len(rep.points) == 2 * 51 - 2  # endpoints probed one-sided
+        assert len(rep.points.x) == 2 * 51 - 2  # endpoints probed one-sided
 
     def test_endpoints_probed_inward_only(self):
         f = make_polynomial((0.0, 1.0))
         rep = scan_change_set(f, (0.0, 1.0), 0.5, 11)
-        first = [p for p in rep.points if p.x == 0.0]
-        last = [p for p in rep.points if p.x == 1.0]
+        first = [p for p in probes(rep) if p.x == 0.0]
+        last = [p for p in probes(rep) if p.x == 1.0]
         assert [p.direction for p in first] == [FWD]
         assert [p.direction for p in last] == [BWD]
 
@@ -79,7 +84,7 @@ class TestScanChangeSet:
         f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
         rep = scan_change_set(f, (-1.0, 1.0), 0.5, 1001, flag_threshold=1e-3)
         by_x = {}
-        for p in rep.points:
+        for p in probes(rep):
             by_x.setdefault(p.x, []).append(p)
         nearest = min(x for x in by_x if x > 0)
         assert nearest == pytest.approx(0.002, abs=1e-12)
@@ -120,8 +125,8 @@ class TestScanMatchesPointwiseLimits:
     def test_every_probe_equals_velocity_limit(self, f, interval, beta, n):
         tol = 1e-4
         rep = scan_change_set(f, interval, beta, n, tol=tol)
-        assert len(rep.points) == 2 * n - 2
-        for p in rep.points:
+        assert len(rep.points.x) == 2 * n - 2
+        for p in probes(rep):
             lim = velocity_limit(f, p.x, beta, p.direction, tol=tol)
             assert p.status is lim.status
             assert p.value == lim.value or (math.isnan(p.value) and math.isnan(lim.value))
@@ -132,7 +137,7 @@ class TestScanMatchesPointwiseLimits:
 
     def test_diverging_rows_reported(self):
         rep = scan_change_set(spike, (0.0, 1.0), 0.5, 17)
-        diverged = {(p.x, p.direction) for p in rep.points
+        diverged = {(p.x, p.direction) for p in probes(rep)
                     if p.status is LimitStatus.DIVERGED}
         assert {(0.5, FWD), (0.5, BWD), (0.4375, FWD), (0.5625, BWD)} <= diverged
 
@@ -150,6 +155,21 @@ class TestScanMatchesPointwiseLimits:
             scan_change_set(f, interval, 0.5, 11)
         assert str(got.value) == str(expected.value)
         assert f"at x={first_bad:g}" in str(got.value)
+
+    def test_a_batch_the_evaluator_refuses_is_replayed(self):
+        # calls of one probe's row pass, so the probe-by-probe answers stand
+        f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
+        row = DEFAULT_SCHEDULE.increments(0.0).size + 1   # f(x) and f(x +- eps)
+
+        def one_row_at_a_time(t):
+            if np.size(t) > row:
+                raise MemoryError("call too large")
+            return f(t)
+
+        one_row_at_a_time.domain = f.domain
+        got = scan_change_set(one_row_at_a_time, (-1.0, 1.0), 0.5, 21)
+        assert repr(got) == repr(scan_change_set(f, (-1.0, 1.0), 0.5, 21))
+        assert len(got.points.x) == 2 * 21 - 2
 
     def test_invalid_tol_raises_the_pointwise_error(self):
         f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
