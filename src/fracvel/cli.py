@@ -49,8 +49,8 @@ from .estimator import (
     estimate_holder_exponent,
     estimate_velocity,
 )
-from .rlcalc import (_RULES, KG_TOL, MIN_NODES, QuadratureConfig, QuadScheme,
-                     check_lfd_equivalence)
+from .rlcalc import (_RULES, DEFAULT_APPROACH, KG_TOL, MIN_NODES, QuadratureConfig,
+                     QuadScheme, check_lfd_equivalence)
 from .scanner import (
     SCAN_TOL,
     VERIFY_TOL,
@@ -268,7 +268,7 @@ class RunConfig:
     theorem: Optional[str] = None
     target: Optional[float] = None
     kg_tol: float = KG_TOL
-    approach_count: int = 16
+    approach_count: int = DEFAULT_APPROACH.count
     scheme: str = QuadratureConfig.scheme.value
     nodes: int = QuadratureConfig.n_nodes
     fmt: str = "json"

@@ -11,6 +11,10 @@ Node doubling runs on the active-set pattern of the oscillation ladder:
 all evaluation points of one call double together as one (points x
 nodes) array, and a point leaves once two of its passes agree.  Each
 point still gets the bits it would get alone.
+
+scipy.special (Gamma and the Gauss-Jacobi nodes) is imported on first
+use, so importing the package and every command but lfd run on numpy
+alone.
 """
 from __future__ import annotations
 
@@ -21,8 +25,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import roots_jacobi
 
 from .diffops import Direction, _feval, _row_blocks, domain_of
 from .errors import DomainError, PreconditionError, QuadratureError
@@ -39,6 +41,7 @@ __all__ = [
     "QuadScheme",
     "QuadratureConfig",
     "DEFAULT_QUAD",
+    "DEFAULT_APPROACH",
     "rl_integral",
     "rl_derivative",
     "kg_lfd",
@@ -57,7 +60,19 @@ MIN_NODES = 8
 # kg_lfd differences the derivative at a +/- eps over a step eps / KG_H_FACTOR.
 KG_H_FACTOR = 8.0
 
+# kg_lfd's approach schedule when none is given: the velocity ladder's
+# eps0 and ratio, cut to 16 steps.
+DEFAULT_APPROACH = EpsilonSchedule(count=16)
+
 _TINY = np.finfo(float).tiny
+
+
+@lru_cache(maxsize=None)
+def _special():
+    """scipy.special, imported once on first use."""
+    import scipy.special
+
+    return scipy.special
 
 
 class QuadScheme(enum.Enum):
@@ -121,46 +136,82 @@ def _check_rows(f, a: float, xs: np.ndarray) -> None:
     raise DomainError(f"[{min(a, x):g}, {max(a, x):g}] is not inside the domain [{lo:g}, {hi:g}]")
 
 
+def _node_values(f, b, e, t, mirror, out=None):
+    """f at the nodes t of a block of rows; b, e are their (rows x 1) ends.
+
+    A mirrored row evaluates f at (b + e) - t: the right-sided integral
+    over [x, a] is the left-sided integral of t -> f(x + a - t) based at x.
+    The mirrored points go to out when given.
+    """
+    pts = t
+    if mirror.any():
+        pts = np.subtract(b + e, t, out=out)
+        np.copyto(pts, t, where=~mirror[:, None])
+    return _feval(f, pts.ravel()).reshape(t.shape)
+
+
 def _graded_product_rule(mu: float, n: int):
-    """Product rule on a mesh graded toward the base, as (mesh, values, nodes).
+    """Product rule on a mesh graded toward the base, as (block pass, nodes).
 
     Within each cell f is linear and the kernel (x-t)**(mu-1) is kept
     exact through its first two moments, so endpoint-singular integrands
     never get point-evaluated at the singularity.  Each row is summed
     along its own contiguous last axis, so its value does not depend on
     the other rows.
+
+    A pass computes every node array in one block allocated up front.
+    glibc keeps a freed block of that size on the heap, so repeated
+    passes reuse warm pages; a dozen separate temporaries would have the
+    heap trimmed and its pages faulted in again on every pass.
     """
     s = (np.arange(n + 1, dtype=float) / n) ** (2.0 / min(mu, 1.0 - mu))
 
-    def mesh(b, e):
-        t = b + (e - b) * s
+    def block_pass(f, b, e, mirror):
+        rows = b.shape[0]
+        wide = rows * (n + 1)
+        work = np.empty(4 * wide + 5 * rows * n)
+        t, pts, p0, p1 = work[:4 * wide].reshape(4, rows, n + 1)
+        m0, m1, d, dt, slope = work[4 * wide:].reshape(5, rows, n)
+        np.multiply(e - b, s, out=t)
+        t += b
         t[:, 0], t[:, -1] = b[:, 0], e[:, 0]
-        return t
-
-    def values(b, e, t, ft):
+        ft = _node_values(f, b, e, t, mirror, pts)
         # the kernel moments over cell i come from x - t at nodes i and i+1
-        u = e - t
-        p0 = u ** mu
-        p1 = u ** (mu + 1.0)
-        m0 = (p0[:, :-1] - p0[:, 1:]) / mu
-        m1 = e * m0 - (p1[:, :-1] - p1[:, 1:]) / (mu + 1.0)
-        dt = t[:, 1:] - t[:, :-1]
+        np.subtract(e, t, out=p0)
+        p1[...] = p0
+        p1 **= mu + 1.0
+        p0 **= mu
+        np.subtract(p0[:, :-1], p0[:, 1:], out=m0)
+        m0 /= mu
+        np.subtract(p1[:, :-1], p1[:, 1:], out=d)
+        d /= mu + 1.0
+        np.multiply(e, m0, out=m1)
+        m1 -= d
+        np.subtract(t[:, 1:], t[:, :-1], out=dt)
+        rising = dt > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.where(dt > 0.0,
-                             (ft[:, 1:] - ft[:, :-1]) / np.where(dt > 0.0, dt, 1.0), 0.0)
-        return (ft[:, :-1] * m0 + slope * (m1 - t[:, :-1] * m0)).sum(axis=-1)
+            np.subtract(ft[:, 1:], ft[:, :-1], out=slope)
+            np.divide(slope, dt, out=slope, where=rising)
+        slope[~rising] = 0.0
+        # ft * m0 + slope * (m1 - t * m0), cell by cell
+        np.multiply(t[:, :-1], m0, out=d)
+        m1 -= d
+        slope *= m1
+        np.multiply(ft[:, :-1], m0, out=m0)
+        m0 += slope
+        return m0.sum(axis=-1)
 
-    return mesh, values, n + 1
+    return block_pass, n + 1
 
 
 @lru_cache(maxsize=64)
 def _jacobi_rule(n: int, alpha: float):
-    nodes, weights = roots_jacobi(n, alpha, 0.0)
+    nodes, weights = _special().roots_jacobi(n, alpha, 0.0)
     return nodes, weights
 
 
 def _jacobi_weighted_rule(mu: float, n: int):
-    """Gauss-Jacobi rule with the kernel in the weight, as (mesh, values, nodes).
+    """Gauss-Jacobi rule with the kernel in the weight, as (block pass, nodes).
 
     Node s=+1 maps to t=x, absorbing the kernel blow-up.  Each row takes
     its own dot product: a matrix product could round a row differently
@@ -168,14 +219,12 @@ def _jacobi_weighted_rule(mu: float, n: int):
     """
     s, w = _jacobi_rule(n, mu - 1.0)
 
-    def mesh(b, e):
-        return b + (e - b) * (s + 1.0) / 2.0
-
-    def values(b, e, t, ft):
+    def block_pass(f, b, e, mirror):
+        ft = _node_values(f, b, e, b + (e - b) * (s + 1.0) / 2.0, mirror)
         return np.array([((hi - lo) / 2.0) ** mu * float(np.dot(w, row))
                          for lo, hi, row in zip(b[:, 0].tolist(), e[:, 0].tolist(), ft)])
 
-    return mesh, values, n
+    return block_pass, n
 
 
 # Each scheme's rule and the node count its doubling may not pass.
@@ -185,29 +234,17 @@ _RULES = {
 }
 
 
-def _block_values(f, b, e, mirror, mesh, values):
-    """One pass over a block of rows; b, e are their (rows x 1) ends.
-
-    A mirrored row evaluates f at (b + e) - t: the right-sided integral
-    over [x, a] is the left-sided integral of t -> f(x + a - t) based at x.
-    The block's arrays die on return, before the next block is built, so
-    the call bound bounds the memory a pass holds.
-    """
-    t = mesh(b, e)
-    pts = np.where(mirror[:, None], (b + e) - t, t) if mirror.any() else t
-    return values(b, e, t, _feval(f, pts.ravel()).reshape(t.shape))
-
-
 def _passes(f, base, end, mirror, rows: np.ndarray, rule):
     """Yield (rows of a block, their pass values), block by block in row order.
 
-    Whole rows go to f, in the blocks of _row_blocks.
+    Whole rows go to f, in the blocks of _row_blocks.  A block's arrays
+    die before the next block is built, so the call bound bounds the
+    memory a pass holds.
     """
-    mesh, values, nodes = rule
+    block_pass, nodes = rule
     for block in _row_blocks(rows.size, nodes):
         idx = rows[block]
-        yield idx, _block_values(f, base[idx, None], end[idx, None], mirror[idx],
-                                 mesh, values)
+        yield idx, block_pass(f, base[idx, None], end[idx, None], mirror[idx])
 
 
 def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfig):
@@ -272,6 +309,7 @@ def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = 
     if xs.ndim > 1:
         raise ValueError("evaluation points must be a scalar or a 1-D array")
     rows = xs.reshape(-1)
+    special = _special()  # before the replay below, so a failed import is not replayed
     try:
         value, settled, n = _quad_ladder(f, a, mu, rows, config)
     except Exception:
@@ -280,7 +318,7 @@ def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = 
         return np.array([rl_integral(f, a, mu, v, config) for v in rows.tolist()])
     if not settled.all():
         raise QuadratureError(f"no stabilization by {n} nodes")
-    value /= float(_gamma(mu))
+    value /= float(special.gamma(mu))
     return float(value[0]) if xs.ndim == 0 else value
 
 
@@ -330,10 +368,6 @@ def rl_derivative(f, a: float, beta: float, x,
     return float(d[0]) if xs.ndim == 0 else d
 
 
-def _approach_default() -> EpsilonSchedule:
-    return EpsilonSchedule(2.0 ** -4, 0.5, 16)
-
-
 def kg_lfd(f, a: float, beta: float, direction: Direction,
            approach: Optional[EpsilonSchedule] = None,
            config: Optional[QuadratureConfig] = None,
@@ -352,7 +386,7 @@ def kg_lfd(f, a: float, beta: float, direction: Direction,
     """
     _check_order(beta)
     a = float(a)
-    approach = approach or _approach_default()
+    approach = approach or DEFAULT_APPROACH
     config = config or DEFAULT_QUAD
     fa = float(np.asarray(f(a)))
     if direction is Direction.FORWARD:
@@ -409,7 +443,7 @@ def check_lfd_equivalence(f, a: float, beta: float, direction: Direction,
         raise PreconditionError(
             f"velocity at a={a:g} is {vel.status.value}; nothing to compare")
     lfd = kg_lfd(f, a, beta, direction, approach, config, kg_tol)
-    scaled = float(_gamma(1.0 + beta)) * vel.value
+    scaled = float(_special().gamma(1.0 + beta)) * vel.value
     combined = float(velocity_tol + kg_tol)
     gap = abs(lfd.value - scaled) if lfd.status is LimitStatus.CONVERGED else math.inf
     passed = bool(lfd.status is LimitStatus.CONVERGED and gap <= combined)

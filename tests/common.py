@@ -32,13 +32,13 @@ from fracvel.diffops import (
     _osc_offsets,
 )
 from fracvel.rlcalc import (
+    DEFAULT_APPROACH,
     DEFAULT_QUAD,
     GRADED_NODE_CAP,
     JACOBI_NODE_CAP,
     KG_H_FACTOR,
     KG_TOL,
     QUAD_REL_CHANGE,
-    _approach_default,
     _jacobi_rule,
 )
 
@@ -230,7 +230,7 @@ def kg_lfd_rescaled(f, a, beta, direction):
         return h ** mu * 0.5 ** mu * float(np.dot(w, g)) / float(gamma(mu))
 
     vals = []
-    for e in _approach_default().increments(a):
+    for e in DEFAULT_APPROACH.increments(a):
         d = float(e) / KG_H_FACTOR
         vals.append((H(e + d) - H(e - d)) / (2.0 * d))
     return classify_limit(vals, KG_TOL)

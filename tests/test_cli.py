@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fracvel import Direction, default_zoo
+from fracvel import Direction, EpsilonSchedule, default_zoo
 from fracvel.cli import (
     DataError,
     _build_parser,
@@ -22,6 +22,7 @@ from fracvel.cli import (
     render_csv,
     render_json,
 )
+from fracvel.rlcalc import DEFAULT_APPROACH
 
 
 def write_samples(path, xs, ys):
@@ -553,6 +554,10 @@ class TestMainCommands:
         cfg = parse_args(["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5",
                           "--approach-count", "1024"])
         assert cfg.approach_count == 1024
+
+    def test_lfd_default_approach_is_the_library_default(self):
+        cfg = parse_args(["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5"])
+        assert EpsilonSchedule(cfg.eps0, cfg.ratio, cfg.approach_count) == DEFAULT_APPROACH
 
     @pytest.mark.parametrize("scheme, nodes, most", [
         ("graded_product", 7, 32768),

@@ -191,6 +191,9 @@ class TestKgLfd:
         with pytest.raises(QuadratureError):
             kg_lfd(c, 0.0, 0.5, FWD)
 
+    def test_default_approach(self):
+        assert rlcalc.DEFAULT_APPROACH == EpsilonSchedule(2.0 ** -4, 0.5, 16)
+
     def test_domain_reach_checked(self):
         f = make_power_cusp(0.0, 0.5, 1.0, 0.0)  # domain (-2, 2)
         with pytest.raises(Exception) as exc_info:
@@ -238,6 +241,32 @@ class TestEquivalence:
         assert rep.passed
         assert abs(rep.velocity) <= 1e-6
         assert abs(rep.lfd.value) <= 1e-3
+
+
+class TestGammaBits:
+    """Gamma comes from scipy.special, whose last bits math.gamma does not match.
+
+    Each order here is one where dividing or scaling by math.gamma would
+    give a different double, so a switch of Gamma would move lfd bytes.
+    """
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.75])
+    def test_scaled_velocity_uses_scipy_gamma(self, beta):
+        rep = check_lfd_equivalence(make_power_cusp(0.0, beta, 2.0, 0.0), 0.0, beta, FWD)
+        assert rep.velocity == 2.0
+        assert rep.velocity_scaled == float(gamma(1.0 + beta)) * rep.velocity
+        assert rep.velocity_scaled != math.gamma(1.0 + beta) * rep.velocity
+
+    @pytest.mark.parametrize("mu", [0.4, 0.6, 0.7, 0.9])
+    def test_integral_of_a_constant_divides_by_scipy_gamma(self, mu):
+        def one(t):
+            return np.ones_like(t)
+        raw, settled, _ = rlcalc._quad_ladder(one, 0.0, mu, np.array([1.0]),
+                                              rlcalc.DEFAULT_QUAD)
+        assert settled.all()
+        value = rl_integral(one, 0.0, mu, 1.0)
+        assert value == float(raw[0]) / float(gamma(mu))
+        assert value != float(raw[0]) / math.gamma(mu)
 
 
 def counting(f):
