@@ -8,8 +8,9 @@ fractional velocity exists, the two constructions agree up to the
 factor Gamma(1+beta).  This demo reproduces that bridge numerically.
 """
 
+from math import gamma
+
 import numpy as np
-from scipy.special import gamma
 
 from fracvel import (Direction, check_lfd_equivalence, kg_lfd,
                      make_power_cusp, rl_integral)

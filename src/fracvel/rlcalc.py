@@ -12,9 +12,8 @@ all evaluation points of one call double together as one (points x
 nodes) array, and a point leaves once two of its passes agree.  Each
 point still gets the bits it would get alone.
 
-scipy.special (Gamma and the Gauss-Jacobi nodes) is imported on first
-use, so importing the package and every command but lfd run on numpy
-alone.
+Gamma comes from math.gamma and the Gauss-Jacobi rule from a Newton
+iteration on the three-term recurrence, so the module needs numpy alone.
 """
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diffops import Direction, _feval, _row_blocks, domain_of
+from .diffops import Direction, _feval, _row_blocks, _rows_per_call, domain_of
 from .errors import DomainError, PreconditionError, QuadratureError
 from .estimator import (
     DEFAULT_TOL,
@@ -64,15 +63,12 @@ KG_H_FACTOR = 8.0
 # eps0 and ratio, cut to 16 steps.
 DEFAULT_APPROACH = EpsilonSchedule(count=16)
 
+# Newton steps a Gauss-Jacobi rule may take before its nodes must have
+# settled; from the asymptotic start they take 4 or 5 up to 2**10 nodes.
+JACOBI_NEWTON_CAP = 32
+
 _TINY = np.finfo(float).tiny
-
-
-@lru_cache(maxsize=None)
-def _special():
-    """scipy.special, imported once on first use."""
-    import scipy.special
-
-    return scipy.special
+_EPS = np.finfo(float).eps
 
 
 class QuadScheme(enum.Enum):
@@ -204,10 +200,52 @@ def _graded_product_rule(mu: float, n: int):
     return block_pass, n + 1
 
 
+def _jacobi_values(n: int, alpha: float, s: np.ndarray):
+    """P_n^(alpha,0) at s and its derivative, by the three-term recurrence.
+
+    The derivative comes from P_n and P_{n-1}:
+    (2n+alpha)(1-s^2) P_n' = n(alpha - (2n+alpha)s) P_n + 2n(n+alpha) P_{n-1}.
+    """
+    k = np.arange(2.0, n + 1.0)
+    c = 2.0 * k + alpha
+    den = 2.0 * k * (k + alpha) * (c - 2.0)
+    slope = ((c - 1.0) * c * (c - 2.0) / den).tolist()
+    shift = ((c - 1.0) * alpha * alpha / den).tolist()
+    back = (2.0 * (k + alpha - 1.0) * (k - 1.0) * c / den).tolist()
+    prev, p = np.ones_like(s), ((alpha + 2.0) * s + alpha) / 2.0
+    for a1, a0, b in zip(slope, shift, back):
+        prev, p = p, (a1 * s + a0) * p - b * prev
+    c = 2.0 * n + alpha
+    dp = (n * (alpha - c * s) * p + 2.0 * n * (n + alpha) * prev) / (c * (1.0 - s) * (1.0 + s))
+    return p, dp
+
+
 @lru_cache(maxsize=64)
 def _jacobi_rule(n: int, alpha: float):
-    nodes, weights = _special().roots_jacobi(n, alpha, 0.0)
-    return nodes, weights
+    """Gauss-Jacobi nodes and weights for the weight (1-s)**alpha on [-1, 1].
+
+    Newton's method on P_n^(alpha,0) from the asymptotic zeros
+    cos((k + alpha/2 - 1/4) pi / (n + (alpha+1)/2)), until no node moves
+    by more than two ulps of 1; the weights are 1/((1-s^2) P_n'(s)^2)
+    scaled to sum to the weight's integral 2**(alpha+1)/(alpha+1).
+    Nodes ascend.
+    """
+    k = np.arange(n, 0, -1, dtype=float)
+    s = np.cos((k + alpha / 2.0 - 0.25) * math.pi / (n + (alpha + 1.0) / 2.0))
+    for _ in range(JACOBI_NEWTON_CAP):
+        p, dp = _jacobi_values(n, alpha, s)
+        step = p / dp
+        s -= step
+        if np.abs(step).max() <= 2.0 * _EPS:
+            break
+    else:
+        raise QuadratureError(
+            f"Gauss-Jacobi nodes for n={n}, alpha={alpha:g} did not settle "
+            f"in {JACOBI_NEWTON_CAP} Newton steps")
+    _, dp = _jacobi_values(n, alpha, s)
+    w = 1.0 / ((1.0 - s) * (1.0 + s) * dp * dp)
+    w *= 2.0 ** (alpha + 1.0) / (alpha + 1.0) / w.sum()
+    return s, w
 
 
 def _jacobi_weighted_rule(mu: float, n: int):
@@ -247,6 +285,12 @@ def _passes(f, base, end, mirror, rows: np.ndarray, rule):
         yield idx, block_pass(f, base[idx, None], end[idx, None], mirror[idx])
 
 
+def _agree(cur, prev):
+    """Whether each row's successive passes agree to QUAD_REL_CHANGE relative."""
+    return np.abs(cur - prev) <= QUAD_REL_CHANGE * np.maximum(
+        np.maximum(np.abs(cur), np.abs(prev)), _TINY)
+
+
 def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfig):
     """Raw integrals of every row by node doubling, as one active set.
 
@@ -255,9 +299,12 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
     QUAD_REL_CHANGE relative.  Returns the values, the settled flags and
     the last node count.  The pass at the cap stops at the first block
     holding a row that does not settle, since that row is where a loop
-    over the rows would fail.  A start whose first doubling already
-    passes the cap could never compare two passes, so it fails before
-    evaluating anything.
+    over the rows would fail.  Once a call would hold a single row, the
+    rows left finish one at a time in row order, each doubling alone,
+    and the first to reach the cap unsettled stops the ladder: the rows
+    past it are not doubled further.  A start whose first doubling
+    already passes the cap could never compare two passes, so it fails
+    before evaluating anything.
     """
     _check_rows(f, a, xs)
     rule, cap = _RULES[config.scheme]
@@ -273,15 +320,33 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
         value[idx] = v
     while active.size and 2 * n <= cap:
         n *= 2
-        for idx, cur in _passes(f, base, end, mirror, active, rule(mu, n)):
-            prev = value[idx]
-            ok = np.abs(cur - prev) <= QUAD_REL_CHANGE * np.maximum(
-                np.maximum(np.abs(cur), np.abs(prev)), _TINY)
+        level = rule(mu, n)
+        if _rows_per_call(level[1]) == 1:
+            break
+        for idx, cur in _passes(f, base, end, mirror, active, level):
+            ok = _agree(cur, value[idx])
             value[idx] = cur
             settled[idx] = ok
             if 2 * n > cap and not ok.all():
                 return value, settled, n
         active = active[~settled[active]]
+    else:
+        return value, settled, n
+    # a call holds one row from n nodes on: finish the rows in order
+    levels, start = {n: level}, n
+    for i in active.tolist():
+        row, n = np.array([i]), start
+        while True:
+            if n not in levels:
+                levels[n] = rule(mu, n)
+            _, cur = next(_passes(f, base, end, mirror, row, levels[n]))
+            settled[i] = _agree(cur, value[row])[0]
+            value[i] = cur[0]
+            if settled[i] or 2 * n > cap:
+                break
+            n *= 2
+        if not settled[i]:
+            break
     return value, settled, n
 
 
@@ -309,7 +374,6 @@ def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = 
     if xs.ndim > 1:
         raise ValueError("evaluation points must be a scalar or a 1-D array")
     rows = xs.reshape(-1)
-    special = _special()  # before the replay below, so a failed import is not replayed
     try:
         value, settled, n = _quad_ladder(f, a, mu, rows, config)
     except Exception:
@@ -318,7 +382,7 @@ def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = 
         return np.array([rl_integral(f, a, mu, v, config) for v in rows.tolist()])
     if not settled.all():
         raise QuadratureError(f"no stabilization by {n} nodes")
-    value /= float(special.gamma(mu))
+    value /= math.gamma(mu)
     return float(value[0]) if xs.ndim == 0 else value
 
 
@@ -443,7 +507,7 @@ def check_lfd_equivalence(f, a: float, beta: float, direction: Direction,
         raise PreconditionError(
             f"velocity at a={a:g} is {vel.status.value}; nothing to compare")
     lfd = kg_lfd(f, a, beta, direction, approach, config, kg_tol)
-    scaled = float(_special().gamma(1.0 + beta)) * vel.value
+    scaled = math.gamma(1.0 + beta) * vel.value
     combined = float(velocity_tol + kg_tol)
     gap = abs(lfd.value - scaled) if lfd.status is LimitStatus.CONVERGED else math.inf
     passed = bool(lfd.status is LimitStatus.CONVERGED and gap <= combined)

@@ -10,7 +10,6 @@ comparison with the optimized library paths.
 import math
 
 import numpy as np
-from scipy.special import gamma
 
 from fracvel import (
     Direction,
@@ -175,7 +174,7 @@ def _reference_point(f, a, mu, x, config):
         n *= 2
         cur = one_pass(g, base, end, mu, n)
         if abs(cur - prev) <= QUAD_REL_CHANGE * max(abs(cur), abs(prev), _TINY):
-            return cur / float(gamma(mu))
+            return cur / math.gamma(mu)
         prev = cur
     raise QuadratureError(f"no stabilization by {n} nodes")
 
@@ -227,7 +226,7 @@ def kg_lfd_rescaled(f, a, beta, direction):
 
     def H(h):
         g = sign * (np.asarray(f(a + sign * h * u), dtype=float) - fa)
-        return h ** mu * 0.5 ** mu * float(np.dot(w, g)) / float(gamma(mu))
+        return h ** mu * 0.5 ** mu * float(np.dot(w, g)) / math.gamma(mu)
 
     vals = []
     for e in DEFAULT_APPROACH.increments(a):

@@ -1,7 +1,8 @@
-"""Only quadrature loads scipy: every other command starts on numpy alone.
+"""No command loads scipy: every command, lfd included, starts on numpy alone.
 
 Each check runs in a fresh interpreter, since the test process itself
-has scipy loaded (tests/common.py uses its Gamma for reference values).
+has scipy loaded (tests/test_rlcalc.py checks Gamma and the Gauss-Jacobi
+rule against it).
 """
 import json
 import math
@@ -24,7 +25,8 @@ COMMANDS = [["zoo", "list"]] + [
     for fmt in ("json", "csv")
 ]
 
-LFD = ["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5"]
+LFD = [["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "--scheme", scheme]
+       for scheme in ("graded_product", "jacobi_weighted")]
 
 # Prints, as JSON, the exit codes of the command lines in argv[1] and the
 # scipy modules loaded after the import and after the commands.
@@ -57,20 +59,25 @@ def test_import_and_commands_other_than_lfd_leave_scipy_unloaded():
     assert report["ran"] == []
 
 
-def test_lfd_loads_scipy():
-    report = run_fresh(_RUN_COMMANDS, json.dumps([LFD]))
-    assert report["codes"] == [0]
+def test_lfd_leaves_scipy_unloaded():
+    report = run_fresh(_RUN_COMMANDS, json.dumps(LFD))
+    assert report["codes"] == [0, 0]
     assert report["imported"] == []
-    assert "scipy.special" in report["ran"]
+    assert report["ran"] == []
 
 
-def test_bare_rl_integral_loads_scipy():
+def test_lfd_runs_with_scipy_blocked():
+    report = run_fresh('import sys; sys.modules["scipy"] = None\n' + _RUN_COMMANDS,
+                       json.dumps(LFD))
+    assert report["codes"] == [0, 0]
+
+
+def test_bare_rl_integral_leaves_scipy_unloaded():
     report = run_fresh("""
 import json, sys
 import fracvel
-before = "scipy" in sys.modules
 value = fracvel.rl_integral(lambda t: t, 0.0, 0.5, 1.0)
-print(json.dumps([before, "scipy.special" in sys.modules, value]))
+print(json.dumps(["scipy" in sys.modules, value]))
 """)
-    assert report[:2] == [False, True]
-    assert math.isclose(report[2], 4.0 / (3.0 * math.sqrt(math.pi)), rel_tol=1e-4)
+    assert report[0] is False
+    assert math.isclose(report[1], 4.0 / (3.0 * math.sqrt(math.pi)), rel_tol=1e-4)

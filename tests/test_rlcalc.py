@@ -3,8 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
-from scipy.special import gamma
 
 from common import (
     GAMMA_15,
@@ -53,14 +53,14 @@ class TestRlIntegral:
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
     def test_power_law_closed_form(self, mu, p, x):
         # I^mu t^p from 0 equals G(p+1)/G(p+1+mu) x^{p+mu}
-        exact = gamma(p + 1.0) / gamma(p + 1.0 + mu) * x ** (p + mu)
+        exact = math.gamma(p + 1.0) / math.gamma(p + 1.0 + mu) * x ** (p + mu)
         got = rl_integral(power(p), 0.0, mu, x)
         assert got == pytest.approx(exact, rel=1e-4)
 
     @pytest.mark.parametrize("mu", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("p", [0.0, 1.0, 2.0])
     def test_jacobi_scheme_agrees_on_smooth_integrands(self, mu, p):
-        exact = gamma(p + 1.0) / gamma(p + 1.0 + mu) * 1.5 ** (p + mu)
+        exact = math.gamma(p + 1.0) / math.gamma(p + 1.0 + mu) * 1.5 ** (p + mu)
         got = rl_integral(power(p), 0.0, mu, 1.5, JACOBI)
         assert got == pytest.approx(exact, rel=1e-4)
 
@@ -79,7 +79,7 @@ class TestRlIntegral:
     def test_shifted_base_point(self):
         # I^0.5 of (t-2)^2 from a=2 matches the a=0 polynomial answer
         f = lambda t: (np.asarray(t, dtype=float) - 2.0) ** 2
-        exact = gamma(3.0) / gamma(3.5) * 1.0 ** 2.5
+        exact = math.gamma(3.0) / math.gamma(3.5) * 1.0 ** 2.5
         assert rl_integral(f, 2.0, 0.5, 3.0) == pytest.approx(exact, rel=1e-4)
 
     def test_coincident_points_rejected(self):
@@ -143,7 +143,7 @@ class TestRlDerivative:
         f = power(beta)
         for x in (0.25, 0.5, 1.0):
             got = rl_derivative(f, 0.0, beta, x)
-            assert got == pytest.approx(gamma(1.0 + beta), rel=1e-3)
+            assert got == pytest.approx(math.gamma(1.0 + beta), rel=1e-3)
 
     def test_derivative_of_identity(self):
         # D^0.5 t = x^{0.5} / G(1.5)
@@ -244,29 +244,88 @@ class TestEquivalence:
 
 
 class TestGammaBits:
-    """Gamma comes from scipy.special, whose last bits math.gamma does not match.
+    """Gamma comes from math.gamma, bit for bit.
 
-    Each order here is one where dividing or scaling by math.gamma would
-    give a different double, so a switch of Gamma would move lfd bytes.
+    Each order here is one where scipy.special.gamma gives a different
+    double, so a switch of Gamma would move lfd bytes.
     """
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.75])
-    def test_scaled_velocity_uses_scipy_gamma(self, beta):
+    def test_scaled_velocity_uses_math_gamma(self, beta):
         rep = check_lfd_equivalence(make_power_cusp(0.0, beta, 2.0, 0.0), 0.0, beta, FWD)
         assert rep.velocity == 2.0
-        assert rep.velocity_scaled == float(gamma(1.0 + beta)) * rep.velocity
-        assert rep.velocity_scaled != math.gamma(1.0 + beta) * rep.velocity
+        assert rep.velocity_scaled == math.gamma(1.0 + beta) * rep.velocity
+        assert rep.velocity_scaled != float(scipy.special.gamma(1.0 + beta)) * rep.velocity
 
     @pytest.mark.parametrize("mu", [0.4, 0.6, 0.7, 0.9])
-    def test_integral_of_a_constant_divides_by_scipy_gamma(self, mu):
+    def test_integral_of_a_constant_divides_by_math_gamma(self, mu):
         def one(t):
             return np.ones_like(t)
         raw, settled, _ = rlcalc._quad_ladder(one, 0.0, mu, np.array([1.0]),
                                               rlcalc.DEFAULT_QUAD)
         assert settled.all()
         value = rl_integral(one, 0.0, mu, 1.0)
-        assert value == float(raw[0]) / float(gamma(mu))
-        assert value != float(raw[0]) / math.gamma(mu)
+        assert value == float(raw[0]) / math.gamma(mu)
+        assert value != float(raw[0]) / float(scipy.special.gamma(mu))
+
+
+def jacobi_polys(m_max, alpha, s):
+    """P_0 .. P_m_max of the Jacobi family P^(alpha,0) at s, one row per degree.
+
+    The textbook recurrence (DLMF 18.9.1) with beta = 0 and
+    P_1 = (alpha+1) + (alpha+2)(s-1)/2.
+    """
+    p = [np.ones_like(s), (alpha + 1.0) + (alpha + 2.0) * (s - 1.0) / 2.0]
+    for m in range(2, m_max + 1):
+        c = 2.0 * m + alpha
+        p.append(((c - 1.0) * (c * (c - 2.0) * s + alpha * alpha) * p[-1]
+                  - 2.0 * (m + alpha - 1.0) * (m - 1.0) * c * p[-2])
+                 / (2.0 * m * (m + alpha) * (c - 2.0)))
+    return np.array(p)
+
+
+EPS = np.finfo(float).eps
+JACOBI_GRID = [(n, alpha) for n in (8, 64, 256, 1024) for alpha in (-0.999, -0.5, -1e-6)]
+
+
+class TestJacobiRule:
+    # Largest relative weight gap to scipy.special.roots_jacobi: the sum
+    # of the two rules' largest relative errors against weights computed
+    # with mpmath at 50 digits, rounded up in the second digit.  The
+    # nodes of both lie within 3.4e-16 of mpmath's, and within 1.5 eps
+    # of each other.
+    WEIGHT_GAP = {
+        (8, -0.999): 9.9e-12, (8, -0.5): 9.1e-15, (8, -1e-6): 1.9e-14,
+        (64, -0.999): 1.8e-9, (64, -0.5): 4.3e-12, (64, -1e-6): 1.3e-12,
+        (256, -0.999): 1.8e-7, (256, -0.5): 2.9e-10, (256, -1e-6): 4.6e-10,
+        (1024, -0.999): 3.2e-6, (1024, -0.5): 5.7e-9, (1024, -1e-6): 2.5e-8,
+    }
+
+    @pytest.mark.parametrize("n, alpha", JACOBI_GRID)
+    def test_exact_through_degree_2n_minus_1(self, n, alpha):
+        s, w = rlcalc._jacobi_rule(n, alpha)
+        mass = 2.0 ** (alpha + 1.0) / (alpha + 1.0)
+        assert abs(w.sum() - mass) <= 4.0 * EPS * mass
+        # exact through degree 2n-1; the largest moment measured is
+        # 4.3e-11 * mass, at (1024, -0.999)
+        moments = jacobi_polys(2 * n - 1, alpha, s)[1:] @ w
+        assert np.abs(moments).max() <= 1e-10 * mass
+
+    @pytest.mark.parametrize("n, alpha", JACOBI_GRID)
+    def test_matches_scipy_roots_jacobi(self, n, alpha):
+        s, w = rlcalc._jacobi_rule(n, alpha)
+        s_ref, w_ref = scipy.special.roots_jacobi(n, alpha, 0.0)
+        assert np.all(np.diff(s) > 0.0)
+        assert np.abs(s - s_ref).max() <= 1.5 * EPS
+        assert (np.abs(w - w_ref) / w_ref).max() <= self.WEIGHT_GAP[n, alpha]
+
+    def test_newton_cap_raises(self):
+        with mock.patch.object(rlcalc, "JACOBI_NEWTON_CAP", 2):
+            with pytest.raises(QuadratureError, match="did not settle in 2 Newton steps"):
+                rlcalc._jacobi_rule.__wrapped__(64, -0.5)
+            # an order no other test builds a rule for, so the cache is cold
+            with pytest.raises(QuadratureError, match="did not settle"):
+                rl_integral(lambda t: t, 0.0, 0.4321, 1.0, JACOBI)
 
 
 def counting(f):
@@ -366,6 +425,22 @@ class TestBatchedLadder:
         with mock.patch.object(rlcalc, "rl_integral", reference_rl_integral):
             want = outcome(lambda: kg_lfd(c, 0.0, 0.5, FWD))
         assert got == want == (QuadratureError, "no stabilization by 65536 nodes")
+
+    def test_rows_past_the_failing_one_stop_doubling(self):
+        # doubling every active row to the cap before stopping at the
+        # failing one took 2,054,460 evaluator points here
+        c, calls = counting(make_chirp(0.5, 0.0))
+        got = outcome(lambda: kg_lfd(c, 0.0, 0.5, FWD))
+        assert got == (QuadratureError, "no stabilization by 65536 nodes")
+        assert sum(calls) <= 2 * 2_054_460 // 3
+
+    def test_rows_finished_one_at_a_time_keep_the_loop_bits(self):
+        # from 2**15 nodes a call holds one row, so every row settles alone
+        f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
+        config = QuadratureConfig(n_nodes=2 ** 14)
+        xs = [0.7, -0.3, 1.5, -1.9]
+        got = rl_integral(f, 0.0, 0.4, xs, config)
+        assert same_bits(got, reference_rl_integral(f, 0.0, 0.4, xs, config))
 
     def test_first_bad_point_raises_its_domain_error(self):
         f = make_power_cusp(0.0, 0.5, 1.0, 0.0)   # domain (-2, 2)
