@@ -93,16 +93,11 @@ def _feval(f, t):
     return np.asarray(f(np.asarray(t, dtype=float)), dtype=float)
 
 
-def _rows_per_call(row_len: int) -> int:
-    """Rows of row_len points one evaluator call takes: as many as fit in
-    EVAL_CALL_POINTS points, and at least one."""
-    return max(1, EVAL_CALL_POINTS // row_len)
-
-
 def _row_blocks(n_rows: int, row_len: int):
     """Slices of consecutive rows, in order, for the evaluator calls over
-    n_rows rows of row_len points, _rows_per_call(row_len) rows a call."""
-    step = _rows_per_call(row_len)
+    n_rows rows of row_len points: as many rows a call as fit in
+    EVAL_CALL_POINTS points, and at least one."""
+    step = max(1, EVAL_CALL_POINTS // row_len)
     return (slice(i, i + step) for i in range(0, n_rows, step))
 
 

@@ -7,9 +7,10 @@ into the weight.  The derivative is the classical composition d/dx of
 the (1-beta) integral, differenced numerically; the local limit walks
 the evaluation point into the base point on a geometric schedule.
 
-Node doubling runs on the active-set pattern of the oscillation ladder:
-all evaluation points of one call double together as one (points x
-nodes) array, and a point leaves once two of its passes agree.  Each
+Node doubling runs depth first over blocks of evaluation points: the
+points of one evaluator call double together as one (points x nodes)
+array, a point leaves once two of its passes agree, and the points left
+in a block reach every deeper level before the next block starts.  Each
 point still gets the bits it would get alone.
 
 Gamma comes from math.gamma and the Gauss-Jacobi rule from a Newton
@@ -25,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diffops import Direction, _feval, _row_blocks, _rows_per_call, domain_of
+from .diffops import Direction, _feval, _row_blocks, domain_of
 from .errors import DomainError, PreconditionError, QuadratureError
 from .estimator import (
     DEFAULT_TOL,
@@ -272,19 +273,6 @@ _RULES = {
 }
 
 
-def _passes(f, base, end, mirror, rows: np.ndarray, rule):
-    """Yield (rows of a block, their pass values), block by block in row order.
-
-    Whole rows go to f, in the blocks of _row_blocks.  A block's arrays
-    die before the next block is built, so the call bound bounds the
-    memory a pass holds.
-    """
-    block_pass, nodes = rule
-    for block in _row_blocks(rows.size, nodes):
-        idx = rows[block]
-        yield idx, block_pass(f, base[idx, None], end[idx, None], mirror[idx])
-
-
 def _agree(cur, prev):
     """Whether each row's successive passes agree to QUAD_REL_CHANGE relative."""
     return np.abs(cur - prev) <= QUAD_REL_CHANGE * np.maximum(
@@ -292,19 +280,23 @@ def _agree(cur, prev):
 
 
 def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfig):
-    """Raw integrals of every row by node doubling, as one active set.
+    """Raw integrals of every row by node doubling, depth first.
 
-    Rows start at config.n_nodes and double together; a row leaves the
-    active set once two of its successive passes agree to
-    QUAD_REL_CHANGE relative.  Returns the values, the settled flags and
-    the last node count.  The pass at the cap stops at the first block
-    holding a row that does not settle, since that row is where a loop
-    over the rows would fail.  Once a call would hold a single row, the
-    rows left finish one at a time in row order, each doubling alone,
-    and the first to reach the cap unsettled stops the ladder: the rows
-    past it are not doubled further.  A start whose first doubling
-    already passes the cap could never compare two passes, so it fails
-    before evaluating anything.
+    Every row is first evaluated at config.n_nodes.  Then the rows double
+    in the blocks of one evaluator call each (_row_blocks), and a block's
+    rows whose last two passes do not agree to QUAD_REL_CHANGE relative
+    go through every deeper level before the next block starts.  So the
+    rows past the first one to reach the cap unsettled are not doubled
+    further, as in a loop over the rows.  A row's value does not depend
+    on the other rows of its call, so each row gets the bits it would
+    get alone.  Returns the values and the node count of the first row
+    that reaches the cap unsettled, or None.  A start whose first
+    doubling already passes the cap could never compare two passes, so
+    it fails before evaluating anything.
+
+    A suspended level holds its row indices, one value per row and its
+    rule's mesh, never a block's node arrays, so the call bound still
+    bounds the memory of a pass.
     """
     _check_rows(f, a, xs)
     rule, cap = _RULES[config.scheme]
@@ -313,41 +305,32 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
         raise QuadratureError(
             f"{n} starting nodes leave no room to double under the cap of {cap}")
     base, end, mirror = np.minimum(a, xs), np.maximum(a, xs), xs < a
-    active = np.arange(xs.size)
     value = np.empty(xs.size)
-    settled = np.zeros(xs.size, dtype=bool)
-    for idx, v in _passes(f, base, end, mirror, active, rule(mu, n)):
-        value[idx] = v
-    while active.size and 2 * n <= cap:
+
+    def passes(rows, n):
+        # whole rows go to f, and a block's arrays die before the next is built
+        block_pass, nodes = rule(mu, n)
+        for block in _row_blocks(rows.size, nodes):
+            idx = rows[block]
+            yield idx, block_pass(f, base[idx, None], end[idx, None], mirror[idx])
+
+    def deepen(rows, n):
+        # rows last evaluated at n nodes, through every deeper level
         n *= 2
-        level = rule(mu, n)
-        if _rows_per_call(level[1]) == 1:
-            break
-        for idx, cur in _passes(f, base, end, mirror, active, level):
-            ok = _agree(cur, value[idx])
+        for idx, cur in passes(rows, n):
+            left = idx[~_agree(cur, value[idx])]
             value[idx] = cur
-            settled[idx] = ok
-            if 2 * n > cap and not ok.all():
-                return value, settled, n
-        active = active[~settled[active]]
-    else:
-        return value, settled, n
-    # a call holds one row from n nodes on: finish the rows in order
-    levels, start = {n: level}, n
-    for i in active.tolist():
-        row, n = np.array([i]), start
-        while True:
-            if n not in levels:
-                levels[n] = rule(mu, n)
-            _, cur = next(_passes(f, base, end, mirror, row, levels[n]))
-            settled[i] = _agree(cur, value[row])[0]
-            value[i] = cur[0]
-            if settled[i] or 2 * n > cap:
-                break
-            n *= 2
-        if not settled[i]:
-            break
-    return value, settled, n
+            if left.size:
+                failed = n if 2 * n > cap else deepen(left, n)
+                if failed:
+                    return failed
+        return None
+
+    rows = np.arange(xs.size)
+    for idx, cur in passes(rows, n):
+        value[idx] = cur
+    failed = deepen(rows, n)
+    return value, failed
 
 
 def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = None):
@@ -358,13 +341,14 @@ def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = 
     Either way [min(a, x), max(a, x)] must lie in the domain of f.
 
     x may be a 1-D array of points on either side of a; the result is
-    then an array, each entry bit for bit the one-point result.  All
-    points double their nodes together, and f sees whole rows of nodes
-    in calls of at most EVAL_CALL_POINTS points unless one row alone
-    holds more.  Errors come out as a loop over the points would raise
-    them, the first failing point first: a point that does not stabilize
-    raises the QuadratureError every such point shares, and any other
-    failure of the batch is replayed one point at a time.
+    then an array, each entry bit for bit the one-point result.  The
+    points double their nodes together in blocks, depth first, and f
+    sees whole rows of nodes in calls of at most EVAL_CALL_POINTS points
+    unless one row alone holds more.  Errors come out as a loop over the
+    points would raise them, the first failing point first: a point that
+    does not stabilize raises the QuadratureError every such point
+    shares, and any other failure of the batch is replayed one point at
+    a time.
     """
     _check_order(mu)
     config = config or DEFAULT_QUAD
@@ -375,13 +359,13 @@ def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = 
         raise ValueError("evaluation points must be a scalar or a 1-D array")
     rows = xs.reshape(-1)
     try:
-        value, settled, n = _quad_ladder(f, a, mu, rows, config)
+        value, failed = _quad_ladder(f, a, mu, rows, config)
     except Exception:
         if rows.size == 1:
             raise
         return np.array([rl_integral(f, a, mu, v, config) for v in rows.tolist()])
-    if not settled.all():
-        raise QuadratureError(f"no stabilization by {n} nodes")
+    if failed:
+        raise QuadratureError(f"no stabilization by {failed} nodes")
     value /= math.gamma(mu)
     return float(value[0]) if xs.ndim == 0 else value
 
@@ -444,9 +428,10 @@ def kg_lfd(f, a: float, beta: float, direction: Direction,
     and the sequence is classified by the usual windowed Cauchy rule.
 
     All approach points go to one rl_derivative call, so their 2 x steps
-    integrals double as one active set, f seeing at most EVAL_CALL_POINTS
-    points a call.  Errors come out as a loop over the steps would raise
-    them: step by step, the x+h integral before the x-h one.
+    integrals double together in blocks, depth first, f seeing at most
+    EVAL_CALL_POINTS points a call.  Errors come out as a loop over the
+    steps would raise them: step by step, the x+h integral before the
+    x-h one.
     """
     _check_order(beta)
     a = float(a)

@@ -14,6 +14,7 @@ scan reports its probes as columns, one tuple per field of ScanPoints.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -191,7 +192,11 @@ def scan_change_set(f, interval, beta: float, n: int,
         raise error
     hit = (status == LimitStatus.CONVERGED) & (np.abs(value) > threshold)
     sides = np.where(forward, Direction.FORWARD, Direction.BACKWARD)
-    points = ScanPoints(*(tuple(c.tolist()) for c in (px, sides, status, value, hit)))
+    # a diverged probe's value is the one math.nan object classify_limit
+    # uses, so two runs of the same scan compare equal
+    values = value.astype(object)
+    values[np.isnan(value)] = math.nan
+    points = ScanPoints(*(tuple(c.tolist()) for c in (px, sides, status, values, hit)))
     flagged = zip(px[hit].tolist(), value[hit].tolist(), sides[hit].tolist())
     fraction = np.unique(px[hit]).size / n
     return ChangeSetReport((a, b), float(beta), n, threshold,

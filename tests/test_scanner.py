@@ -141,6 +141,14 @@ class TestScanMatchesPointwiseLimits:
                     if p.status is LimitStatus.DIVERGED}
         assert {(0.5, FWD), (0.5, BWD), (0.4375, FWD), (0.5625, BWD)} <= diverged
 
+    def test_scans_with_diverged_probes_compare_equal(self):
+        # each diverged value is the math.nan object, so == holds by identity
+        rep = scan_change_set(spike, (0.0, 1.0), 0.5, 17)
+        assert rep == scan_change_set(spike, (0.0, 1.0), 0.5, 17)
+        diverged = [v for v, status in zip(rep.points.value, rep.points.status)
+                    if status is LimitStatus.DIVERGED]
+        assert diverged and all(v is math.nan for v in diverged)
+
     @pytest.mark.parametrize("interval, first_bad", [
         ((0.0, 1e12), 1e11),
         ((-5e11, 5e11), -5e11),
