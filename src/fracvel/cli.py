@@ -238,8 +238,6 @@ def build_function(spec: str):
                 except ValueError:
                     raise UsageError(f"bad domain {dom!r}, expected lo;hi") from None
                 f = make_polynomial(coeffs, (lo, hi))
-        else:
-            raise UsageError(f"unknown function kind {kind!r}")
     except (ValueError, OverflowError) as e:   # int() of an infinite count overflows
         if isinstance(e, UsageError):
             raise

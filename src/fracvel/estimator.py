@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import diffops
-from .diffops import Direction, _row_blocks, variation_values
+from .diffops import Direction, variation_values
 from .errors import LocallyConstantError, ScheduleUnderflowError
 
 __all__ = [
@@ -204,33 +204,6 @@ def velocity_limit(f, x: float, beta: float, direction: Direction,
     """
     _, vals = _variations(f, x, beta, direction, schedule)
     return classify_limit(vals, tol)
-
-
-def _velocity_limits(f, xs: np.ndarray, beta: float, direction: Direction,
-                     schedule: EpsilonSchedule, tol: float):
-    """Status and value of velocity_limit at every point of the 1-D array xs.
-
-    The round-off floor makes the usable ladder depend on max(1, |x|), so
-    points are grouped by ladder length; each group is evaluated as
-    (points x increments) blocks and classified row by row.  Returns two
-    arrays: the LimitStatus of each point and its value.  A point whose
-    ladder underflows raises ScheduleUnderflowError, though not
-    necessarily at the first such point in xs, and any other error need
-    not come from the first failing point either; the scanner answers a
-    failed batch point by point to name that point.
-    """
-    kept = np.count_nonzero(schedule.raw() > _floor(xs)[:, None], axis=1)
-    status = np.empty(xs.size, dtype=object)
-    value = np.empty(xs.size)
-    for k in np.unique(kept):
-        rows = np.flatnonzero(kept == k)
-        eps = schedule.increments(float(xs[rows[0]]))
-        # variation_values adds a column for f(x) itself
-        for block in _row_blocks(rows.size, eps.size + 1):
-            idx = rows[block]
-            vals = variation_values(f, xs[idx], beta, direction, eps)
-            _, status[idx], value[idx], _ = _classify_rows(vals, tol)
-    return status, value
 
 
 @dataclass(frozen=True)

@@ -388,9 +388,10 @@ def rl_derivative(f, a: float, beta: float, x,
     the right-sided operator is used and carries the mirrored sign.
 
     x may be a 1-D array, with h_diff a matching array or one step for
-    all; the result is then an array.  Every x+h and x-h goes to one
-    rl_integral call, ordered as a loop over the points would integrate
-    them (x+h, then x-h), so errors come out in that loop's order.
+    all; the result is then an array.  The x+h and x-h of each point
+    before the first invalid step go to one rl_integral call, in the
+    order a loop over the points would integrate them, and then that
+    step raises its own error, so errors come out in the loop's order.
     """
     _check_order(beta)
     a = float(a)
@@ -399,20 +400,18 @@ def rl_derivative(f, a: float, beta: float, x,
     if xs.ndim > 1:
         raise ValueError("evaluation points must be a scalar or a 1-D array")
     h = np.abs(xs - a) / 8.0 if h_diff is None else np.asarray(h_diff, dtype=float)
-    h = np.broadcast_to(h, xs.shape)
-    if xs.ndim == 0:
-        _check_step(a, float(xs), float(h))
-    else:
-        with np.errstate(invalid="ignore"):
-            ok = np.isfinite(xs) & (0.0 < h) & (h < np.abs(xs - a))
-        if not ok.all():
-            return np.array([rl_derivative(f, a, beta, v, config, hv)
-                             for v, hv in zip(xs.tolist(), h.tolist())])
-    mu = 1.0 - beta
-    hi, lo = rl_integral(f, a, mu, np.stack([xs + h, xs - h], axis=-1).reshape(-1),
-                         config).reshape(-1, 2).T
-    d = (hi - lo) / (2.0 * h.reshape(-1))
-    d = np.where(xs.reshape(-1) > a, d, -d)
+    h = np.broadcast_to(h, xs.shape).reshape(-1)
+    pts = xs.reshape(-1)
+    with np.errstate(invalid="ignore"):
+        ok = np.isfinite(pts) & (0.0 < h) & (h < np.abs(pts - a))
+    # the first invalid step, or the number of points
+    n = pts.size if ok.all() else int(np.argmin(ok))
+    ends = np.stack([pts[:n] + h[:n], pts[:n] - h[:n]], axis=-1).reshape(-1)
+    hi, lo = rl_integral(f, a, 1.0 - beta, ends, config).reshape(-1, 2).T
+    if n < pts.size:
+        _check_step(a, float(pts[n]), float(h[n]))
+    d = (hi - lo) / (2.0 * h)
+    d = np.where(pts > a, d, -d)
     return float(d[0]) if xs.ndim == 0 else d
 
 

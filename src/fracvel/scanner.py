@@ -6,10 +6,12 @@ whose roughness lives on a null set the flagged fraction falls off like
 1/n as the grid refines; the verifiers below reuse the same machinery to
 check the classical interval theorems in their fractional form.
 
-Every probe, in a scan or a verifier, goes through _batch_limits: the
-probes of one call are evaluated together as (points x increments)
-arrays, and each reports exactly what velocity_limit reports there.  A
-scan reports its probes as columns, one tuple per field of ScanPoints.
+Every probe, in a scan or a verifier, goes through _batch_limits, the
+one place that decides each probe's ladder and its evaluator call: the
+probes that share a direction, a fitted schedule and a ladder length
+are evaluated together as (points x increments) arrays, and each
+reports exactly what velocity_limit reports there.  A scan reports its
+probes as columns, one tuple per field of ScanPoints.
 """
 from __future__ import annotations
 
@@ -20,13 +22,14 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .diffops import Direction, _check_beta, domain_of
+from .diffops import Direction, _check_beta, _row_blocks, domain_of, variation_values
 from .errors import DomainError, PreconditionError
 from .estimator import (
     DEFAULT_SCHEDULE,
     EpsilonSchedule,
     LimitStatus,
-    _velocity_limits,
+    _classify_rows,
+    _floor,
     velocity_limit,
 )
 
@@ -118,8 +121,12 @@ def _batch_limits(f, xs: np.ndarray, forward: np.ndarray, beta: float,
     probe it leaves no room gets status None, any other one what
     velocity_limit reports with the fitted schedule.  Only probes whose
     margin falls short of eps0 need a fitted schedule of their own.
-    Probes that share a direction and a fitted schedule are evaluated
-    together by _velocity_limits.
+    Before anything is evaluated, each probe gets its fit and the length
+    of its ladder above the round-off floor, which depends on
+    max(1, |x|).  Probes are grouped once, by one integer key of
+    direction, fit and length; each group, in the order of its first
+    probe, is evaluated as (points x increments) blocks of one evaluator
+    call each and classified row by row.
 
     Returns (status, value, stop, error).  A failed batch does not say
     which probe failed first, so it is answered probe by probe through
@@ -143,16 +150,24 @@ def _batch_limits(f, xs: np.ndarray, forward: np.ndarray, beta: float,
             if fit not in fits:
                 fits.append(fit)
             fit_of[i] = fits.index(fit)
-    group = np.where(fit_of < 0, -1, 2 * fit_of + ~forward)
+    # each fit's raw() padded with zeros, which no floor exceeds
+    ladders = np.array([np.pad(fit.raw(), (0, schedule.count - fit.count)) for fit in fits])
+    kept = np.count_nonzero(ladders[fit_of] > _floor(xs)[:, None], axis=1)
+    group = np.where(fit_of < 0, -1,
+                     (2 * fit_of + ~forward) * (schedule.count + 1) + kept)
     status = np.full(xs.size, None, dtype=object)
     value = np.full(xs.size, np.nan)
     _, first = np.unique(group, return_index=True)
     try:
         for i in np.sort(first):
             if group[i] >= 0:
-                idx = np.flatnonzero(group == group[i])
-                status[idx], value[idx] = _velocity_limits(
-                    f, xs[idx], beta, _direction(forward[i]), fits[fit_of[i]], tol)
+                rows = np.flatnonzero(group == group[i])
+                eps = fits[fit_of[i]].increments(float(xs[i]))
+                # variation_values adds a column for f(x) itself
+                for block in _row_blocks(rows.size, eps.size + 1):
+                    idx = rows[block]
+                    vals = variation_values(f, xs[idx], beta, _direction(forward[i]), eps)
+                    _, status[idx], value[idx], _ = _classify_rows(vals, tol)
     except Exception:
         for i in np.flatnonzero(fit_of >= 0).tolist():
             try:

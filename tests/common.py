@@ -194,14 +194,23 @@ def reference_rl_integral(f, a, mu, xs, config=DEFAULT_QUAD):
 def reference_rl_derivative(f, a, beta, xs, config=DEFAULT_QUAD, h_diff=None):
     """rl_derivative one point at a time from reference_rl_integral.
 
-    Per point: the x+h integral, then the x-h one, their central
-    difference, negated below a.  h_diff is None (|x-a|/8), one step or
-    one step per point.  Returns one float per entry of xs.
+    Per point: the checks of x and its step, the x+h integral, then the
+    x-h one, their central difference, negated below a.  h_diff is None
+    (|x-a|/8), one step or one step per point.  Returns one float per
+    entry of xs, or raises what the first failing point raises.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     h = np.abs(xs - a) / 8.0 if h_diff is None else np.asarray(h_diff, dtype=float)
     out = []
     for x, hx in zip(xs.tolist(), np.broadcast_to(h, xs.shape).tolist()):
+        if not math.isfinite(x):
+            raise ValueError(f"evaluation point must be finite, got {x}")
+        if x == a:
+            raise ValueError("evaluation point must differ from the base point")
+        if not math.isfinite(hx):
+            raise ValueError(f"difference step must be finite, got {hx}")
+        if not 0.0 < hx < abs(x - a):
+            raise ValueError(f"difference step {hx:g} must stay below |x-a|={abs(x - a):g}")
         hi, lo = reference_rl_integral(f, a, 1.0 - beta, [x + hx, x - hx], config)
         d = (hi - lo) / (2.0 * hx)
         out.append(d if x > a else -d)

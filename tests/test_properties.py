@@ -297,6 +297,10 @@ def _hump(t):
     return -np.abs(np.asarray(t, dtype=float) - 0.5) ** 0.5
 
 
+def _far_hump(t):
+    return -np.abs(np.asarray(t, dtype=float) - 2.0) ** 0.5
+
+
 # (function, the centre of its symmetric intervals)
 VERIFIER_FUNCTIONS = {
     "cusp": (make_power_cusp(0.0, 0.5, 1.0, 0.0), 0.0),
@@ -304,6 +308,9 @@ VERIFIER_FUNCTIONS = {
     "poly": (make_polynomial((0.0, 1.0, -1.0)), 0.5),
     # the domain leaves the schedule no room near its ends
     "narrow": (AnalyticTestFunction("narrow-hump", (-0.01, 1.01), _hump, ()), 0.5),
+    # past |x| = 1 the ladders run 35 to 39 increments long, and near both
+    # ends the probes need fitted schedules, so one batch mixes both
+    "far": (AnalyticTestFunction("far-hump", (0.99, 3.01), _far_hump, ()), 2.0),
 }
 
 
@@ -337,7 +344,7 @@ def test_verifier_verdicts_equal_their_pointwise_replay(name, theorem, symmetric
         a, b = lo + min(u, v) * (hi - lo), lo + max(u, v) * (hi - lo)
     assume(a < b)
     batched = _verdict(theorem, f, a, b, beta, n, target)
-    with mock.patch.object(scanner, "_velocity_limits",
+    with mock.patch.object(scanner, "variation_values",
                            side_effect=RuntimeError("batch refused")):
         replayed = _verdict(theorem, f, a, b, beta, n, target)
     assert batched == replayed
@@ -363,7 +370,7 @@ def test_scan_reports_equal_their_pointwise_replay(name, u, v, beta, n, tol):
     a, b = lo + min(u, v) * (hi - lo), lo + max(u, v) * (hi - lo)
     assume(a < b)
     batched = _scan(f, a, b, beta, n, tol)
-    with mock.patch.object(scanner, "_velocity_limits",
+    with mock.patch.object(scanner, "variation_values",
                            side_effect=RuntimeError("batch refused")):
         replayed = _scan(f, a, b, beta, n, tol)
     assert batched == replayed

@@ -169,6 +169,51 @@ class TestRlDerivative:
             rl_derivative(f, 0.0, 0.5, 0.1, h_diff=h)
         assert calls == []
 
+    @staticmethod
+    def loop(f, a, beta, xs, h_diff):
+        """rl_derivative as a loop of scalar calls, one step per point."""
+        return np.array([rl_derivative(f, a, beta, x, h_diff=h) for x, h in zip(xs, h_diff)])
+
+    @pytest.mark.parametrize("xs, h_diff, message", [
+        ([0.4, -0.8, 0.3], [0.05, 0.1, 0.5], "difference step 0.5 must stay below |x-a|=0.3"),
+        ([0.4, -0.8, 0.3], [0.05, 0.1, -0.1], "difference step -0.1 must stay below |x-a|=0.3"),
+        ([0.4, -0.8, 0.3], [0.05, math.nan, 0.1], "difference step must be finite, got nan"),
+        ([0.4, 0.0, 0.3], [0.05, 0.0, 0.1], "evaluation point must differ from the base point"),
+        ([0.4, math.inf, 0.3], [0.05, 0.1, 0.1], "evaluation point must be finite, got inf"),
+    ])
+    def test_bad_step_after_valid_points_raises_its_error(self, xs, h_diff, message):
+        f = power(0.5)
+        want = (ValueError, message)
+        assert outcome(lambda: rl_derivative(f, 0.0, 0.5, xs, h_diff=h_diff)) == want
+        assert outcome(lambda: self.loop(f, 0.0, 0.5, xs, h_diff)) == want
+        assert outcome(lambda: reference_rl_derivative(f, 0.0, 0.5, xs, h_diff=h_diff)) == want
+
+    def test_bad_first_step_evaluates_nothing(self):
+        # and its error comes before a start past the cap is refused
+        f, calls = counting(power(0.5))
+        config = QuadratureConfig(n_nodes=GRADED_NODE_CAP)
+        with pytest.raises(ValueError, match="difference step 0.5 must stay below"):
+            rl_derivative(f, 0.0, 0.5, [0.3, 0.4], config, h_diff=[0.5, 0.05])
+        assert calls == []
+
+    def test_unsettled_point_before_a_bad_step_raises_first(self):
+        # a new constant at each call never settles: the first point's x+h
+        # integral reaches the cap before the second point's step is read
+        def run(derivative):
+            sizes = []
+
+            def f(t):
+                sizes.append(np.size(t))
+                return np.full(np.shape(t), float(len(sizes)))
+
+            return outcome(lambda: derivative(f)), len(sizes)
+
+        xs, h_diff = [0.5, 0.25], [0.1, 0.5]
+        want = ((QuadratureError, "no stabilization by 65536 nodes"), 11)
+        assert run(lambda f: rl_derivative(f, 0.0, 0.5, xs, h_diff=h_diff)) == want
+        assert run(lambda f: self.loop(f, 0.0, 0.5, xs, h_diff)) == want
+        assert run(lambda f: reference_rl_derivative(f, 0.0, 0.5, xs, h_diff=h_diff))[0] == want[0]
+
 
 class TestKgLfd:
     @pytest.mark.parametrize("K", [1.0, 2.0])

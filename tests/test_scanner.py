@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from fracvel import (
     velocity_limit,
 )
 from fracvel import scanner
+from fracvel.diffops import EVAL_CALL_POINTS
 from fracvel.estimator import DEFAULT_SCHEDULE
 
 FWD = Direction.FORWARD
@@ -134,6 +136,25 @@ class TestScanMatchesPointwiseLimits:
     def test_grid_covers_several_ladder_lengths(self):
         xs = np.linspace(-1.9, 1.9, 77)
         assert len({DEFAULT_SCHEDULE.increments(x).size for x in xs}) > 1
+
+    def test_each_direction_and_ladder_length_takes_one_call(self):
+        # every (direction, ladder length) group of this grid fits
+        # EVAL_CALL_POINTS, so each is one call of its rows x (1 + ladder)
+        f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
+        shapes = []
+
+        def counted(t):
+            shapes.append(np.shape(t))
+            return f(t)
+
+        counted.domain = f.domain
+        scan_change_set(counted, (-1.9, 1.9), 0.5, 77)
+        px, forward = scanner._grid_probes(np.linspace(-1.9, 1.9, 77))
+        groups = Counter((fwd, DEFAULT_SCHEDULE.increments(x).size)
+                         for x, fwd in zip(px.tolist(), forward.tolist()))
+        assert len(groups) == 4
+        assert sorted(shapes) == sorted((rows, k + 1) for (_, k), rows in groups.items())
+        assert max(math.prod(s) for s in shapes) <= EVAL_CALL_POINTS
 
     def test_diverging_rows_reported(self):
         rep = scan_change_set(spike, (0.0, 1.0), 0.5, 17)
