@@ -348,7 +348,7 @@ def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = 
     points would raise them, the first failing point first: a point that
     does not stabilize raises the QuadratureError every such point
     shares, and any other failure of the batch is replayed one point at
-    a time.
+    a time.  A config that no integral can run fails even on an empty x.
     """
     _check_order(mu)
     config = config or DEFAULT_QUAD
@@ -361,7 +361,8 @@ def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = 
     try:
         value, failed = _quad_ladder(f, a, mu, rows, config)
     except Exception:
-        if rows.size == 1:
+        # no replay can explain the failure of a batch of one or none
+        if rows.size <= 1:
             raise
         return np.array([rl_integral(f, a, mu, v, config) for v in rows.tolist()])
     if failed:
@@ -406,6 +407,9 @@ def rl_derivative(f, a: float, beta: float, x,
         ok = np.isfinite(pts) & (0.0 < h) & (h < np.abs(pts - a))
     # the first invalid step, or the number of points
     n = pts.size if ok.all() else int(np.argmin(ok))
+    if n == 0 < pts.size:
+        # nothing to integrate, and no config error before the step's own
+        _check_step(a, float(pts[0]), float(h[0]))
     ends = np.stack([pts[:n] + h[:n], pts[:n] - h[:n]], axis=-1).reshape(-1)
     hi, lo = rl_integral(f, a, 1.0 - beta, ends, config).reshape(-1, 2).T
     if n < pts.size:

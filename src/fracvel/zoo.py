@@ -39,9 +39,14 @@ Truth = Union[float, str]
 WEIERSTRASS_MARK_XS = (1.0 / np.pi, np.sqrt(2.0) - 1.0, 0.7)
 
 # The top Weierstrass frequency freq**(n_terms-1) may reach 2**53 and no
-# further: beyond it the top term's phase at the domain edge is rounding
-# noise, and more terms cannot change the result.
+# further, so that every frequency is an exact integer both as a double
+# and, times four, as a uint64: the evaluator's phase reduction (see
+# make_weierstrass) takes the frequencies in both forms.
 WEIERSTRASS_MAX_BITS = 53
+
+# make_weierstrass reduces x mod 2 to r in (-2, 2) and splits r * 2**61
+# into an integer below 2**62, which fits an int64, and a fraction.
+_PHASE_SCALE = 2.0 ** 61
 
 
 @dataclass(frozen=True)
@@ -176,6 +181,20 @@ def make_weierstrass(amp: float = 0.5, freq: int = 3,
     AnalyticTestFunction
         Domain (-2, 2); marks carry the exponent with both velocity
         slots undefined.
+
+    Notes
+    -----
+    Each phase freq**n * x is reduced mod 2 exactly before its cosine is
+    taken, so every cosine sees an argument in about [-pi, pi] and the
+    sum is off by a few ulps of sum_n amp**n, at any x.  x mod 2 (an
+    exact fmod) times 2**61 is an integer W below 2**62 plus a fraction
+    that is nonzero only within 2**-9 of an even integer.  The
+    product W * 4 * freq**n wraps in uint64 to a residue mod 2**64 which,
+    read as an int64 and scaled by 2**-63, is W * freq**n * 2**-61 mod 2
+    in [-1, 1) half-turns, exact up to the one rounding to a double.  The
+    fraction adds freq**n * frac * 2**-61 < 2**-8 half-turns, where one
+    float product is exact enough.  Every point's value is the same bits
+    whatever shape or call it is evaluated in, and f(nan) is nan.
     """
     amp = float(amp)
     if not 0.0 < amp < 1.0:
@@ -195,13 +214,30 @@ def make_weierstrass(amp: float = 0.5, freq: int = 3,
                          f"past 2**{WEIERSTRASS_MAX_BITS}")
 
     amps = amp ** np.arange(n_terms)
-    freqs = np.pi * np.asarray(freq, dtype=float) ** np.arange(n_terms)
+    freqs = np.array([freq ** n for n in range(n_terms)], dtype=np.uint64)
+    # W * 4 * freq**n mod 2**64 is W * freq**n * 2**-61 mod 2 in units of 2**-63
+    turns = 4 * freqs
+    fine = np.pi / _PHASE_SCALE * freqs.astype(float)
 
     def f(x):
-        arr = np.asarray(x, dtype=float)
+        # non-finite x has no residue: its phases come out nan, quietly
+        with np.errstate(invalid="ignore"):
+            scaled = np.fmod(np.asarray(x, dtype=float), 2.0) * _PHASE_SCALE
+            whole = scaled.astype(np.int64)
+        frac = scaled - whole
+        # the residues turn into radians in place: one (points x terms) array
+        phase = np.multiply.outer(whole.view(np.uint64), turns)
+        phase = np.multiply(phase.view(np.int64), np.pi * 2.0 ** -63,
+                            out=phase.view(np.float64))
+        # frac is zero away from the even integers: add it only where not
+        if frac.any():
+            near = frac != 0.0
+            phase[near] += np.multiply.outer(frac[near], fine)
+        np.cos(phase, out=phase)
+        phase *= amps
         # a sum along the last axis rounds each point alike whatever else
         # shares the call; a BLAS product does not
-        return _descale((np.cos(arr[..., None] * freqs) * amps).sum(axis=-1))
+        return _descale(phase.sum(axis=-1))
 
     exponent = float(np.log(1.0 / amp) / np.log(freq))
     marks = tuple(MarkedPoint(float(x), exponent, UNDEFINED, UNDEFINED)

@@ -99,15 +99,17 @@ class TestRlIntegral:
     @pytest.mark.parametrize("config", [QuadratureConfig(2 ** 17),
                                         QuadratureConfig(2 ** 11, QuadScheme.JACOBI_WEIGHTED)])
     def test_start_past_the_cap_evaluates_nothing(self, config):
+        # on one point, on none and on a batch alike
         calls = []
 
         def f(t):
             calls.append(np.size(t))
             return np.asarray(t, dtype=float)
 
-        with pytest.raises(QuadratureError,
-                           match=f"{config.n_nodes} starting nodes leave no room to double"):
-            rl_integral(f, 0.0, 0.5, 1.0, config)
+        for x in (1.0, np.empty(0), [1.0, 1.5]):
+            with pytest.raises(QuadratureError,
+                               match=f"{config.n_nodes} starting nodes leave no room to double"):
+                rl_integral(f, 0.0, 0.5, x, config)
         assert calls == []
 
     def test_reflected_interval_must_lie_in_the_domain(self):
@@ -194,6 +196,8 @@ class TestRlDerivative:
         config = QuadratureConfig(n_nodes=GRADED_NODE_CAP)
         with pytest.raises(ValueError, match="difference step 0.5 must stay below"):
             rl_derivative(f, 0.0, 0.5, [0.3, 0.4], config, h_diff=[0.5, 0.05])
+        with pytest.raises(QuadratureError, match="starting nodes leave no room to double"):
+            rl_derivative(f, 0.0, 0.5, np.empty(0), config)
         assert calls == []
 
     def test_unsettled_point_before_a_bad_step_raises_first(self):

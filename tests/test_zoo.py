@@ -1,5 +1,10 @@
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracvel import (
     SMOOTH,
@@ -155,6 +160,72 @@ class TestWeierstrass:
         x = 0.37
         expect = sum(0.6 ** n * np.cos(2 ** n * np.pi * x) for n in range(12))
         assert f(x) == pytest.approx(expect, rel=1e-14)
+
+
+# (amp, freq, n_terms): the benchmark's freq-4 holder member, the default, the
+# benchmark's freq-2 scan member, and the two top frequencies at 2**53
+WEIERSTRASS_MEMBERS = [(0.35, 4, 24), (0.5, 3, 24), (0.68, 2, 24), (0.5, 3, 34), (0.6, 2, 54)]
+
+# Error bound against exact_phase_sum, in eps = 2**-52 times sum amp**n.
+# Per term each side rounds a phase of at most pi three or four times
+# (at most 2*pi eps), then the cosine and the amplitude product (eps);
+# numpy's pairwise sum of up to 54 terms chains at most 14 additions
+# (7 eps), fsum rounds once (eps / 2).
+EXACT_PHASE_EPS = 2 * (2 * math.pi + 1) + 7.5
+
+abscissae = st.one_of(
+    st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True),
+    st.builds(lambda sign, e: sign * 2.0 ** e,
+              st.sampled_from((-1.0, 1.0)), st.floats(-60.0, -5.0)),
+    st.sampled_from((0.0, -0.0, 5e-324, -2.5e-310)),
+)
+
+
+def exact_phase_sum(amp, freq, n_terms, x):
+    """The series with each phase freq**n * x reduced mod 2 in exact rationals."""
+    terms = []
+    for n in range(n_terms):
+        r = Fraction(x) * freq ** n % 2
+        terms.append(amp ** n * math.cos(math.pi * float(r - 2 if r > 1 else r)))
+    return math.fsum(terms)
+
+
+class TestWeierstrassPhase:
+    @pytest.mark.parametrize("amp, freq, n_terms", WEIERSTRASS_MEMBERS)
+    @settings(max_examples=60, deadline=None)
+    @given(xs=st.lists(abscissae, min_size=1, max_size=8))
+    def test_sum_matches_exact_phase_reference(self, amp, freq, n_terms, xs):
+        got = make_weierstrass(amp, freq, n_terms)(np.array(xs))
+        want = np.array([exact_phase_sum(amp, freq, n_terms, x) for x in xs])
+        tol = EXACT_PHASE_EPS * np.finfo(float).eps * (1.0 - amp ** n_terms) / (1.0 - amp)
+        assert np.abs(got - want).max() <= tol
+
+    @pytest.mark.parametrize("amp, freq, n_terms", WEIERSTRASS_MEMBERS)
+    def test_point_gets_the_same_bits_in_any_shape(self, amp, freq, n_terms):
+        # the oscillation ladder's nested grids and variation_values'
+        # (points x increments) rows evaluate one point in calls of every
+        # shape; 5e-324 and 2**-20 take the sub-grid fraction's branch
+        f = make_weierstrass(amp, freq, n_terms)
+        rng = np.random.default_rng(7)
+        x = np.concatenate([rng.uniform(-2.0, 2.0, 39),
+                            [0.0, -0.0, 5e-324, 2.0 ** -20, -2.0 ** -9, 1.0]])
+        row = f(x)
+        assert [f(float(v)) for v in x] == row.tolist()
+        grid = x[:, None] + np.array([0.0, 2.0 ** -10, -2.0 ** -7, 1e-9])
+        values = f(grid)
+        assert values.shape == grid.shape
+        assert np.array_equal(values, f(grid.ravel()).reshape(grid.shape))
+        for col in range(grid.shape[1]):
+            assert np.array_equal(values[:, col], f(grid[:, col]))
+
+    def test_non_finite_points_give_nan_quietly(self):
+        f = make_weierstrass(0.5, 3, 24)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(f(math.nan))
+            v = f(np.array([0.25, math.nan, -math.inf, 0.0]))
+        assert np.isnan(v[1:3]).all()
+        assert (v[0], v[3]) == (f(0.25), f(0.0))
 
 
 class TestPolynomial:
