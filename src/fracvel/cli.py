@@ -476,28 +476,43 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _csv_column(cells) -> list:
-    """_csv_cell of every cell, by one renderer when all cells share a type."""
+def _csv_column(cells) -> Tuple[list, bool]:
+    """_csv_cell of every cell, by one renderer when all cells share a type,
+    and whether that type's tokens never need quoting: float reprs and
+    null, true and false, and the values of an enum whose values are all
+    identifiers."""
     kinds = set(map(type, cells))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is str:
-        return list(cells)
+        return list(cells), False
     if kind is float:
-        return [repr(v) if math.isfinite(v) else "null" for v in cells]
+        return [repr(v) if math.isfinite(v) else "null" for v in cells], True
     if kind in (bool, np.bool_):
-        return ["true" if v else "false" for v in cells]
+        return ["true" if v else "false" for v in cells], True
     if kind is not None and issubclass(kind, enum.Enum):
-        return [str(v._value_) for v in cells]
-    return list(map(_csv_cell, cells))
+        return ([str(v._value_) for v in cells],
+                all(str(m._value_).isidentifier() for m in kind))
+    return list(map(_csv_cell, cells)), False
 
 
-def render_csv(header, rows) -> str:
-    """Header and rows as CSV, every cell rendered as _csv_cell renders it,
-    a column at a time; rows of unequal length raise ValueError."""
+def render_csv(header, rows=(), *, columns=None) -> str:
+    """Header names over cells given as rows or as columns, as CSV with
+    "\\n" line ends, every cell rendered as _csv_cell renders it, a column
+    at a time.  When the header names are identifiers and _csv_column finds
+    every column's tokens free of quoting, the lines are joined directly;
+    otherwise csv.writer (QUOTE_MINIMAL) writes them, and it alone quotes.
+    Rows or columns of unequal length, or a header whose length is not the
+    number of columns, raise ValueError."""
+    if columns is None:
+        columns = list(zip(*rows, strict=True)) if rows else [()] * len(header)
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names over {len(columns)} columns")
+    rendered = [_csv_column(cells) for cells in columns]
+    lines = (header, *zip(*[tokens for tokens, _ in rendered], strict=True))
+    if all(plain for _, plain in rendered) and all(map(str.isidentifier, header)):
+        return "\n".join(map(",".join, lines)) + "\n"
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*map(_csv_column, zip(*rows, strict=True))))
+    csv.writer(buf, lineterminator="\n").writerows(lines)
     return buf.getvalue()
 
 
@@ -505,7 +520,7 @@ def render_csv(header, rows) -> str:
 class RunResult:
     payload: object           # dict, or list of dicts for line-oriented output
     csv_header: Optional[Tuple[str, ...]] = None
-    csv_rows: Optional[list] = None
+    csv_columns: Optional[Sequence[Sequence]] = None
     json_lines: bool = False
 
 
@@ -520,7 +535,7 @@ def emit_report(result: RunResult, fmt: str = "json",
     elif fmt == "csv":
         if result.csv_header is None:
             raise UsageError("this command has no CSV form")
-        text = render_csv(result.csv_header, result.csv_rows or [])
+        text = render_csv(result.csv_header, columns=result.csv_columns)
     else:
         raise UsageError(f"unknown format {fmt!r}")
     if dest is None:
@@ -608,10 +623,10 @@ def _run_analyze(cfg: RunConfig) -> RunResult:
     }
     header = ("direction", "status", "value", "residual",
               "c1_constant", "c1_holds")
-    rows = [(name, r["status"], r["value"], r["residual"],
-             r["c1_constant"], r["c1_holds"])
-            for name, r in sorted(reports.items())]
-    return RunResult(payload, header, rows)
+    ordered = sorted(reports.items())
+    columns = [tuple(Direction(name) for name, _ in ordered)]
+    columns += [tuple(r[key] for _, r in ordered) for key in header[1:]]
+    return RunResult(payload, header, columns)
 
 
 def _run_holder(cfg: RunConfig) -> RunResult:
@@ -637,9 +652,10 @@ def _run_holder(cfg: RunConfig) -> RunResult:
     }
     header = ("x", "direction", "exponent", "constant", "r_squared",
               "scale_min", "scale_max", "low_confidence")
-    rows = [(cfg.x, d, est.exponent, est.constant, est.r_squared,
-             est.scale_range[0], est.scale_range[1], est.low_confidence)]
-    return RunResult(payload, header, rows)
+    columns = [(v,) for v in (cfg.x, d, est.exponent, est.constant, est.r_squared,
+                              est.scale_range[0], est.scale_range[1],
+                              est.low_confidence)]
+    return RunResult(payload, header, columns)
 
 
 def _run_scan(cfg: RunConfig) -> RunResult:
@@ -661,7 +677,7 @@ def _run_scan(cfg: RunConfig) -> RunResult:
         "flagged_fraction": rep.flagged_fraction,
         "meta": _meta(),
     }
-    return RunResult(payload, rep.points._fields, list(zip(*rep.points)))
+    return RunResult(payload, rep.points._fields, rep.points)
 
 
 def _run_lfd(cfg: RunConfig) -> RunResult:
@@ -690,9 +706,10 @@ def _run_lfd(cfg: RunConfig) -> RunResult:
     }
     header = ("a", "beta", "direction", "lfd_status", "lfd_value",
               "velocity_scaled", "equivalence_gap", "passed")
-    rows = [(rep.a, rep.beta, rep.direction, rep.lfd.status, rep.lfd.value,
-             rep.velocity_scaled, rep.equivalence_gap, rep.passed)]
-    return RunResult(payload, header, rows)
+    columns = [(v,) for v in (rep.a, rep.beta, rep.direction, rep.lfd.status,
+                              rep.lfd.value, rep.velocity_scaled,
+                              rep.equivalence_gap, rep.passed)]
+    return RunResult(payload, header, columns)
 
 
 def _run_verify(cfg: RunConfig) -> RunResult:
@@ -726,8 +743,9 @@ def _run_verify(cfg: RunConfig) -> RunResult:
                     ";".join(f"{k}={_float_token(float(v))}"
                              for k, v in sorted(verdict.witness.items())))
     header = ("theorem", "holds", "witness", "notes")
-    rows = [(verdict.theorem, verdict.holds, witness_text, verdict.notes)]
-    return RunResult(payload, header, rows)
+    columns = [(v,) for v in (verdict.theorem, verdict.holds, witness_text,
+                              verdict.notes)]
+    return RunResult(payload, header, columns)
 
 
 _HANDLERS = {

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import enum
 import io
 import json
 import math
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fracvel import Direction, EpsilonSchedule, default_zoo
+from fracvel import (Direction, EpsilonSchedule, LimitStatus, QuadScheme, Theorem,
+                     default_zoo)
+from fracvel import cli
 from fracvel.cli import (
     DataError,
     _build_parser,
@@ -23,6 +26,7 @@ from fracvel.cli import (
     render_json,
 )
 from fracvel.rlcalc import DEFAULT_APPROACH
+from fracvel.scanner import scan_change_set
 
 
 def write_samples(path, xs, ys):
@@ -309,6 +313,44 @@ class TestSampledAnalyze:
             "coarsen the schedule or resample the data\n")
 
 
+_CSV_SPECIALS = st.sampled_from([",", '"', "\r", "\n", "", "a,b", 'say "x"', "\r\n"])
+_CSV_FLOATS = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf,
+                                             1e16, 5e-324])
+# cell strategies by kind; the first group renders tokens that never need quoting
+_TYPED_CELLS = {
+    "float": _CSV_FLOATS,
+    "bool": st.booleans(),
+    "np.bool_": st.booleans().map(np.bool_),
+    **{e.__name__: st.sampled_from(list(e))
+       for e in (Direction, LimitStatus, QuadScheme, Theorem)},
+}
+_OTHER_CELLS = {
+    "np.float64": _CSV_FLOATS.map(np.float64),
+    "int": st.integers(),
+    "text": st.text() | _CSV_SPECIALS,
+    "mixed": st.one_of(*_TYPED_CELLS.values(), st.integers(), st.text()),
+    "quoted enum": st.sampled_from(list(enum.Enum("Quoted", {"A": "a,b", "E": ""}))),
+}
+
+
+@st.composite
+def _csv_tables(draw):
+    """(header, columns): columns of one kind each, either all of a kind
+    that never needs quoting under identifier names, or of any kind under
+    any names."""
+    typed_only = draw(st.booleans())
+    cells = _TYPED_CELLS if typed_only else {**_TYPED_CELLS, **_OTHER_CELLS}
+    kinds = draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=5))
+    n_rows = draw(st.integers(0, 6))
+    columns = [tuple(draw(st.lists(cells[k], min_size=n_rows, max_size=n_rows)))
+               for k in kinds]
+    names = st.sampled_from(["x", "value", "c1_holds"])
+    if not typed_only:
+        names = names | st.text() | _CSV_SPECIALS
+    header = tuple(draw(st.lists(names, min_size=len(kinds), max_size=len(kinds))))
+    return header, columns
+
+
 class TestRendering:
     def test_keys_sorted_and_floats_repr(self):
         text = render_json({"b": 0.1, "a": 2.0, "z": [1, True, None]})
@@ -382,6 +424,56 @@ class TestRendering:
         assert text == "a,b\n1.0,true\nnull,false\n"
         assert "\r" not in text
 
+    @settings(max_examples=200, deadline=None)
+    @given(_csv_tables())
+    @example((("x", "y", "z"), [
+        (-0.0, math.nan, math.inf, -math.inf, 1e16, 5e-324),
+        tuple(map(np.float64, (0.1, -0.0, math.nan, 1e16, 5e-324, 2.5))),
+        (",", '"', "\r", "\n", "", "a\r\nb")]))
+    @example((("x", "flagged", "status"), [
+        (0.5, -0.0, 5e-324), (True, False, True),
+        (LimitStatus.CONVERGED, LimitStatus.DIVERGED, LimitStatus.OSCILLATORY)]))
+    @example((("notes",), [("",)]))
+    def test_csv_bytes_match_the_csv_module(self, table):
+        # typed-only tables are joined directly, any other goes through
+        # csv.writer; either way the bytes are csv.writer's
+        header, columns = table
+        rows = list(zip(*columns))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_csv_cell(c) for c in row] for row in rows)
+        assert render_csv(header, columns=columns) == buf.getvalue()
+        assert render_csv(header, rows) == buf.getvalue()
+
+    def test_csv_header_and_columns_of_unequal_count_rejected(self):
+        with pytest.raises(ValueError):
+            render_csv(("a", "b", "c"), [(1.0, 2.0), (3.0, 4.0)])
+        with pytest.raises(ValueError):
+            render_csv(("a", "b", "c"), columns=[(1.0, 3.0), (2.0, 4.0)])
+        with pytest.raises(ValueError):
+            render_csv(("a", "b"), columns=[(1.0, 3.0), (2.0,)])
+
+    def test_typed_reports_never_call_the_csv_writer(self, capsys, monkeypatch):
+        def no_writer(*args, **kwargs):
+            raise AssertionError("csv.writer called")
+
+        monkeypatch.setattr(csv, "writer", no_writer)
+        columns = [(0.5, math.nan), (Direction.FORWARD, Direction.BACKWARD),
+                   (np.bool_(True), np.bool_(False))]
+        text = render_csv(("x", "direction", "flagged"), columns=columns)
+        assert text == "x,direction,flagged\n0.5,forward,true\nnull,backward,false\n"
+        for argv, first in (
+                (["scan", "--fn", "cusp:", "--interval=-1,1", "--beta", "0.5",
+                  "--n", "11"], "x,"),
+                (["analyze", "--fn", "cusp:", "--x", "0", "--beta", "0.5"], "direction,"),
+                (["holder", "--fn", "cusp:beta=0.5", "--x", "0.1"], "x,"),
+                (["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5"], "a,")):
+            assert main(argv + ["--format", "csv"]) == 0
+            assert capsys.readouterr().out.startswith(first)
+        with pytest.raises(AssertionError, match="csv.writer called"):
+            render_csv(("theorem", "notes"), columns=[(Theorem.ROLLE,), ("a, b",)])
+
 
 class TestMainCommands:
     def test_zoo_list_json_lines(self, capsys):
@@ -444,6 +536,29 @@ class TestMainCommands:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "x,direction,status,value,flagged"
         assert len(lines) == 1 + 2 * 11 - 2
+
+    def test_scan_csv_is_what_csv_writer_renders_from_the_points(self, capsys,
+                                                                 monkeypatch):
+        # a 250-point grid of step 2**-8 with the cusp on a grid point
+        reports = []
+
+        def recording_scan(*args):
+            reports.append(scan_change_set(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "scan_change_set", recording_scan)
+        code = main(["scan", "--fn", "cusp:a=0.125,beta=0.5",
+                     "--interval=-0.484375,0.48828125", "--beta", "0.5",
+                     "--n", "250", "--format", "csv"])
+        assert code == 0
+        points = reports[0].points
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(points._fields)
+        writer.writerows([_csv_cell(c) for c in row] for row in zip(*points))
+        out = capsys.readouterr().out
+        assert out == buf.getvalue()
+        assert len(points.x) == 2 * 250 - 2 and "0.125,forward,converged" in out
 
     def test_scan_json_flags_cusp(self, capsys):
         code = main(["scan", "--fn", "cusp:", "--interval=-1,1",
