@@ -45,7 +45,6 @@ from .errors import (
 from .estimator import (
     DEFAULT_TOL,
     EpsilonSchedule,
-    VelocityReport,
     estimate_holder_exponent,
     estimate_velocity,
 )
@@ -81,9 +80,10 @@ MIN_SAMPLE_ROWS = 16
 SAMPLE_FLOOR_GAPS = 4.0
 
 # Largest --count and --approach-count.  A schedule allocates all its
-# steps before the round-off floor cuts it, and a scan compares every
-# grid point with every step as one (--n x --count) array, so this cap
-# and MAX_GRID_N together bound a run's memory.
+# steps before the round-off floor cuts it, and a scan holds a few columns
+# per probe of its --n grid points and takes (probes x steps) work a block
+# of at most EVAL_CALL_POINTS entries at a time, so this cap and MAX_GRID_N
+# together bound a run's memory.
 MAX_COUNT = 1024
 
 # Largest --n for scan and verify.
@@ -219,8 +219,8 @@ def build_function(spec: str):
                            _pop_float(params, "a", 0.0))
         elif kind == "weierstrass":
             f = make_weierstrass(_pop_float(params, "amp", 0.5),
-                                 int(_pop_float(params, "freq", 3)),
-                                 int(_pop_float(params, "n_terms", 24)))
+                                 _pop_float(params, "freq", 3),
+                                 _pop_float(params, "n_terms", 24))
         elif kind == "poly":
             raw = params.pop("coeffs", None)
             if raw is None:
@@ -238,7 +238,7 @@ def build_function(spec: str):
                 except ValueError:
                     raise UsageError(f"bad domain {dom!r}, expected lo;hi") from None
                 f = make_polynomial(coeffs, (lo, hi))
-    except (ValueError, OverflowError) as e:   # int() of an infinite count overflows
+    except (ValueError, OverflowError) as e:   # int() of an infinite freq or n_terms overflows
         if isinstance(e, UsageError):
             raise
         raise UsageError(str(e)) from None
@@ -413,12 +413,6 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     return cfg
 
 
-def _default_tol(cfg: RunConfig) -> float:
-    if cfg.tol is not None:
-        return cfg.tol
-    return {"scan": SCAN_TOL, "verify": VERIFY_TOL}.get(cfg.command, DEFAULT_TOL)
-
-
 def _effective_schedule(cfg: RunConfig, f) -> EpsilonSchedule:
     """The command line's schedule, cut at a sampled function's floor."""
     base = EpsilonSchedule(cfg.eps0, cfg.ratio, cfg.count)
@@ -495,16 +489,14 @@ def _csv_column(cells) -> Tuple[list, bool]:
     return list(map(_csv_cell, cells)), False
 
 
-def render_csv(header, rows=(), *, columns=None) -> str:
-    """Header names over cells given as rows or as columns, as CSV with
-    "\\n" line ends, every cell rendered as _csv_cell renders it, a column
-    at a time.  When the header names are identifiers and _csv_column finds
-    every column's tokens free of quoting, the lines are joined directly;
-    otherwise csv.writer (QUOTE_MINIMAL) writes them, and it alone quotes.
-    Rows or columns of unequal length, or a header whose length is not the
-    number of columns, raise ValueError."""
-    if columns is None:
-        columns = list(zip(*rows, strict=True)) if rows else [()] * len(header)
+def render_csv(header, columns) -> str:
+    """Header names over columns of cells, as CSV with "\\n" line ends,
+    every cell rendered as _csv_cell renders it, a column at a time.  When
+    the header names are identifiers and _csv_column finds every column's
+    tokens free of quoting, the lines are joined directly; otherwise
+    csv.writer (QUOTE_MINIMAL) writes them, and it alone quotes.  Columns
+    of unequal length, or a header whose length is not the number of
+    columns, raise ValueError."""
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header names over {len(columns)} columns")
     rendered = [_csv_column(cells) for cells in columns]
@@ -519,8 +511,7 @@ def render_csv(header, rows=(), *, columns=None) -> str:
 @dataclass
 class RunResult:
     payload: object           # dict, or list of dicts for line-oriented output
-    csv_header: Optional[Tuple[str, ...]] = None
-    csv_columns: Optional[Sequence[Sequence]] = None
+    table: Optional[Sequence[Tuple[str, Sequence]]] = None   # CSV (name, column) pairs
     json_lines: bool = False
 
 
@@ -533,9 +524,9 @@ def emit_report(result: RunResult, fmt: str = "json",
         else:
             text = render_json(result.payload) + "\n"
     elif fmt == "csv":
-        if result.csv_header is None:
+        if result.table is None:
             raise UsageError("this command has no CSV form")
-        text = render_csv(result.csv_header, columns=result.csv_columns)
+        text = render_csv(*zip(*result.table))
     else:
         raise UsageError(f"unknown format {fmt!r}")
     if dest is None:
@@ -547,16 +538,8 @@ def emit_report(result: RunResult, fmt: str = "json",
 
 
 # ---------------------------------------------------------------------------
-# command handlers
-
-def _meta() -> dict:
-    return {"tool": "fracvel", "version": __version__}
-
-
-def _fn_info(f) -> dict:
-    lo, hi = getattr(f, "domain", (-math.inf, math.inf))
-    return {"id": getattr(f, "id", "callable"), "domain": [lo, hi]}
-
+# command handlers: each takes the command line, its function, the schedule
+# cut for it and its tolerance, and returns its own keys and CSV table
 
 def _limit_dict(est) -> dict:
     return {
@@ -565,13 +548,6 @@ def _limit_dict(est) -> dict:
         "residual": est.residual,
         "tail_values": list(est.tail_values),
     }
-
-
-def _velocity_dict(rep: VelocityReport) -> dict:
-    d = _limit_dict(rep.limit)
-    d["c1_constant"] = rep.c1_constant
-    d["c1_holds"] = rep.c1_holds
-    return d
 
 
 def _schedule_dict(schedule: EpsilonSchedule, x: float) -> dict:
@@ -585,58 +561,50 @@ def _schedule_dict(schedule: EpsilonSchedule, x: float) -> dict:
     }
 
 
-def _run_zoo(cfg: RunConfig) -> RunResult:
-    items = []
-    for f in default_zoo():
-        items.append({
-            "id": f.id,
-            "domain": [f.domain[0], f.domain[1]],
-            "marks": [{
-                "x": m.x,
-                "holder_exponent": m.holder_exponent,
-                "velocity_plus": m.velocity_plus,
-                "velocity_minus": m.velocity_minus,
-            } for m in f.marks],
-        })
-    return RunResult(items, json_lines=True)
+def _one_row(**cells) -> list:
+    """A CSV table of one row: each cell a column of its own."""
+    return [(name, (v,)) for name, v in cells.items()]
 
 
-def _run_analyze(cfg: RunConfig) -> RunResult:
-    f = build_function(cfg.fn)
-    tol = _default_tol(cfg)
-    schedule = _effective_schedule(cfg, f)
+def _run_zoo() -> RunResult:
+    return RunResult([{
+        "id": f.id,
+        "domain": [f.domain[0], f.domain[1]],
+        "marks": [{
+            "x": m.x,
+            "holder_exponent": m.holder_exponent,
+            "velocity_plus": m.velocity_plus,
+            "velocity_minus": m.velocity_minus,
+        } for m in f.marks],
+    } for f in default_zoo()], json_lines=True)
+
+
+def _run_analyze(cfg: RunConfig, f, schedule: EpsilonSchedule, tol: float) -> RunResult:
     dirs = ([_DIRECTIONS[cfg.direction]] if cfg.direction in _DIRECTIONS
             else [Direction.FORWARD, Direction.BACKWARD])
     reports = {}
     for d in dirs:
         rep = estimate_velocity(f, cfg.x, cfg.beta, d, schedule, tol)
-        reports[d.value] = _velocity_dict(rep)
-    payload = {
-        "command": "analyze",
-        "function": _fn_info(f),
+        reports[d.value] = dict(_limit_dict(rep.limit), c1_constant=rep.c1_constant,
+                                c1_holds=rep.c1_holds)
+    ordered = sorted(reports.items())
+    table = [("direction", [Direction(name) for name, _ in ordered])]
+    table += [(key, [r[key] for _, r in ordered])
+              for key in ("status", "value", "residual", "c1_constant", "c1_holds")]
+    return RunResult({
         "x": cfg.x,
         "beta": cfg.beta,
         "tol": tol,
         "schedule": _schedule_dict(schedule, cfg.x),
         "reports": reports,
-        "meta": _meta(),
-    }
-    header = ("direction", "status", "value", "residual",
-              "c1_constant", "c1_holds")
-    ordered = sorted(reports.items())
-    columns = [tuple(Direction(name) for name, _ in ordered)]
-    columns += [tuple(r[key] for _, r in ordered) for key in header[1:]]
-    return RunResult(payload, header, columns)
+    }, table)
 
 
-def _run_holder(cfg: RunConfig) -> RunResult:
-    f = build_function(cfg.fn)
-    schedule = _effective_schedule(cfg, f)
+def _run_holder(cfg: RunConfig, f, schedule: EpsilonSchedule, tol: float) -> RunResult:
     d = _DIRECTIONS[cfg.direction]
     est = estimate_holder_exponent(f, cfg.x, d, schedule)
-    payload = {
-        "command": "holder",
-        "function": _fn_info(f),
+    lo, hi = est.scale_range
+    return RunResult({
         "x": cfg.x,
         "direction": d,
         "schedule": _schedule_dict(schedule, cfg.x),
@@ -644,29 +612,19 @@ def _run_holder(cfg: RunConfig) -> RunResult:
             "exponent": est.exponent,
             "constant": est.constant,
             "r_squared": est.r_squared,
-            "scale_range": [est.scale_range[0], est.scale_range[1]],
+            "scale_range": [lo, hi],
             "low_confidence": est.low_confidence,
             "superlinear": est.superlinear,
         },
-        "meta": _meta(),
-    }
-    header = ("x", "direction", "exponent", "constant", "r_squared",
-              "scale_min", "scale_max", "low_confidence")
-    columns = [(v,) for v in (cfg.x, d, est.exponent, est.constant, est.r_squared,
-                              est.scale_range[0], est.scale_range[1],
-                              est.low_confidence)]
-    return RunResult(payload, header, columns)
+    }, _one_row(x=cfg.x, direction=d, exponent=est.exponent, constant=est.constant,
+                r_squared=est.r_squared, scale_min=lo, scale_max=hi,
+                low_confidence=est.low_confidence))
 
 
-def _run_scan(cfg: RunConfig) -> RunResult:
-    f = build_function(cfg.fn)
-    tol = _default_tol(cfg)
-    schedule = _effective_schedule(cfg, f)
+def _run_scan(cfg: RunConfig, f, schedule: EpsilonSchedule, tol: float) -> RunResult:
     rep = scan_change_set(f, cfg.interval, cfg.beta, cfg.n,
                           cfg.threshold, schedule, tol)
-    payload = {
-        "command": "scan",
-        "function": _fn_info(f),
+    return RunResult({
         "interval": [rep.interval[0], rep.interval[1]],
         "beta": rep.beta,
         "n": rep.grid_points,
@@ -675,23 +633,15 @@ def _run_scan(cfg: RunConfig) -> RunResult:
         "flagged": [{"x": x, "value": v, "direction": d}
                     for x, v, d in rep.flagged],
         "flagged_fraction": rep.flagged_fraction,
-        "meta": _meta(),
-    }
-    return RunResult(payload, rep.points._fields, rep.points)
+    }, list(zip(rep.points._fields, rep.points)))
 
 
-def _run_lfd(cfg: RunConfig) -> RunResult:
-    f = build_function(cfg.fn)
-    schedule = _effective_schedule(cfg, f)
-    velocity_tol = _default_tol(cfg)
+def _run_lfd(cfg: RunConfig, f, schedule: EpsilonSchedule, tol: float) -> RunResult:
     approach = EpsilonSchedule(cfg.eps0, cfg.ratio, cfg.approach_count)
     config = QuadratureConfig(cfg.nodes, QuadScheme(cfg.scheme))
     rep = check_lfd_equivalence(f, cfg.x, cfg.beta, _DIRECTIONS[cfg.direction],
-                                schedule, velocity_tol, approach, config,
-                                cfg.kg_tol)
-    payload = {
-        "command": "lfd",
-        "function": _fn_info(f),
+                                schedule, tol, approach, config, cfg.kg_tol)
+    return RunResult({
         "a": rep.a,
         "beta": rep.beta,
         "direction": rep.direction,
@@ -702,20 +652,13 @@ def _run_lfd(cfg: RunConfig) -> RunResult:
         "combined_tolerance": rep.combined_tolerance,
         "passed": rep.passed,
         "scheme": cfg.scheme,
-        "meta": _meta(),
-    }
-    header = ("a", "beta", "direction", "lfd_status", "lfd_value",
-              "velocity_scaled", "equivalence_gap", "passed")
-    columns = [(v,) for v in (rep.a, rep.beta, rep.direction, rep.lfd.status,
-                              rep.lfd.value, rep.velocity_scaled,
-                              rep.equivalence_gap, rep.passed)]
-    return RunResult(payload, header, columns)
+    }, _one_row(a=rep.a, beta=rep.beta, direction=rep.direction,
+                lfd_status=rep.lfd.status, lfd_value=rep.lfd.value,
+                velocity_scaled=rep.velocity_scaled,
+                equivalence_gap=rep.equivalence_gap, passed=rep.passed))
 
 
-def _run_verify(cfg: RunConfig) -> RunResult:
-    f = build_function(cfg.fn)
-    tol = _default_tol(cfg)
-    schedule = _effective_schedule(cfg, f)
+def _run_verify(cfg: RunConfig, f, schedule: EpsilonSchedule, tol: float) -> RunResult:
     a, b = cfg.interval
     theorem = Theorem(cfg.theorem)
     if theorem is Theorem.ROLLE:
@@ -726,9 +669,10 @@ def _run_verify(cfg: RunConfig) -> RunResult:
     else:
         verdict = verify_weak_darboux(f, a, b, cfg.beta, cfg.n, schedule,
                                       tol, cfg.target)
-    payload = {
-        "command": "verify",
-        "function": _fn_info(f),
+    witness_text = ("" if verdict.witness is None else
+                    ";".join(f"{k}={_float_token(float(v))}"
+                             for k, v in sorted(verdict.witness.items())))
+    return RunResult({
         "theorem": verdict.theorem,
         "interval": [a, b],
         "beta": cfg.beta,
@@ -737,25 +681,35 @@ def _run_verify(cfg: RunConfig) -> RunResult:
         "holds": verdict.holds,
         "witness": verdict.witness,
         "notes": verdict.notes,
-        "meta": _meta(),
-    }
-    witness_text = ("" if verdict.witness is None else
-                    ";".join(f"{k}={_float_token(float(v))}"
-                             for k, v in sorted(verdict.witness.items())))
-    header = ("theorem", "holds", "witness", "notes")
-    columns = [(v,) for v in (verdict.theorem, verdict.holds, witness_text,
-                              verdict.notes)]
-    return RunResult(payload, header, columns)
+    }, _one_row(theorem=verdict.theorem, holds=verdict.holds, witness=witness_text,
+                notes=verdict.notes))
 
 
 _HANDLERS = {
-    "zoo": _run_zoo,
     "analyze": _run_analyze,
     "holder": _run_holder,
     "scan": _run_scan,
     "lfd": _run_lfd,
     "verify": _run_verify,
 }
+
+
+def _run(cfg: RunConfig) -> RunResult:
+    """The report of cfg's command.  For every command but zoo, this is the
+    one place that builds the function, cuts its schedule and picks its
+    tolerance for the handler, and that adds the keys command, function
+    and meta to the handler's own."""
+    if cfg.command == "zoo":
+        return _run_zoo()
+    f = build_function(cfg.fn)
+    schedule = _effective_schedule(cfg, f)
+    tol = cfg.tol if cfg.tol is not None else (
+        {"scan": SCAN_TOL, "verify": VERIFY_TOL}.get(cfg.command, DEFAULT_TOL))
+    result = _HANDLERS[cfg.command](cfg, f, schedule, tol)
+    result.payload.update(command=cfg.command,
+                          function={"id": f.id, "domain": list(f.domain)},
+                          meta={"tool": "fracvel", "version": __version__})
+    return result
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -765,8 +719,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        result = _HANDLERS[cfg.command](cfg)
-        emit_report(result, cfg.fmt, cfg.out)
+        emit_report(_run(cfg), cfg.fmt, cfg.out)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -152,7 +152,11 @@ def _batch_limits(f, xs: np.ndarray, forward: np.ndarray, beta: float,
             fit_of[i] = fits.index(fit)
     # each fit's raw() padded with zeros, which no floor exceeds
     ladders = np.array([np.pad(fit.raw(), (0, schedule.count - fit.count)) for fit in fits])
-    kept = np.count_nonzero(ladders[fit_of] > _floor(xs)[:, None], axis=1)
+    # counted a block of probes at a time, so no (probes x steps) table is held
+    kept = np.empty(xs.size, dtype=int)
+    for block in _row_blocks(xs.size, schedule.count):
+        kept[block] = np.count_nonzero(
+            ladders[fit_of[block]] > _floor(xs[block])[:, None], axis=1)
     group = np.where(fit_of < 0, -1,
                      (2 * fit_of + ~forward) * (schedule.count + 1) + kept)
     status = np.full(xs.size, None, dtype=object)

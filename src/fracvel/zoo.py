@@ -196,15 +196,17 @@ def make_weierstrass(amp: float = 0.5, freq: int = 3,
     float product is exact enough.  Every point's value is the same bits
     whatever shape or call it is evaluated in, and f(nan) is nan.
     """
-    amp = float(amp)
+    # integral floats are taken as their ints; int() of inf or nan raises
+    for name, v in (("freq", freq), ("n_terms", n_terms)):
+        if int(v) != v:
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+    freq, n_terms, amp = int(freq), int(n_terms), float(amp)
     if not 0.0 < amp < 1.0:
         raise ValueError(f"amp must lie in (0, 1), got {amp}")
-    if int(freq) != freq or freq < 2:
+    if freq < 2:
         raise ValueError(f"freq must be an integer >= 2, got {freq!r}")
-    freq = int(freq)
     if amp * freq <= 1.0:
         raise ValueError("need amp*freq > 1 for a rough limit")
-    n_terms = int(n_terms)
     if n_terms < 8:
         raise ValueError("n_terms must be at least 8")
     # freq >= 2, so an exponent past the bit count fails without the power

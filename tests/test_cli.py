@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fracvel import (Direction, EpsilonSchedule, LimitStatus, QuadScheme, Theorem,
                      default_zoo)
+import fracvel
 from fracvel import cli
 from fracvel.cli import (
     DataError,
@@ -175,6 +176,10 @@ class TestBuildFunction:
     def test_weierstrass_defaults(self):
         f = build_function("weierstrass:")
         assert f.id.startswith("weierstrass(")
+
+    def test_weierstrass_integral_floats_are_their_ints(self):
+        f = build_function("weierstrass:freq=3.0,n_terms=8.0")
+        assert f.id == "weierstrass(amp=0.5,freq=3,n_terms=8)"
 
     def test_poly(self):
         f = build_function("poly:coeffs=0;0;1,domain=-1;1")
@@ -377,7 +382,7 @@ class TestRendering:
         flags = np.array([True, False])
         assert render_json({"f": flags[0], "g": flags}) == '{"f":true,"g":[true,false]}'
         assert _csv_cell(flags[0]) == "true" and _csv_cell(flags[1]) == "false"
-        text = render_csv(("x", "flagged"), [(0.5, flags[0]), (1.0, flags[1])])
+        text = render_csv(("x", "flagged"), [(0.5, 1.0), (flags[0], flags[1])])
         assert text == "x,flagged\n0.5,true\n1.0,false\n"
 
     @pytest.mark.parametrize("value,text", [
@@ -408,19 +413,15 @@ class TestRendering:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(("a", "b", "c"))
         writer.writerows([_csv_cell(c) for c in row] for row in rows)
-        assert render_csv(("a", "b", "c"), rows) == buf.getvalue()
-
-    def test_csv_rows_of_unequal_length_rejected(self):
-        with pytest.raises(ValueError):
-            render_csv(("a", "b"), [(1.0, 2.0), (3.0,)])
+        assert render_csv(("a", "b", "c"), list(zip(*rows))) == buf.getvalue()
 
     def test_csv_quotes_notes_with_commas(self):
         notes = "forward oscillatory, backward converged"
-        text = render_csv(("theorem", "notes"), [(Direction.FORWARD, notes)])
+        text = render_csv(("theorem", "notes"), [(Direction.FORWARD,), (notes,)])
         assert text == 'theorem,notes\nforward,"forward oscillatory, backward converged"\n'
 
     def test_csv_unix_newlines(self):
-        text = render_csv(("a", "b"), [(1.0, True), (math.inf, False)])
+        text = render_csv(("a", "b"), [(1.0, math.inf), (True, False)])
         assert text == "a,b\n1.0,true\nnull,false\n"
         assert "\r" not in text
 
@@ -443,16 +444,13 @@ class TestRendering:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([_csv_cell(c) for c in row] for row in rows)
-        assert render_csv(header, columns=columns) == buf.getvalue()
-        assert render_csv(header, rows) == buf.getvalue()
+        assert render_csv(header, columns) == buf.getvalue()
 
     def test_csv_header_and_columns_of_unequal_count_rejected(self):
         with pytest.raises(ValueError):
-            render_csv(("a", "b", "c"), [(1.0, 2.0), (3.0, 4.0)])
+            render_csv(("a", "b", "c"), [(1.0, 3.0), (2.0, 4.0)])
         with pytest.raises(ValueError):
-            render_csv(("a", "b", "c"), columns=[(1.0, 3.0), (2.0, 4.0)])
-        with pytest.raises(ValueError):
-            render_csv(("a", "b"), columns=[(1.0, 3.0), (2.0,)])
+            render_csv(("a", "b"), [(1.0, 3.0), (2.0,)])
 
     def test_typed_reports_never_call_the_csv_writer(self, capsys, monkeypatch):
         def no_writer(*args, **kwargs):
@@ -461,7 +459,7 @@ class TestRendering:
         monkeypatch.setattr(csv, "writer", no_writer)
         columns = [(0.5, math.nan), (Direction.FORWARD, Direction.BACKWARD),
                    (np.bool_(True), np.bool_(False))]
-        text = render_csv(("x", "direction", "flagged"), columns=columns)
+        text = render_csv(("x", "direction", "flagged"), columns)
         assert text == "x,direction,flagged\n0.5,forward,true\nnull,backward,false\n"
         for argv, first in (
                 (["scan", "--fn", "cusp:", "--interval=-1,1", "--beta", "0.5",
@@ -472,7 +470,7 @@ class TestRendering:
             assert main(argv + ["--format", "csv"]) == 0
             assert capsys.readouterr().out.startswith(first)
         with pytest.raises(AssertionError, match="csv.writer called"):
-            render_csv(("theorem", "notes"), columns=[(Theorem.ROLLE,), ("a, b",)])
+            render_csv(("theorem", "notes"), [(Theorem.ROLLE,), ("a, b",)])
 
 
 class TestMainCommands:
@@ -611,6 +609,42 @@ class TestMainCommands:
         code = main(["analyze", "--fn", spec, "--x", "0", "--beta", "0.5"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("spec,why", [
+        ("weierstrass:amp=0.6,freq=3.7", "freq must be an integer, got 3.7"),
+        ("weierstrass:n_terms=8.9", "n_terms must be an integer, got 8.9"),
+        ("weierstrass:freq=nan", "cannot convert float NaN to integer"),
+        ("weierstrass:n_terms=-inf", "cannot convert float infinity to integer"),
+    ])
+    def test_non_integral_weierstrass_exit_2(self, spec, why, capsys):
+        # refused, not truncated to a neighbouring member
+        code = main(["analyze", "--fn", spec, "--x", "0.1", "--beta", "0.5"])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {why}\n")
+
+    @pytest.mark.parametrize("argv,header", [
+        (["analyze", "--fn", "cusp:", "--x", "0", "--beta", "0.5"],
+         "direction,status,value,residual,c1_constant,c1_holds"),
+        (["holder", "--fn", "weierstrass:", "--x", "0.7", "--count", "12"],
+         "x,direction,exponent,constant,r_squared,scale_min,scale_max,low_confidence"),
+        (["scan", "--fn", "poly:coeffs=0;1,domain=-2;2", "--interval=-1,1", "--beta", "0.5",
+          "--n", "5"],
+         "x,direction,status,value,flagged"),
+        (["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5"],
+         "a,beta,direction,lfd_status,lfd_value,velocity_scaled,equivalence_gap,passed"),
+        (["verify", "--fn", "poly:coeffs=0;0;1", "--theorem", "rolle", "--interval=-1,1",
+          "--beta", "0.5", "--n", "11"],
+         "theorem,holds,witness,notes"),
+    ])
+    def test_every_report_has_the_envelope_and_its_header(self, argv, header, capsys):
+        f = build_function(argv[2])
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["command"] == argv[0]
+        assert payload["function"] == {"id": f.id, "domain": list(f.domain)}
+        assert payload["meta"] == {"tool": "fracvel", "version": fracvel.__version__}
+        assert main(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out.split("\n", 1)[0] == header
 
     @pytest.mark.parametrize("argv", [
         ["--theorem", "weak_darboux", "--interval=-1,0", "--beta", "0.5", "--n", "0"],

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ from fracvel import (
     AnalyticTestFunction,
     Direction,
     DomainError,
+    EpsilonSchedule,
     LimitStatus,
     PreconditionError,
     ScheduleUnderflowError,
@@ -155,6 +157,18 @@ class TestScanMatchesPointwiseLimits:
         assert len(groups) == 4
         assert sorted(shapes) == sorted((rows, k + 1) for (_, k), rows in groups.items())
         assert max(math.prod(s) for s in shapes) <= EVAL_CALL_POINTS
+
+    def test_deep_schedule_scan_holds_no_probes_by_steps_table(self):
+        # 8,192 probes by 1,024 steps would be 64 MiB of floats; ladder
+        # lengths are counted a block of probes at a time instead
+        tracemalloc.start()
+        try:
+            scan_change_set(make_power_cusp(), (-1, 1), 0.5, 4097,
+                            schedule=EpsilonSchedule(2 ** -4, 0.97, 1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_diverging_rows_reported(self):
         rep = scan_change_set(spike, (0.0, 1.0), 0.5, 17)

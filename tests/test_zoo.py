@@ -143,6 +143,8 @@ class TestWeierstrass:
             make_weierstrass(0.5, 1, 24)
         with pytest.raises(ValueError):
             make_weierstrass(0.5, 2.5, 24)
+        with pytest.raises(ValueError, match="n_terms must be an integer"):
+            make_weierstrass(0.5, 3, 8.9)
         with pytest.raises(ValueError):
             make_weierstrass(0.5, 3, 4)
 
