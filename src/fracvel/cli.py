@@ -45,8 +45,8 @@ from .errors import (
 from .estimator import (
     DEFAULT_TOL,
     EpsilonSchedule,
+    _velocity_reports,
     estimate_holder_exponent,
-    estimate_velocity,
 )
 from .rlcalc import (_RULES, DEFAULT_APPROACH, KG_TOL, MIN_NODES, QuadratureConfig,
                      QuadScheme, check_lfd_equivalence)
@@ -580,13 +580,11 @@ def _run_zoo() -> RunResult:
 
 
 def _run_analyze(cfg: RunConfig, f, schedule: EpsilonSchedule, tol: float) -> RunResult:
-    dirs = ([_DIRECTIONS[cfg.direction]] if cfg.direction in _DIRECTIONS
-            else [Direction.FORWARD, Direction.BACKWARD])
-    reports = {}
-    for d in dirs:
-        rep = estimate_velocity(f, cfg.x, cfg.beta, d, schedule, tol)
-        reports[d.value] = dict(_limit_dict(rep.limit), c1_constant=rep.c1_constant,
-                                c1_holds=rep.c1_holds)
+    dirs = ((_DIRECTIONS[cfg.direction],) if cfg.direction in _DIRECTIONS
+            else (Direction.FORWARD, Direction.BACKWARD))
+    reports = {rep.direction.value: dict(_limit_dict(rep.limit), c1_constant=rep.c1_constant,
+                                         c1_holds=rep.c1_holds)
+               for rep in _velocity_reports(f, cfg.x, cfg.beta, dirs, schedule, tol)}
     ordered = sorted(reports.items())
     table = [("direction", [Direction(name) for name, _ in ordered])]
     table += [(key, [r[key] for _, r in ordered])

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import enum
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -39,6 +40,9 @@ _TINY = np.finfo(float).tiny
 class Direction(enum.Enum):
     FORWARD = "forward"
     BACKWARD = "backward"
+
+
+_SIGN = {Direction.FORWARD: 1.0, Direction.BACKWARD: -1.0}
 
 
 def domain_of(f):
@@ -101,6 +105,13 @@ def _row_blocks(n_rows: int, row_len: int):
     return (slice(i, i + step) for i in range(0, n_rows, step))
 
 
+def _variation_quotient(fx, fe, beta: float, direction: Direction, eps):
+    """(f(x+eps) - f(x)) / eps**beta forward, (f(x) - f(x-eps)) / eps**beta
+    backward, from f(x) and the values fe at x +- eps."""
+    delta = fe - fx if direction is Direction.FORWARD else fx - fe
+    return delta / eps ** beta
+
+
 def variation_values(f, x, beta: float, direction: Direction, eps) -> np.ndarray:
     """Fractional variation difference/eps**beta over an array of increments.
 
@@ -123,11 +134,7 @@ def variation_values(f, x, beta: float, direction: Direction, eps) -> np.ndarray
     v = _feval(f, t)
     if v.shape != t.shape:
         v = np.broadcast_to(v, t.shape)
-    if direction is Direction.FORWARD:
-        delta = v[..., 1:] - v[..., :1]
-    else:
-        delta = v[..., :1] - v[..., 1:]
-    return delta / eps ** beta
+    return _variation_quotient(v[..., :1], v[..., 1:], beta, direction, eps)
 
 
 def _osc_offsets(n: int) -> np.ndarray:
@@ -136,81 +143,102 @@ def _osc_offsets(n: int) -> np.ndarray:
     return np.arange(n, dtype=float) / (n - 1)
 
 
-def _annulus_points(x: float, outer, inner, offs, direction: Direction):
-    # outer*o + inner*(1-o) is outer at o=1 and inner at o=0 exactly, at
-    # any ratio, so no point leaves the window [x, x+outer] (x-outer backward)
-    part = outer * offs + inner * (1.0 - offs)
-    return x + part if direction is Direction.FORWARD else x - part
+def _annulus_points(x: float, outer, inner, offs):
+    # outer and inner are signed distances from x, positive forward and
+    # negative backward; outer*o + inner*(1-o) is outer at o=1 and inner
+    # at o=0 exactly, at any ratio, so no point leaves the window between
+    # x and x+outer; and negating both distances negates each sum
+    # exactly, so a backward point x + -p is x - p bit for bit
+    return x + (outer * offs + inner * (1.0 - offs))
 
 
 def _annulus_extrema(f, x: float, outer: np.ndarray, inner: np.ndarray,
-                     offs: np.ndarray, direction: Direction):
+                     offs: np.ndarray, ends: Optional[np.ndarray] = None):
     """Max and min of f over the points of each annulus at offsets offs.
 
-    Row k holds the points between inner[k] and outer[k] away from x
-    (_annulus_points).  Whole rows go to f, in the blocks of _row_blocks.
-    Also returns the value at the last row's first offset: f(x) when that
-    row is [0, e] and offs starts at 0.
+    Row k holds the points between the signed distances inner[k] and
+    outer[k] from x (_annulus_points).  Whole rows go to f, in the
+    blocks of _row_blocks.  ends, when given, receives each row's values
+    at its first and last offset as its two columns: at offsets from 0
+    to 1, f(x + inner[k]) and f(x + outer[k]).
     """
     hi = np.empty(outer.size)
     lo = np.empty(outer.size)
     for rows in _row_blocks(outer.size, offs.size):
-        t = _annulus_points(x, outer[rows, None], inner[rows, None], offs, direction)
+        t = _annulus_points(x, outer[rows, None], inner[rows, None], offs)
         v = np.broadcast_to(_feval(f, t.ravel()), (t.size,)).reshape(t.shape)
         hi[rows] = v.max(axis=1)
         lo[rows] = v.min(axis=1)
-    return hi, lo, v[-1, 0]
+        if ends is not None:
+            ends[rows, 0] = v[:, 0]
+            ends[rows, 1] = v[:, -1]
+    return hi, lo
 
 
-def _osc_ladder(f, x: float, eps, direction: Direction, n0: int = OSC_N0,
+def _osc_ladder(f, x: float, eps, directions, n0: int = OSC_N0,
                 cap: int = OSC_SAMPLE_CAP):
-    """Sampled oscillation sup f - inf f over each window of eps, by doubling.
+    """Sampled oscillation sup f - inf f over each window of eps, by
+    doubling, on each side of directions.
 
     The window of an increment e is [x, x+e] forward and [x-e, x]
     backward.  eps runs from the largest increment down, as every
     schedule does, so each window holds all the deeper ones.  Row k of
-    the ladder samples only the annulus between eps[k+1] and eps[k] away
-    from x; the last row samples [0, eps[-1]], whose first point is x
-    itself.  A row starts from n0 uniform points, both ends included,
+    a side's ladder samples only the annulus between eps[k+1] and eps[k]
+    away from x; its last row samples [0, eps[-1]], whose first point is
+    x itself.  A row starts from n0 uniform points, both ends included,
     and doubles on nested grids n -> 2n-1.  Its stop rule reads the
     oscillation over its own samples plus f(x): the first doubling that
     gains less than OSC_REL_CHANGE relative stops that row
     (refined=True), and a row whose next grid would pass cap keeps its
     samples with refined=False.  A window's value is the max minus the
-    min over its own row and every deeper one, folded from the deepest
-    row out, so it never increases as e shrinks.  The library always
-    starts from OSC_N0 points under OSC_SAMPLE_CAP; n0 and cap are there
-    for tests (n0 = cap gives one fixed grid of n0 points per annulus,
-    and n0 is not checked).  Returns three arrays, one entry per
-    increment: the window's value, and the number of samples of its
-    annulus and that annulus's refined flag.
+    min over its own row and every deeper one of its side, folded from
+    the deepest row out, so it never increases as e shrinks.  The
+    library always starts from OSC_N0 points under OSC_SAMPLE_CAP; n0
+    and cap are there for tests (n0 = cap gives one fixed grid of n0
+    points per annulus, and n0 is not checked).
 
-    All rows are sampled together: the first grid in one pass, which
-    brings f(x) with it, then each doubling samples only the new
-    midpoints of the rows that have not settled, folding them into
-    running maxima and minima.  The nested grids make this exact: every
-    coarse offset reappears bit for bit at an even index of the finer
-    grid, so the extrema over the union are the extrema over the full
-    grid.  That holds for any f whose value at a point does not depend
-    on the other points of the call.
+    Every side's windows are checked, in the order of directions, before
+    anything is evaluated.  Returns five arrays with one row per
+    direction: each window's value, the number of samples of its annulus
+    and that annulus's refined flag, one per increment; f(x), one per
+    side; and f(x +- eps), one per increment.  The last two come from
+    the first grid, whose offsets 0 and 1 give the points x and x +- e
+    bit for bit as variation_values forms them, so they are the values
+    it would evaluate (_variation_quotient turns them into variations).
+
+    The rows of all sides are sampled together: the first grid in one
+    pass, then each doubling samples only the new midpoints of the rows
+    that have not settled, folding them into running maxima and minima.
+    The nested grids make this exact: every coarse offset reappears bit
+    for bit at an even index of the finer grid, so the extrema over the
+    union are the extrema over the full grid.  That holds for any f
+    whose value at a point does not depend on the other points of the
+    call.
     """
     eps = np.asarray(eps, dtype=float)
-    _check_windows(f, x, eps, direction)
-    inner = np.append(eps[1:], 0.0)
+    for direction in directions:
+        _check_windows(f, x, eps, direction)
+    sides, k = len(directions), eps.size
+    # each side's row of signed distances from x, down to its own zero
+    dist = np.array([_SIGN[d] for d in directions])[:, None] * np.concatenate((eps, [0.0]))
+    outer = dist[:, :-1].ravel()
+    inner = dist[:, 1:].ravel()
     n = int(n0)
-    hi, lo, fx = _annulus_extrema(f, x, eps, inner, _osc_offsets(n), direction)
-    # each row's stop rule reads f(x); the last row holds it already, so
-    # this leaves every fold unchanged
-    np.maximum(hi, fx, out=hi)
-    np.minimum(lo, fx, out=lo)
+    ends = np.empty((outer.size, 2))
+    hi, lo = _annulus_extrema(f, x, outer, inner, _osc_offsets(n), ends)
+    # each row's stop rule reads f(x); each side's last row holds it
+    # already, so this leaves every fold unchanged
+    fx = ends[k - 1::k, 0]
+    fx_rows = np.repeat(fx, k)
+    np.maximum(hi, fx_rows, out=hi)
+    np.minimum(lo, fx_rows, out=lo)
     own = hi - lo
-    n_samples = np.full(eps.size, n)
-    refined = np.zeros(eps.size, dtype=bool)
-    active = np.arange(eps.size)
+    n_samples = np.full(outer.size, n)
+    refined = np.zeros(outer.size, dtype=bool)
+    active = np.arange(outer.size)
     while active.size and 2 * n - 1 <= cap:
         n = 2 * n - 1
-        h, l, _ = _annulus_extrema(f, x, eps[active], inner[active],
-                                   _osc_offsets(n)[1::2], direction)
+        h, l = _annulus_extrema(f, x, outer[active], inner[active], _osc_offsets(n)[1::2])
         hi[active] = np.maximum(hi[active], h)
         lo[active] = np.minimum(lo[active], l)
         cur = hi[active] - lo[active]
@@ -219,6 +247,9 @@ def _osc_ladder(f, x: float, eps, direction: Direction, n0: int = OSC_N0,
         n_samples[active] = n
         refined[active] = settled
         active = active[~settled]
-    value = (np.maximum.accumulate(hi[::-1])[::-1]
-             - np.minimum.accumulate(lo[::-1])[::-1])
-    return value, n_samples, refined
+    hi = hi.reshape(sides, k)[:, ::-1]
+    lo = lo.reshape(sides, k)[:, ::-1]
+    value = (np.maximum.accumulate(hi, axis=1)[:, ::-1]
+             - np.minimum.accumulate(lo, axis=1)[:, ::-1])
+    return (value, n_samples.reshape(sides, k), refined.reshape(sides, k),
+            fx, ends[:, 1].reshape(sides, k))

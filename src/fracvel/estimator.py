@@ -167,6 +167,18 @@ def _classify_rows(values: np.ndarray, tol: float):
     return window, status, np.where(bounded, window[:, -1], math.nan), residual
 
 
+def _limit_estimates(values: np.ndarray, tol: float):
+    """classify_limit's LimitEstimate for each row of the 2-D values."""
+    window, status, value, residual = _classify_rows(values, tol)
+    out = []
+    for row, st, v, r in zip(window.tolist(), status, value.tolist(), residual.tolist()):
+        if st is LimitStatus.DIVERGED:
+            out.append(LimitEstimate(math.nan, st, math.nan, tuple(row)))
+        else:
+            out.append(LimitEstimate(v, st, r, tuple(row)))
+    return out
+
+
 def classify_limit(values, tol: float) -> LimitEstimate:
     """Classify a sequence indexed by shrinking increments.
 
@@ -176,20 +188,7 @@ def classify_limit(values, tol: float) -> LimitEstimate:
     within tol (ties included) is CONVERGED, else OSCILLATORY.  That
     spread, the residual, is also the c2 value of estimate_velocity.
     """
-    values = np.asarray(values, dtype=float).reshape(1, -1)
-    window, status, value, residual = _classify_rows(values, tol)
-    tail = tuple(float(v) for v in window[0])
-    if status[0] is LimitStatus.DIVERGED:
-        return LimitEstimate(math.nan, LimitStatus.DIVERGED, math.nan, tail)
-    return LimitEstimate(float(value[0]), status[0], float(residual[0]), tail)
-
-
-def _variations(f, x: float, beta: float, direction: Direction,
-                schedule: Optional[EpsilonSchedule]):
-    """The usable increments at x and the fractional variation over them."""
-    diffops._check_beta(beta)
-    eps = (schedule or DEFAULT_SCHEDULE).increments(x)
-    return eps, variation_values(f, x, beta, direction, eps)
+    return _limit_estimates(np.asarray(values, dtype=float).reshape(1, -1), tol)[0]
 
 
 def velocity_limit(f, x: float, beta: float, direction: Direction,
@@ -202,8 +201,9 @@ def velocity_limit(f, x: float, beta: float, direction: Direction,
     sampling is left out.  Scans, the interval verifiers and the LFD
     cross-check read only this.
     """
-    _, vals = _variations(f, x, beta, direction, schedule)
-    return classify_limit(vals, tol)
+    diffops._check_beta(beta)
+    eps = (schedule or DEFAULT_SCHEDULE).increments(x)
+    return classify_limit(variation_values(f, x, beta, direction, eps), tol)
 
 
 @dataclass(frozen=True)
@@ -234,6 +234,40 @@ class VelocityReport:
         return self.limit.residual
 
 
+def _velocity_reports(f, x: float, beta: float, directions,
+                      schedule: Optional[EpsilonSchedule], tol: float):
+    """estimate_velocity's VelocityReport for each of directions, in order.
+
+    One oscillation ladder samples every side together, and its first
+    grid brings f(x) and each f(x +- eps), the points variation_values
+    would evaluate, so the variations cost no evaluator call of their
+    own.  One _classify_rows call classifies every side's variations.
+    """
+    diffops._check_beta(beta)
+    eps = (schedule or DEFAULT_SCHEDULE).increments(x)
+    osc, _, _, fx, fe = diffops._osc_ladder(f, x, eps, directions)
+    vals = np.array([diffops._variation_quotient(f0, fs, beta, d, eps)
+                     for d, f0, fs in zip(directions, fx, fe)])
+    limits = _limit_estimates(vals, tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        growth = osc / eps ** beta
+    half = math.ceil(eps.size / 2)
+    # per side: whether every ratio is finite, the largest ratio, and the
+    # largest over the shallow and over the deep half
+    c1_stats = zip(np.isfinite(growth).all(axis=1).tolist(), growth.max(axis=1).tolist(),
+                   growth[:, :-half].max(axis=1).tolist(),
+                   growth[:, -half:].max(axis=1).tolist())
+    reports = []
+    for d, limit, (finite, top, shallow_ref, deep_max) in zip(directions, limits, c1_stats):
+        if shallow_ref > 0.0:
+            c1_holds = deep_max <= C1_RATIO_CUTOFF * shallow_ref
+        else:
+            c1_holds = deep_max == 0.0
+        reports.append(VelocityReport(float(x), float(beta), d, limit,
+                                      top if finite else math.inf, c1_holds))
+    return reports
+
+
 def estimate_velocity(f, x: float, beta: float, direction: Direction,
                       schedule: Optional[EpsilonSchedule] = None,
                       tol: float = DEFAULT_TOL) -> VelocityReport:
@@ -243,7 +277,9 @@ def estimate_velocity(f, x: float, beta: float, direction: Direction,
     oscillation ladder over the same increments adds c1: the growth
     ratios osc/eps**beta, their maximum as c1_constant, and c1_holds when
     the deep-half maximum stays within C1_RATIO_CUTOFF times the
-    shallow-half maximum.
+    shallow-half maximum.  The variations come from that ladder's first
+    grid, which samples every f(x +- eps) the limit reads, so the report
+    costs the ladder's evaluator calls alone.
 
     Parameters
     ----------
@@ -268,20 +304,7 @@ def estimate_velocity(f, x: float, beta: float, direction: Direction,
     -------
     VelocityReport
     """
-    eps, vals = _variations(f, x, beta, direction, schedule)
-    limit = classify_limit(vals, tol)
-    osc = diffops._osc_ladder(f, x, eps, direction)[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        growth = osc / eps ** beta
-    c1 = float(np.max(growth)) if np.all(np.isfinite(growth)) else math.inf
-    half = math.ceil(growth.size / 2)
-    shallow_ref = float(np.max(growth[:-half]))
-    deep_max = float(np.max(growth[-half:]))
-    if shallow_ref > 0.0:
-        c1_holds = deep_max <= C1_RATIO_CUTOFF * shallow_ref
-    else:
-        c1_holds = deep_max == 0.0
-    return VelocityReport(float(x), float(beta), direction, limit, c1, c1_holds)
+    return _velocity_reports(f, x, beta, (direction,), schedule, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -315,7 +338,7 @@ def estimate_holder_exponent(f, x: float, direction: Direction,
     """
     schedule = schedule or DEFAULT_SCHEDULE
     eps = schedule.increments(x)
-    osc = diffops._osc_ladder(f, x, eps, direction)[0]
+    osc = diffops._osc_ladder(f, x, eps, (direction,))[0][0]
     keep = osc > 0.0
     if not keep.any():
         raise LocallyConstantError(f"all oscillations vanish at x={x:g}")

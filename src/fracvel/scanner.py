@@ -26,6 +26,7 @@ from .diffops import Direction, _check_beta, _row_blocks, domain_of, variation_v
 from .errors import DomainError, PreconditionError
 from .estimator import (
     DEFAULT_SCHEDULE,
+    MIN_USABLE,
     EpsilonSchedule,
     LimitStatus,
     _classify_rows,
@@ -123,17 +124,23 @@ def _batch_limits(f, xs: np.ndarray, forward: np.ndarray, beta: float,
     margin falls short of eps0 need a fitted schedule of their own.
     Before anything is evaluated, each probe gets its fit and the length
     of its ladder above the round-off floor, which depends on
-    max(1, |x|).  Probes are grouped once, by one integer key of
-    direction, fit and length; each group, in the order of its first
-    probe, is evaluated as (points x increments) blocks of one evaluator
-    call each and classified row by row.
+    max(1, |x|).  A length below MIN_USABLE fails that probe before
+    any evaluation, so the first such probe ends the batch: only the
+    probes before it are evaluated.  Those are grouped once, by one
+    integer key of direction, fit and length; each group, in the order
+    of its first probe, is evaluated as (points x increments) blocks of
+    one evaluator call each and classified row by row.
 
     Returns (status, value, stop, error).  A failed batch does not say
     which probe failed first, so it is answered probe by probe through
     velocity_limit, in order: stop is the index of the first probe that
     fails by itself, error what it raises, and the arrays hold every
-    result before stop.  Otherwise stop is len(xs) and error None, and
-    a clean replay's results stand, as rl_integral's do.
+    result before stop.  When every probe before the first short ladder
+    passes, stop is that probe and error what velocity_limit raises
+    there (its order check, then the schedule's ScheduleUnderflowError),
+    with nothing at or past it evaluated.  Otherwise stop is len(xs)
+    and error None, and a clean replay's results stand, as
+    rl_integral's do.
     """
     lo, hi = domain_of(f)
     with np.errstate(invalid="ignore"):
@@ -157,11 +164,17 @@ def _batch_limits(f, xs: np.ndarray, forward: np.ndarray, beta: float,
     for block in _row_blocks(xs.size, schedule.count):
         kept[block] = np.count_nonzero(
             ladders[fit_of[block]] > _floor(xs[block])[:, None], axis=1)
+    # the first probe whose ladder the round-off floor cuts below
+    # MIN_USABLE ends the batch
+    underflow = np.flatnonzero((fit_of >= 0) & (kept < MIN_USABLE))
+    stop = int(underflow[0]) if underflow.size else xs.size
     group = np.where(fit_of < 0, -1,
                      (2 * fit_of + ~forward) * (schedule.count + 1) + kept)
+    group[stop:] = -1
     status = np.full(xs.size, None, dtype=object)
     value = np.full(xs.size, np.nan)
     _, first = np.unique(group, return_index=True)
+    replay = []
     try:
         for i in np.sort(first):
             if group[i] >= 0:
@@ -173,13 +186,18 @@ def _batch_limits(f, xs: np.ndarray, forward: np.ndarray, beta: float,
                     vals = variation_values(f, xs[idx], beta, _direction(forward[i]), eps)
                     _, status[idx], value[idx], _ = _classify_rows(vals, tol)
     except Exception:
-        for i in np.flatnonzero(fit_of >= 0).tolist():
-            try:
-                lim = velocity_limit(f, float(xs[i]), beta, _direction(forward[i]),
-                                     fits[fit_of[i]], tol)
-            except Exception as err:
-                return status, value, i, err
-            status[i], value[i] = lim.status, lim.value
+        replay = np.flatnonzero(group >= 0).tolist()
+    if stop < xs.size:
+        # velocity_limit checks the order and then cuts the schedule, so
+        # it raises there before evaluating anything
+        replay.append(stop)
+    for i in replay:
+        try:
+            lim = velocity_limit(f, float(xs[i]), beta, _direction(forward[i]),
+                                 fits[fit_of[i]], tol)
+        except Exception as err:
+            return status, value, i, err
+        status[i], value[i] = lim.status, lim.value
     return status, value, xs.size, None
 
 

@@ -24,7 +24,6 @@ from fracvel.diffops import (
     OSC_REL_CHANGE,
     OSC_SAMPLE_CAP,
     _TINY,
-    _annulus_points,
     _check_eps,
     _check_window,
     _feval,
@@ -71,9 +70,15 @@ WEIER_SLOPES = {
 WEIER_MARK_XS = (1.0 / np.pi, np.sqrt(2.0) - 1.0, 0.7)
 
 
+def _window_points(x, outer, inner, offs, direction):
+    """Points outer*o + inner*(1-o) away from x at offsets o, on one side."""
+    part = outer * offs + inner * (1.0 - offs)
+    return x + part if direction is Direction.FORWARD else x - part
+
+
 def osc_sampled(f, x, eps, direction, n):
     """Oscillation max - min of f over the full n-point grid of one window."""
-    v = _feval(f, _annulus_points(x, eps, 0.0, _osc_offsets(n), direction))
+    v = _feval(f, _window_points(x, eps, 0.0, _osc_offsets(n), direction))
     return float(np.max(v) - np.min(v))
 
 
@@ -85,31 +90,24 @@ def one_sided_difference(f, x, eps, direction):
     return fx - float(_feval(f, x - eps))
 
 
-def reference_ladder(f, x, eps, direction, n0=OSC_N0, cap=OSC_SAMPLE_CAP):
-    """The annulus ladder one annulus at a time, on full grids, then folded.
+def _reference_side(f, x, eps, direction, n0, cap):
+    """reference_ladder's five entries for one side."""
+    def at(step):
+        # one single-point call at x + step forward, x - step backward,
+        # the points variation_values forms
+        t = x + step if direction is Direction.FORWARD else x - step
+        return _feval(f, np.array([t]))[0]
 
-    Row k is the annulus between eps[k+1] and eps[k] away from x, the
-    last row [0, eps[-1]].  Each level samples a row's whole n-point grid
-    in its own call, and the row's stop rule reads those samples plus
-    f(x), which is evaluated alone at the last row's offset-0 point.  A
-    window's value is max - min over the last samples of its own row and
-    of every deeper one.  Returns (value, n_samples, refined) arrays like
-    diffops._osc_ladder.
-    """
-    eps = [float(e) for e in np.asarray(eps, dtype=float)]
-    for e in eps:
-        _check_eps(e)
-        _check_window(f, x, e, direction)
-    fx = _feval(f, _annulus_points(x, eps[-1], 0.0, np.zeros(1), direction))
+    fx = at(0.0)
     rows = []
     for outer, inner in zip(eps, eps[1:] + [0.0]):
         n = int(n0)
-        v = _feval(f, _annulus_points(x, outer, inner, _osc_offsets(n), direction))
+        v = _feval(f, _window_points(x, outer, inner, _osc_offsets(n), direction))
         row = None
         while 2 * n - 1 <= cap:
             prev = np.ptp(np.append(v, fx))
             n = 2 * n - 1
-            v = _feval(f, _annulus_points(x, outer, inner, _osc_offsets(n), direction))
+            v = _feval(f, _window_points(x, outer, inner, _osc_offsets(n), direction))
             cur = np.ptp(np.append(v, fx))
             if cur - prev <= OSC_REL_CHANGE * max(cur, _TINY):
                 row = (v, n, True)
@@ -117,7 +115,30 @@ def reference_ladder(f, x, eps, direction, n0=OSC_N0, cap=OSC_SAMPLE_CAP):
         rows.append(row or (v, n, False))
     samples, n_samples, refined = zip(*rows)
     value = [np.ptp(np.concatenate(samples[k:])) for k in range(len(samples))]
-    return np.array(value), np.array(n_samples), np.array(refined)
+    return value, n_samples, refined, fx, [at(e) for e in eps]
+
+
+def reference_ladder(f, x, eps, directions, n0=OSC_N0, cap=OSC_SAMPLE_CAP):
+    """The annulus ladder one side and one annulus at a time, on full
+    grids, then folded.
+
+    Every window of every side is checked first, side by side in the
+    order of directions.  Row k of a side is the annulus between eps[k+1]
+    and eps[k] away from x, the last row [0, eps[-1]].  Each level
+    samples a row's whole n-point grid in its own call, and the row's
+    stop rule reads those samples plus f(x).  A window's value is
+    max - min over the last samples of its own row and of every deeper
+    one.  f(x) and each f(x +- eps) are evaluated alone, one point a
+    call.  Returns (value, n_samples, refined, fx, fe) arrays like
+    diffops._osc_ladder, one row per direction.
+    """
+    eps = [float(e) for e in np.asarray(eps, dtype=float)]
+    for direction in directions:
+        for e in eps:
+            _check_eps(e)
+            _check_window(f, x, e, direction)
+    sides = [_reference_side(f, x, eps, d, n0, cap) for d in directions]
+    return tuple(np.array(column) for column in zip(*sides))
 
 
 def _graded_pass(f, a, x, mu, n):

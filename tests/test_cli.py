@@ -473,6 +473,26 @@ class TestRendering:
             render_csv(("theorem", "notes"), [(Theorem.ROLLE,), ("a, b",)])
 
 
+def record_evaluator_calls(monkeypatch):
+    """The number of points of each call the commands make to their
+    function, as a list that fills while they run."""
+    calls = []
+    build = cli.build_function
+
+    def recording_build(spec):
+        f = build(spec)
+
+        def recorded(t):
+            calls.append(np.size(t))
+            return f(t)
+
+        recorded.id, recorded.domain = f.id, f.domain
+        return recorded
+
+    monkeypatch.setattr(cli, "build_function", recording_build)
+    return calls
+
+
 class TestMainCommands:
     def test_zoo_list_json_lines(self, capsys):
         assert main(["zoo", "list"]) == 0
@@ -594,6 +614,31 @@ class TestMainCommands:
         code = main(["analyze", "--fn", "mystery:", "--x", "0", "--beta", "0.5"])
         assert code == 2
         assert "unknown function kind" in capsys.readouterr().err
+
+    def test_analyze_samples_both_sides_in_shared_calls(self, capsys, monkeypatch):
+        # the cusp is monotone on each side, so every annulus of both
+        # ladders settles at its first doubling: one call for the first
+        # grid of all 2 x 39 rows (9 points each), which holds f(x) and
+        # every f(x +- eps), and one for the 8 new midpoints of each row;
+        # no call of its own for the variations
+        calls = record_evaluator_calls(monkeypatch)
+        code = main(["analyze", "--fn", "cusp:", "--x", "0", "--beta", "0.5"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["schedule"]["effective_count"] == 39
+        assert calls == [2 * 39 * 9, 2 * 39 * 8]
+
+    @pytest.mark.parametrize("x, side", [("1.99", "forward"), ("-1.99", "backward"),
+                                         ("5", "forward")])
+    def test_analyze_names_the_first_side_whose_window_leaves_the_domain(
+            self, x, side, capsys, monkeypatch):
+        # both sides' windows are checked before anything is evaluated, the
+        # forward side first, as when each side ran alone in that order
+        calls = record_evaluator_calls(monkeypatch)
+        code = main(["analyze", "--fn", "cusp:", "--x", x, "--beta", "0.5"])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: probe of width 0.0625 at x={x} ({side}) leaves the domain [-2, 2]\n")
+        assert calls == []
 
     def test_analysis_error_exit_1(self, capsys):
         # cusp domain is (-2, 2); probing at 5 fails inside analysis

@@ -182,8 +182,8 @@ class TestBatchedVariation:
 
 def one_window(f, x, eps, direction, n0=OSC_N0, cap=OSC_SAMPLE_CAP):
     """The ladder's (value, n_samples, refined) for the single window eps."""
-    value, n, refined = _osc_ladder(f, x, [eps], direction, n0, cap=cap)
-    return float(value[0]), int(n[0]), bool(refined[0])
+    value, n, refined, _, _ = _osc_ladder(f, x, [eps], (direction,), n0, cap=cap)
+    return float(value[0, 0]), int(n[0, 0]), bool(refined[0, 0])
 
 
 class TestIntervalOscillation:
@@ -241,11 +241,14 @@ class TestRefineOscillation:
 
 
 def assert_ladder_matches_reference(f, x, eps, direction, n0=OSC_N0, **kw):
-    got = _osc_ladder(f, x, eps, direction, n0, **kw)
-    want = reference_ladder(f, x, eps, direction, n0, **kw)
+    """The one-sided ladder's value, n_samples and refined, each checked
+    bit for bit, with f(x) and f(x +- eps), against reference_ladder."""
+    got = _osc_ladder(f, x, eps, (direction,), n0, **kw)
+    want = reference_ladder(f, x, eps, (direction,), n0, **kw)
+    assert len(got) == len(want) == 5
     for g, w in zip(got, want):
         assert same_bits(g, w)
-    return got
+    return tuple(a[0] for a in got[:3])
 
 
 def dyadic_depth(t):
@@ -332,9 +335,9 @@ class TestOscillationLadder:
     def test_first_failing_window_raises(self, x, eps, direction, err):
         f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
         with pytest.raises(err) as want:
-            reference_ladder(f, x, eps, direction)
+            reference_ladder(f, x, eps, (direction,))
         with pytest.raises(err) as got:
-            _osc_ladder(f, x, eps, direction)
+            _osc_ladder(f, x, eps, (direction,))
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("c1_samples", [2, 17, 65])
@@ -346,11 +349,12 @@ class TestOscillationLadder:
     def test_evaluator_calls_stay_within_the_cap(self):
         f = CountingEvaluator(dyadic_depth)
         eps = EpsilonSchedule().increments(0.0)
-        value, n, refined = _osc_ladder(f, 0.0, eps, FWD)
+        got = _osc_ladder(f, 0.0, eps, (FWD,))
+        _, n, refined, _, _ = got
         assert (n == OSC_SAMPLE_CAP).all() and not refined.any()
         assert max(f.sizes) <= EVAL_CALL_POINTS
-        want = reference_ladder(dyadic_depth, 0.0, eps, FWD)
-        for g, w in zip((value, n, refined), want):
+        want = reference_ladder(dyadic_depth, 0.0, eps, (FWD,))
+        for g, w in zip(got, want):
             assert same_bits(g, w)
 
     def test_annuli_halve_the_weierstrass_points(self):
@@ -358,7 +362,7 @@ class TestOscillationLadder:
         for x, calls in zip(WEIER_MARK_XS, WHOLE_WINDOW_CALLS):
             for direction, before in zip((FWD, BWD), calls):
                 f = CountingEvaluator(make_weierstrass(0.35, 4))
-                _osc_ladder(f, x, EpsilonSchedule().increments(x), direction)
+                _osc_ladder(f, x, EpsilonSchedule().increments(x), (direction,))
                 assert len(f.sizes) <= before
                 points += sum(f.sizes)
         assert points <= WHOLE_WINDOW_POINTS // 2

@@ -37,7 +37,8 @@ from common import (
 from fracvel import diffops, scanner
 from fracvel.cli import SampledFunction
 from fracvel.diffops import _osc_ladder
-from fracvel.estimator import FLOOR_FACTOR
+from fracvel.estimator import (C1_RATIO_CUTOFF, FLOOR_FACTOR, VelocityReport,
+                               _velocity_reports)
 
 FWD = Direction.FORWARD
 BWD = Direction.BACKWARD
@@ -146,7 +147,7 @@ def test_refined_oscillation_never_shrinks(x, k, n, direction):
        direction=st.sampled_from([FWD, BWD]))
 def test_oscillation_dominates_the_difference(x, k, direction):
     eps = 2.0 ** -k
-    osc = _osc_ladder(np.sin, x, [eps], direction, 33, cap=33)[0][0]
+    osc = _osc_ladder(np.sin, x, [eps], (direction,), 33, cap=33)[0][0, 0]
     assert osc >= abs(one_sided_difference(np.sin, x, eps, direction)) - 1e-12
 
 
@@ -223,7 +224,7 @@ def test_oscillation_never_increases_as_the_window_shrinks(kind, order, u, freq,
         return f(t)
 
     recorded.domain = f.domain
-    value = _osc_ladder(recorded, x, eps, direction)[0]
+    value = _osc_ladder(recorded, x, eps, (direction,))[0][0]
     assert np.all(np.diff(value) <= 0.0)
     t = np.concatenate(seen)
     if direction is FWD:
@@ -241,6 +242,45 @@ def _zoo_member(kind, order, freq):
         return make_polynomial((0.5, -1.0, order, 2.0))
     # long and short truncations: 30, 8 and 24 terms by frequency
     return make_weierstrass(order / freq + 1.0 / freq, freq, (30, 8, 24)[freq - 2])
+
+
+def _one_side_alone(f, x, beta, direction, schedule, tol):
+    """estimate_velocity's report from velocity_limit and reference_ladder,
+    with c1 restated from the ladder's growth ratios."""
+    limit = velocity_limit(f, x, beta, direction, schedule, tol)
+    eps = schedule.increments(x)
+    growth = reference_ladder(f, x, eps, (direction,))[0][0] / eps ** beta
+    c1 = float(np.max(growth)) if np.all(np.isfinite(growth)) else math.inf
+    half = math.ceil(eps.size / 2)
+    shallow_ref, deep_max = float(np.max(growth[:-half])), float(np.max(growth[-half:]))
+    holds = deep_max <= C1_RATIO_CUTOFF * shallow_ref if shallow_ref > 0.0 else deep_max == 0.0
+    return VelocityReport(float(x), float(beta), direction, limit, c1, holds)
+
+
+def _outcome(run):
+    try:
+        return repr(run())
+    except Exception as e:
+        return repr(e)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["cusp", "chirp", "poly", "weierstrass"]),
+       order=st.floats(0.1, 0.9), freq=st.integers(2, 4), u=st.floats(0.0, 1.0),
+       singular=st.booleans(), beta=st.floats(0.05, 1.0), ratio=st.floats(0.1, 0.9),
+       tol=st.sampled_from([1e-6, 1e-4, 1e-2]))
+def test_both_sides_in_one_ladder_equal_each_side_alone(kind, order, freq, u, singular,
+                                                        beta, ratio, tol):
+    # both sides share the ladder's evaluator calls, and their variations
+    # come from its first grid; x anywhere in the domain, so a window may
+    # leave it, and then the first side that leaves names the error
+    f = _zoo_member(kind, order, freq)
+    lo, hi = f.domain
+    x = 0.25 if singular else lo + u * (hi - lo)
+    schedule = EpsilonSchedule(2.0 ** -4, ratio, 40)
+    got = _outcome(lambda: _velocity_reports(f, x, beta, (FWD, BWD), schedule, tol))
+    want = _outcome(lambda: [_one_side_alone(f, x, beta, d, schedule, tol) for d in (FWD, BWD)])
+    assert got == want
 
 
 @settings(max_examples=40, deadline=None)

@@ -199,6 +199,40 @@ class TestScanMatchesPointwiseLimits:
         assert str(got.value) == str(expected.value)
         assert f"at x={first_bad:g}" in str(got.value)
 
+    def test_underflow_evaluates_no_probe_from_the_failing_one_on(self):
+        # every probe before the first short ladder is evaluated, in its
+        # batch, and nothing at or past that probe reaches the evaluator
+        f = make_polynomial((0.0, 1.0), (-1e12, 1e12))
+        seen = []
+
+        def recorded(t):
+            seen.append(np.array(t))
+            return f(t)
+
+        recorded.domain = f.domain
+        n = 2000
+        px, forward = scanner._grid_probes(np.linspace(1e9, 1e11, n))
+
+        def underflows(x):
+            try:
+                DEFAULT_SCHEDULE.increments(x)
+            except ScheduleUnderflowError:
+                return True
+            return False
+
+        stop = next(i for i, x in enumerate(px.tolist()) if underflows(x))
+        with pytest.raises(ScheduleUnderflowError) as expected:
+            velocity_limit(f, px[stop], 0.5, FWD if forward[stop] else BWD, tol=1e-4)
+        with pytest.raises(ScheduleUnderflowError) as got:
+            scan_change_set(recorded, (1e9, 1e11), 0.5, n)
+        assert str(got.value) == str(expected.value)
+        assert 0 < stop < len(px) - 1
+        # each call is a (probes x (1 + increments)) array whose first
+        # column is the probes' own abscissae
+        bases = np.concatenate([t[:, 0] for t in seen])
+        assert sorted(bases.tolist()) == sorted(px[:stop].tolist())
+        assert np.concatenate([t.ravel() for t in seen]).max() < px[stop]
+
     def test_a_batch_the_evaluator_refuses_is_replayed(self):
         # calls of one probe's row pass, so the probe-by-probe answers stand
         f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
