@@ -89,6 +89,9 @@ MAX_COUNT = 1024
 # Largest --n for scan and verify.
 MAX_GRID_N = 65536
 
+# render_csv renders a table this many rows at a time.
+CSV_CHUNK_ROWS = 4096
+
 
 class UsageError(ValueError):
     """Bad command line input; maps to exit status 2."""
@@ -274,6 +277,9 @@ class RunConfig:
     zoo_action: Optional[str] = None
 
 
+_CONFIG_FIELDS = frozenset(f.name for f in fields(RunConfig))
+
+
 def _add_common(p, with_direction=True, both_ok=True):
     p.add_argument("--fn", required=True, help="function spec, kind:key=val,...")
     p.add_argument("--tol", type=float, default=None,
@@ -296,7 +302,8 @@ def _add_output(p):
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
+    """The command line parser and its subparsers by command name."""
     ap = argparse.ArgumentParser(
         prog="fracvel",
         description="Fractional velocity and local regularity estimation.")
@@ -348,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=float, default=None,
                    help="target velocity (weak_darboux at order 1)")
     _add_output(p)
-    return ap
+    return ap, sub.choices
 
 
 def _parse_interval(text: str) -> Tuple[float, float]:
@@ -366,12 +373,35 @@ def _parse_interval(text: str) -> Tuple[float, float]:
     return (lo, hi)
 
 
+def _parse_values(argv: Optional[Sequence[str]]) -> dict:
+    """The parsed values of argv by name, command included, exactly as the
+    full parser's parse_args gives them, or its usage error and exit.
+
+    The full pass hands everything after the command to that command's
+    subparser, having only classified each argument as an option or not;
+    that classification fails on its own only for an abbreviation of more
+    than one top-level option, which "--=..." alone is (of --help and
+    --version).  So argv that starts with a command and holds no such
+    argument goes straight to the subparser, whose leftovers the top-level
+    parser reports as its own pass would.
+    """
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None or any(a.startswith("--=") for a in argv):
+        return vars(parser.parse_args(argv))
+    ns, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    values = vars(ns)
+    values["command"] = argv[0]
+    return values
+
+
 def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    known = {f.name for f in fields(RunConfig)}
-    cfg = RunConfig(**{k: v for k, v in vars(ns).items() if k in known})
-    if getattr(ns, "interval", None) is not None:
-        cfg.interval = _parse_interval(ns.interval)
+    cfg = RunConfig(**{k: v for k, v in _parse_values(argv).items() if k in _CONFIG_FIELDS})
+    if cfg.interval is not None:
+        cfg.interval = _parse_interval(cfg.interval)
     for flag, value in (("--x", cfg.x), ("--target", cfg.target)):
         if value is not None and not math.isfinite(value):
             raise UsageError(f"{flag} must be finite, got {value}")
@@ -437,7 +467,18 @@ def _float_token(v: float) -> str:
 
 def _plain(obj):
     """obj with enums as their values, numpy scalars as Python numbers,
-    tuples and arrays as lists and non-finite floats as None."""
+    tuples and arrays as lists and non-finite floats as None.  The exact
+    types of a report's values are tested first; any other takes the
+    isinstance chain."""
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else None
+    if kind is dict:
+        return {k: _plain(v) for k, v in obj.items()}
+    if kind is list or kind is tuple:
+        return [_plain(v) for v in obj]
+    if kind is str or kind is bool or kind is int or obj is None:
+        return obj
     if isinstance(obj, enum.Enum):
         return _plain(obj.value)
     if isinstance(obj, dict):
@@ -454,10 +495,12 @@ def _plain(obj):
     return obj
 
 
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def render_json(obj) -> str:
     """Compact JSON with sorted keys; floats via repr, non-finite as null."""
-    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+    return _JSON.encode(_plain(obj))
 
 
 def _csv_cell(v) -> str:
@@ -489,6 +532,15 @@ def _csv_column(cells) -> Tuple[list, bool]:
     return list(map(_csv_cell, cells)), False
 
 
+def _csv_lines(lines, plain: bool) -> str:
+    """lines as CSV text: joined directly when plain, else by csv.writer."""
+    if plain:
+        return "\n".join(map(",".join, lines)) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(lines)
+    return buf.getvalue()
+
+
 def render_csv(header, columns) -> str:
     """Header names over columns of cells, as CSV with "\\n" line ends,
     every cell rendered as _csv_cell renders it, a column at a time.  When
@@ -496,16 +548,30 @@ def render_csv(header, columns) -> str:
     tokens free of quoting, the lines are joined directly; otherwise
     csv.writer (QUOTE_MINIMAL) writes them, and it alone quotes.  Columns
     of unequal length, or a header whose length is not the number of
-    columns, raise ValueError."""
+    columns, raise ValueError.
+
+    The rows are rendered CSV_CHUNK_ROWS at a time, the header with the
+    first chunk, so a large table's tokens never exist all at once beside
+    its text; a table of one chunk is rendered from its columns as given.
+    Each line's quoting depends on its own cells alone, so the chunks
+    join to the bytes one pass over the whole table gives."""
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header names over {len(columns)} columns")
-    rendered = [_csv_column(cells) for cells in columns]
-    lines = (header, *zip(*[tokens for tokens, _ in rendered], strict=True))
-    if all(plain for _, plain in rendered) and all(map(str.isidentifier, header)):
-        return "\n".join(map(",".join, lines)) + "\n"
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(lines)
-    return buf.getvalue()
+    n = len(columns[0]) if columns else 0
+    if any(len(cells) != n for cells in columns):
+        raise ValueError("columns of unequal length")
+    head, plain_head = (header,), all(map(str.isidentifier, header))
+    parts = []
+    # a table of no rows is one chunk: its header line alone
+    for start in range(0, max(n, 1), CSV_CHUNK_ROWS):
+        chunk = (columns if n <= CSV_CHUNK_ROWS
+                 else [cells[start:start + CSV_CHUNK_ROWS] for cells in columns])
+        rendered = [_csv_column(cells) for cells in chunk]
+        rows = zip(*[tokens for tokens, _ in rendered])
+        parts.append(_csv_lines((*head, *rows),
+                                plain_head and all(plain for _, plain in rendered)))
+        head, plain_head = (), True
+    return "".join(parts)
 
 
 @dataclass
@@ -550,8 +616,8 @@ def _limit_dict(est) -> dict:
     }
 
 
-def _schedule_dict(schedule: EpsilonSchedule, x: float) -> dict:
-    eps = schedule.increments(x)
+def _schedule_dict(schedule: EpsilonSchedule, eps: np.ndarray) -> dict:
+    """The schedule's keys, eps being its increments at the point."""
     return {
         "eps0": schedule.eps0,
         "ratio": schedule.ratio,
@@ -582,9 +648,10 @@ def _run_zoo() -> RunResult:
 def _run_analyze(cfg: RunConfig, f, schedule: EpsilonSchedule, tol: float) -> RunResult:
     dirs = ((_DIRECTIONS[cfg.direction],) if cfg.direction in _DIRECTIONS
             else (Direction.FORWARD, Direction.BACKWARD))
+    eps = schedule.increments(cfg.x)
     reports = {rep.direction.value: dict(_limit_dict(rep.limit), c1_constant=rep.c1_constant,
                                          c1_holds=rep.c1_holds)
-               for rep in _velocity_reports(f, cfg.x, cfg.beta, dirs, schedule, tol)}
+               for rep in _velocity_reports(f, cfg.x, cfg.beta, dirs, eps, tol)}
     ordered = sorted(reports.items())
     table = [("direction", [Direction(name) for name, _ in ordered])]
     table += [(key, [r[key] for _, r in ordered])
@@ -593,7 +660,7 @@ def _run_analyze(cfg: RunConfig, f, schedule: EpsilonSchedule, tol: float) -> Ru
         "x": cfg.x,
         "beta": cfg.beta,
         "tol": tol,
-        "schedule": _schedule_dict(schedule, cfg.x),
+        "schedule": _schedule_dict(schedule, eps),
         "reports": reports,
     }, table)
 
@@ -605,7 +672,7 @@ def _run_holder(cfg: RunConfig, f, schedule: EpsilonSchedule, tol: float) -> Run
     return RunResult({
         "x": cfg.x,
         "direction": d,
-        "schedule": _schedule_dict(schedule, cfg.x),
+        "schedule": _schedule_dict(schedule, schedule.increments(cfg.x)),
         "estimate": {
             "exponent": est.exponent,
             "constant": est.constant,

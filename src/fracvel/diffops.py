@@ -107,7 +107,9 @@ def _row_blocks(n_rows: int, row_len: int):
 
 def _variation_quotient(fx, fe, beta: float, direction: Direction, eps):
     """(f(x+eps) - f(x)) / eps**beta forward, (f(x) - f(x-eps)) / eps**beta
-    backward, from f(x) and the values fe at x +- eps."""
+    backward, from f(x) and the values fe at x +- eps.  Callers evaluate
+    it under np.errstate(over="ignore", invalid="ignore"): an overflow or
+    inf - inf is a non-finite variation, which classifies as diverged."""
     delta = fe - fx if direction is Direction.FORWARD else fx - fe
     return delta / eps ** beta
 
@@ -134,7 +136,8 @@ def variation_values(f, x, beta: float, direction: Direction, eps) -> np.ndarray
     v = _feval(f, t)
     if v.shape != t.shape:
         v = np.broadcast_to(v, t.shape)
-    return _variation_quotient(v[..., :1], v[..., 1:], beta, direction, eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _variation_quotient(v[..., :1], v[..., 1:], beta, direction, eps)
 
 
 def _osc_offsets(n: int) -> np.ndarray:
@@ -175,6 +178,7 @@ def _annulus_extrema(f, x: float, outer: np.ndarray, inner: np.ndarray,
     return hi, lo
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _osc_ladder(f, x: float, eps, directions, n0: int = OSC_N0,
                 cap: int = OSC_SAMPLE_CAP):
     """Sampled oscillation sup f - inf f over each window of eps, by
@@ -214,6 +218,12 @@ def _osc_ladder(f, x: float, eps, directions, n0: int = OSC_N0,
     union are the extrema over the full grid.  That holds for any f
     whose value at a point does not depend on the other points of the
     call.
+
+    The ladder runs under np.errstate(over="ignore", invalid="ignore"),
+    its evaluator calls included: extrema of opposite sign near the
+    largest double overflow their difference to inf, and an annulus
+    whose samples are all inf of one sign gives inf - inf, a nan
+    oscillation that never settles.
     """
     eps = np.asarray(eps, dtype=float)
     for direction in directions:

@@ -71,7 +71,7 @@ class EpsilonSchedule:
     count: int = 40
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.eps0) and self.eps0 > 0.0):
+        if not (math.isfinite(self.eps0) and self.eps0 > 0.0):
             raise ValueError(f"eps0 must be positive and finite, got {self.eps0}")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
@@ -234,23 +234,24 @@ class VelocityReport:
         return self.limit.residual
 
 
-def _velocity_reports(f, x: float, beta: float, directions,
-                      schedule: Optional[EpsilonSchedule], tol: float):
-    """estimate_velocity's VelocityReport for each of directions, in order.
+def _velocity_reports(f, x: float, beta: float, directions, eps: np.ndarray,
+                      tol: float):
+    """estimate_velocity's VelocityReport for each of directions, in order,
+    over eps, a schedule's increments at x; beta is taken as checked.
 
     One oscillation ladder samples every side together, and its first
     grid brings f(x) and each f(x +- eps), the points variation_values
     would evaluate, so the variations cost no evaluator call of their
     own.  One _classify_rows call classifies every side's variations.
     """
-    diffops._check_beta(beta)
-    eps = (schedule or DEFAULT_SCHEDULE).increments(x)
     osc, _, _, fx, fe = diffops._osc_ladder(f, x, eps, directions)
-    vals = np.array([diffops._variation_quotient(f0, fs, beta, d, eps)
-                     for d, f0, fs in zip(directions, fx, fe)])
-    limits = _limit_estimates(vals, tol)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an overflow or a nan is a non-finite variation or ratio: the limit
+    # classifies as diverged and c1_constant reads inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals = np.array([diffops._variation_quotient(f0, fs, beta, d, eps)
+                         for d, f0, fs in zip(directions, fx, fe)])
         growth = osc / eps ** beta
+    limits = _limit_estimates(vals, tol)
     half = math.ceil(eps.size / 2)
     # per side: whether every ratio is finite, the largest ratio, and the
     # largest over the shallow and over the deep half
@@ -304,7 +305,9 @@ def estimate_velocity(f, x: float, beta: float, direction: Direction,
     -------
     VelocityReport
     """
-    return _velocity_reports(f, x, beta, (direction,), schedule, tol)[0]
+    diffops._check_beta(beta)
+    eps = (schedule or DEFAULT_SCHEDULE).increments(x)
+    return _velocity_reports(f, x, beta, (direction,), eps, tol)[0]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ numeric answer.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
@@ -74,7 +75,7 @@ class AnalyticTestFunction:
 
     def __post_init__(self) -> None:
         lo, hi = self.domain
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"domain must be a finite ordered pair, got {self.domain!r}")
         for m in self.marks:
             if not lo <= m.x <= hi:
@@ -114,13 +115,18 @@ def make_power_cusp(a: float = 0.0, beta: float = 0.5, K: float = 1.0,
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     for name, v in (("a", a), ("K", K), ("c0", c0)):
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise ValueError(f"{name} must be finite")
 
     def f(x):
         d = np.asarray(x, dtype=float) - a
         return _descale(c0 + K * np.sign(d) * np.abs(d) ** beta)
 
+    # |x - a| <= 2 over the domain, so only a K or c0 near the largest
+    # double can overflow there: to inf, which the estimators report as
+    # diverged, with no warning
+    if not math.isfinite(abs(c0) + abs(K) * 2.0 ** beta):
+        f = np.errstate(over="ignore")(f)
     mark = MarkedPoint(a, beta, K, K)
     ident = f"cusp(a={a:g},beta={beta:g},K={K:g},c0={c0:g})"
     return AnalyticTestFunction(ident, (a - 2.0, a + 2.0), f, (mark,))
@@ -136,7 +142,7 @@ def make_chirp(gamma: float = 0.5, a: float = 0.0) -> AnalyticTestFunction:
     gamma, a = float(gamma), float(a)
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    if not np.isfinite(a):
+    if not math.isfinite(a):
         raise ValueError("a must be finite")
 
     def f(x):
@@ -258,17 +264,20 @@ def make_polynomial(coeffs, domain: Tuple[float, float] = (-4.0, 4.0)) -> Analyt
     coeffs = tuple(float(c) for c in coeffs)
     if not coeffs:
         raise ValueError("need at least one coefficient")
-    if not all(np.isfinite(c) for c in coeffs):
+    if not all(map(math.isfinite, coeffs)):
         raise ValueError("coefficients must be finite")
     p = np.polynomial.Polynomial(coeffs)
-    dp = p.deriv()
-
+    # large coefficients overflow to inf, and inf - inf to nan, which the
+    # estimators report as diverged, with no warning
+    @np.errstate(over="ignore", invalid="ignore")
     def f(x):
         return _descale(np.asarray(p(np.asarray(x, dtype=float))))
 
     lo, hi = float(domain[0]), float(domain[1])
     xs = (lo + 0.25 * (hi - lo), lo + 0.5 * (hi - lo), lo + 0.75 * (hi - lo))
-    marks = tuple(MarkedPoint(float(x), SMOOTH, float(dp(x)), float(dp(x))) for x in xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dp = p.deriv()
+        marks = tuple(MarkedPoint(float(x), SMOOTH, float(dp(x)), float(dp(x))) for x in xs)
     ident = "poly(" + ";".join(f"{c:g}" for c in coeffs) + ")"
     return AnalyticTestFunction(ident, (lo, hi), f, marks)
 

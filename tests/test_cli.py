@@ -4,6 +4,7 @@ import enum
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +38,23 @@ def write_samples(path, xs, ys):
         for x, y in zip(xs, ys):
             w.writerow([repr(float(x)), repr(float(y))])
     return str(path)
+
+
+# first arguments and later tokens for the parser equivalence property:
+# commands and non-commands, every flag with a value, attached or not,
+# abbreviations unique and ambiguous, unknown flags, "--", help, version,
+# and "--=...", an abbreviation of both top-level options
+_PARSE_HEADS = [[c] for c in ("zoo", "analyze", "holder", "scan", "lfd", "verify")] * 3 + [
+    [], ["bogus"], ["-h"], ["--version"], ["--"], ["--=x", "analyze"], ["--fn", "cusp:"]]
+_PARSE_TOKENS = [
+    "--fn", "cusp:", "--fn=poly:coeffs=0;1", "--x", "0", "--x=0.5", "-1", "--beta", "0.5",
+    "--beta=1", "--be", "--dir", "fwd", "--direction", "both", "sideways", "--interval",
+    "-1,1", "--interval=-1,1", "--n", "5", "--n=-2", "--theorem", "rolle", "--theo=mean_value",
+    "--target", "0.5", "--threshold=2", "--t", "--tol", "1e-3", "--eps0", "0.1", "--ratio",
+    "0.5", "--count", "12", "--kg-tol", "0.1", "--kg", "--approach-count=6", "--scheme",
+    "jacobi_weighted", "--sch", "--nodes", "8", "--format", "csv", "--form=json", "--f",
+    "--out", "", "x y", "list", "show", "--", "-h", "--help", "--he=3", "--version", "--ver",
+    "--=x", "--=", "-", "-x", "--bogus", "--bogus=1"]
 
 
 class TestParseArgs:
@@ -157,6 +175,32 @@ class TestParseArgs:
             parse_args(["analyze", "--fn", "cusp:", "--x", "0",
                         "--beta", "0.5", "--direction", "sideways"])
         assert exc_info.value.code == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=st.lists(st.sampled_from(_PARSE_TOKENS), max_size=9).flatmap(
+        lambda rest: st.sampled_from(_PARSE_HEADS).map(lambda head: head + rest)))
+    @example(argv=["analyze", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "--=x"])
+    @example(argv=["analyze", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "extra", "--y"])
+    @example(argv=["scan", "--fn=cusp:", "--interval=-1,1", "--beta", "0.5", "--n", "5",
+                   "--version"])
+    @example(argv=["lfd", "--fn", "cusp:", "--x", "0", "--be", "0.5", "--sch", "jacobi_weighted",
+                   "--", "-h"])
+    @example(argv=["holder", "-h"])
+    def test_direct_dispatch_parses_as_the_full_parser(self, argv):
+        # argv that starts with a command goes straight to its subparser;
+        # the values, or the exit code and every byte printed, must be what
+        # a freshly built parser's full parse_args gives
+        def outcome(parse):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    got = ("values", sorted(parse(argv).items()))
+                except SystemExit as e:
+                    got = ("exit", e.code)
+            return got, out.getvalue(), err.getvalue()
+
+        fresh, _ = _build_parser.__wrapped__()
+        assert outcome(cli._parse_values) == outcome(lambda a: vars(fresh.parse_args(a)))
 
 
 class TestBuildFunction:
@@ -356,6 +400,44 @@ def _csv_tables(draw):
     return header, columns
 
 
+def _reference_plain(obj):
+    # render_json's conversion, one isinstance test after another
+    if isinstance(obj, enum.Enum):
+        return _reference_plain(obj.value)
+    if isinstance(obj, dict):
+        return {k: _reference_plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_reference_plain(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        return v if math.isfinite(v) else None
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
+# every kind of value a report holds, nested: Python and numpy scalars,
+# non-finite floats, enums, arrays, lists, tuples and dicts
+_json_values = st.recursive(
+    st.one_of(
+        _CSV_FLOATS, _CSV_FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+        st.booleans(), st.booleans().map(np.bool_), st.integers(),
+        st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
+        st.text(max_size=4), st.none(),
+        *(st.sampled_from(list(e)) for e in (Direction, LimitStatus, QuadScheme, Theorem)),
+        st.lists(_CSV_FLOATS, max_size=4).map(np.array),
+        st.lists(st.booleans(), max_size=4).map(lambda v: np.array(v, dtype=bool)),
+        st.lists(st.integers(-9, 9), min_size=4, max_size=4).map(
+            lambda v: np.array(v).reshape(2, 2))),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(max_size=3), children, max_size=4)
+                      | st.dictionaries(st.integers(-3, 3), children, max_size=3)),
+    max_leaves=12)
+
+
 class TestRendering:
     def test_keys_sorted_and_floats_repr(self):
         text = render_json({"b": 0.1, "a": 2.0, "z": [1, True, None]})
@@ -399,6 +481,23 @@ class TestRendering:
     def test_scalars_and_containers(self, value, text):
         assert render_json(value) == text
 
+    @settings(max_examples=200, deadline=None)
+    @given(_json_values)
+    @example({"a": [np.float32(0.1), np.int64(-7), np.bool_(False), True, 1, -0.0],
+              "b": (Direction.FORWARD, LimitStatus.DIVERGED, math.nan, -math.inf),
+              "c": np.array([[0.5, math.inf], [1e16, 5e-324]]), "d": {"e": None}})
+    def test_render_json_matches_a_reference(self, value):
+        # the exact-type fast paths and the shared encoder give the bytes
+        # of the isinstance chain under json.dumps, or raise as it raises
+        def outcome(render):
+            try:
+                return render(value)
+            except (TypeError, ValueError) as e:
+                return type(e)
+
+        assert outcome(render_json) == outcome(lambda v: json.dumps(
+            _reference_plain(v), sort_keys=True, separators=(",", ":"), allow_nan=False))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 4), st.lists(st.sampled_from([
         0.1, -0.0, math.inf, math.nan, 1e16, np.float64(2.5), np.float32(0.1),
@@ -426,25 +525,29 @@ class TestRendering:
         assert "\r" not in text
 
     @settings(max_examples=200, deadline=None)
-    @given(_csv_tables())
+    @given(_csv_tables(), st.sampled_from([cli.CSV_CHUNK_ROWS, 1, 2, 4]))
     @example((("x", "y", "z"), [
         (-0.0, math.nan, math.inf, -math.inf, 1e16, 5e-324),
         tuple(map(np.float64, (0.1, -0.0, math.nan, 1e16, 5e-324, 2.5))),
-        (",", '"', "\r", "\n", "", "a\r\nb")]))
+        (",", '"', "\r", "\n", "", "a\r\nb")]), 4)
     @example((("x", "flagged", "status"), [
         (0.5, -0.0, 5e-324), (True, False, True),
-        (LimitStatus.CONVERGED, LimitStatus.DIVERGED, LimitStatus.OSCILLATORY)]))
-    @example((("notes",), [("",)]))
-    def test_csv_bytes_match_the_csv_module(self, table):
+        (LimitStatus.CONVERGED, LimitStatus.DIVERGED, LimitStatus.OSCILLATORY)]), 2)
+    @example((("notes",), [("",)]), 1)
+    @example((("",), [()]), 1)
+    @example((("x", "notes"), [(0.5, 1.0, 2.0), (Direction.FORWARD, "", "a,b")]), 1)
+    def test_csv_bytes_match_the_csv_module(self, table, chunk_rows):
         # typed-only tables are joined directly, any other goes through
-        # csv.writer; either way the bytes are csv.writer's
+        # csv.writer; either way, and in chunks of any number of rows, the
+        # bytes are csv.writer's
         header, columns = table
         rows = list(zip(*columns))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([_csv_cell(c) for c in row] for row in rows)
-        assert render_csv(header, columns) == buf.getvalue()
+        with mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk_rows):
+            assert render_csv(header, columns) == buf.getvalue()
 
     def test_csv_header_and_columns_of_unequal_count_rejected(self):
         with pytest.raises(ValueError):
@@ -837,7 +940,12 @@ SPECS = ["cusp:", "cusp:a=0.25,beta=0.3,k=2", "chirp:gamma=0.5", "chirp:a=1e-300
          "poly:coeffs=1;2,domain=0;1", "SAMPLES", "SAMPLES", "poly:coeffs=1;x", "poly:",
          "bogus:", "cusp:beta", "cusp:k=nan", "cusp:beta=2", "file:",
          "file:missing-dir/none.csv", "weierstrass:n_terms=1000000000",
-         "weierstrass:n_terms=inf"]
+         "weierstrass:n_terms=inf",
+         # values near the largest double overflow, a verdict and no warning
+         "cusp:k=1e308,beta=0.1", "cusp:k=-1.7e308,c0=1.7e308,beta=0.9",
+         "weierstrass:amp=0.999999,freq=2", "weierstrass:amp=1e-300",
+         "poly:coeffs=1e308;1e308", "poly:coeffs=-1.7e308;1.7e308;-1.7e308",
+         "poly:coeffs=0;0;0;1e308,domain=-1e100;1e100"]
 # (required, optional) flags of each subcommand
 COMMAND_FLAGS = {
     "zoo": ((), ("--format",)),
@@ -900,6 +1008,11 @@ def sample_file(tmp_path_factory):
 @example(argv=["scan", "--fn=cusp:", "--interval=-1,1", "--beta=0.5", "--n=100000000"])
 @example(argv=["verify", "--fn=cusp:", "--theorem=mean_value", "--interval=0,1",
                "--beta=0.5", "--n=100000000"])
+@example(argv=["analyze", "--fn=cusp:k=1e308,beta=0.1", "--x=0", "--beta=0.9"])
+@example(argv=["analyze", "--fn=poly:coeffs=1e308;1e308", "--x=3", "--beta=1"])
+@example(argv=["scan", "--fn=cusp:k=-1.7e308,c0=1.7e308,beta=0.9", "--interval=-1,1",
+               "--beta=0.5", "--n=5"])
+@example(argv=["holder", "--fn=poly:coeffs=-1.7e308;1.7e308;-1.7e308", "--x=0"])
 def test_any_command_line_exits_cleanly(sample_file, argv):
     # exit 0, 1 or 2 with a one-line reason, never a traceback; any other
     # exception escapes main and fails the test

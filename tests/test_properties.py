@@ -278,7 +278,8 @@ def test_both_sides_in_one_ladder_equal_each_side_alone(kind, order, freq, u, si
     lo, hi = f.domain
     x = 0.25 if singular else lo + u * (hi - lo)
     schedule = EpsilonSchedule(2.0 ** -4, ratio, 40)
-    got = _outcome(lambda: _velocity_reports(f, x, beta, (FWD, BWD), schedule, tol))
+    got = _outcome(lambda: _velocity_reports(f, x, beta, (FWD, BWD), schedule.increments(x),
+                                             tol))
     want = _outcome(lambda: [_one_side_alone(f, x, beta, d, schedule, tol) for d in (FWD, BWD)])
     assert got == want
 
