@@ -378,21 +378,25 @@ def _parse_values(argv: Optional[Sequence[str]]) -> dict:
     full parser's parse_args gives them, or its usage error and exit.
 
     The full pass hands everything after the command to that command's
-    subparser, having only classified each argument as an option or not;
-    that classification fails on its own only for an abbreviation of more
-    than one top-level option, which "--=..." alone is (of --help and
-    --version).  So argv that starts with a command and holds no such
-    argument goes straight to the subparser, whose leftovers the top-level
-    parser reports as its own pass would.
+    subparser, having only classified each argument as an option or not.
+    That classification fails on its own only for an abbreviation of more
+    than one top-level option (-h, --help, --version), so only for a
+    prefix of "-" or "--".  argparse takes an argument's prefix as the
+    whole argument, or as its part before "=" ("--" arguments, and in
+    later versions "-" ones too), and "-" and "--" alone are a positional
+    and the separator: only an argument that starts with "-=" or "--="
+    can fail there.  So argv that starts with a command and holds no such
+    argument goes straight to the subparser; the full pass reports any
+    leftovers, in its own words.
     """
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     sub = commands.get(argv[0]) if argv else None
-    if sub is None or any(a.startswith("--=") for a in argv):
+    if sub is None or any(a.startswith(("-=", "--=")) for a in argv):
         return vars(parser.parse_args(argv))
     ns, extras = sub.parse_known_args(argv[1:])
     if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
+        return vars(parser.parse_args(argv))
     values = vars(ns)
     values["command"] = argv[0]
     return values
@@ -468,23 +472,18 @@ def _float_token(v: float) -> str:
 def _plain(obj):
     """obj with enums as their values, numpy scalars as Python numbers,
     tuples and arrays as lists and non-finite floats as None.  The exact
-    types of a report's values are tested first; any other takes the
-    isinstance chain."""
+    scalar types of a report's values are tested first."""
     kind = type(obj)
     if kind is float:
         return obj if math.isfinite(obj) else None
-    if kind is dict:
-        return {k: _plain(v) for k, v in obj.items()}
-    if kind is list or kind is tuple:
-        return [_plain(v) for v in obj]
     if kind is str or kind is bool or kind is int or obj is None:
         return obj
-    if isinstance(obj, enum.Enum):
-        return _plain(obj.value)
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [_plain(v) for v in obj]
+    if isinstance(obj, enum.Enum):
+        return _plain(obj.value)
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
         return v if math.isfinite(v) else None

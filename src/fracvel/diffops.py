@@ -94,7 +94,13 @@ def _check_windows(f, x, eps, direction: Direction) -> None:
 
 
 def _feval(f, t):
-    return np.asarray(f(np.asarray(t, dtype=float)), dtype=float)
+    """f at t, a float array or a float, as floats.  Every library call
+    of f goes through here, under np.errstate(over="ignore",
+    invalid="ignore"): a value that overflows to inf, or inf - inf, is
+    non-finite, which the estimators report as diverged, with no
+    warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(f(t), dtype=float)
 
 
 def _row_blocks(n_rows: int, row_len: int):
@@ -220,10 +226,10 @@ def _osc_ladder(f, x: float, eps, directions, n0: int = OSC_N0,
     call.
 
     The ladder runs under np.errstate(over="ignore", invalid="ignore"),
-    its evaluator calls included: extrema of opposite sign near the
-    largest double overflow their difference to inf, and an annulus
-    whose samples are all inf of one sign gives inf - inf, a nan
-    oscillation that never settles.
+    as _feval does: extrema of opposite sign near the largest double
+    overflow their difference to inf, and an annulus whose samples are
+    all inf of one sign gives inf - inf, a nan oscillation that never
+    settles.
     """
     eps = np.asarray(eps, dtype=float)
     for direction in directions:

@@ -440,7 +440,7 @@ def kg_lfd(f, a: float, beta: float, direction: Direction,
     a = float(a)
     approach = approach or DEFAULT_APPROACH
     config = config or DEFAULT_QUAD
-    fa = float(np.asarray(f(a)))
+    fa = float(_feval(f, a))
     if direction is Direction.FORWARD:
         def shifted(t):
             return np.asarray(f(t), dtype=float) - fa

@@ -22,7 +22,8 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .diffops import Direction, _check_beta, _row_blocks, domain_of, variation_values
+from .diffops import (Direction, _check_beta, _feval, _row_blocks, domain_of,
+                      variation_values)
 from .errors import DomainError, PreconditionError
 from .estimator import (
     DEFAULT_SCHEDULE,
@@ -289,7 +290,7 @@ def verify_rolle(f, a: float, b: float, beta: float, n: int = 101,
     _check_beta(beta)
     n = _grid_size(n)
     schedule = schedule or DEFAULT_SCHEDULE
-    fa, fb = float(np.asarray(f(a))), float(np.asarray(f(b)))
+    fa, fb = float(_feval(f, a)), float(_feval(f, b))
     if abs(fa - fb) > tol:
         raise PreconditionError(
             f"endpoint values differ by {abs(fa - fb):g} > tol={tol:g}")
@@ -353,7 +354,7 @@ def verify_mean_value(f, a: float, b: float, beta: float,
     if grid_n < 1:
         raise ValueError(f"need at least 1 interior grid point, got {grid_n}")
     schedule = schedule or DEFAULT_SCHEDULE
-    fa, fb = float(np.asarray(f(a))), float(np.asarray(f(b)))
+    fa, fb = float(_feval(f, a)), float(_feval(f, b))
     if abs(fa - fb) <= tol:
         raise PreconditionError(
             f"endpoint values agree within tol={tol:g}; the ratio is degenerate")

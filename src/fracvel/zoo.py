@@ -122,11 +122,6 @@ def make_power_cusp(a: float = 0.0, beta: float = 0.5, K: float = 1.0,
         d = np.asarray(x, dtype=float) - a
         return _descale(c0 + K * np.sign(d) * np.abs(d) ** beta)
 
-    # |x - a| <= 2 over the domain, so only a K or c0 near the largest
-    # double can overflow there: to inf, which the estimators report as
-    # diverged, with no warning
-    if not math.isfinite(abs(c0) + abs(K) * 2.0 ** beta):
-        f = np.errstate(over="ignore")(f)
     mark = MarkedPoint(a, beta, K, K)
     ident = f"cusp(a={a:g},beta={beta:g},K={K:g},c0={c0:g})"
     return AnalyticTestFunction(ident, (a - 2.0, a + 2.0), f, (mark,))
@@ -267,9 +262,7 @@ def make_polynomial(coeffs, domain: Tuple[float, float] = (-4.0, 4.0)) -> Analyt
     if not all(map(math.isfinite, coeffs)):
         raise ValueError("coefficients must be finite")
     p = np.polynomial.Polynomial(coeffs)
-    # large coefficients overflow to inf, and inf - inf to nan, which the
-    # estimators report as diverged, with no warning
-    @np.errstate(over="ignore", invalid="ignore")
+
     def f(x):
         return _descale(np.asarray(p(np.asarray(x, dtype=float))))
 

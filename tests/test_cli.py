@@ -54,7 +54,7 @@ _PARSE_TOKENS = [
     "0.5", "--count", "12", "--kg-tol", "0.1", "--kg", "--approach-count=6", "--scheme",
     "jacobi_weighted", "--sch", "--nodes", "8", "--format", "csv", "--form=json", "--f",
     "--out", "", "x y", "list", "show", "--", "-h", "--help", "--he=3", "--version", "--ver",
-    "--=x", "--=", "-", "-x", "--bogus", "--bogus=1"]
+    "--=x", "--=", "-=x", "-=", "-", "-x", "--bogus", "--bogus=1"]
 
 
 class TestParseArgs:
