@@ -45,6 +45,7 @@ from .errors import (
 from .estimator import (
     DEFAULT_TOL,
     EpsilonSchedule,
+    _count_above,
     _velocity_reports,
     estimate_holder_exponent,
 )
@@ -79,11 +80,9 @@ MIN_SAMPLE_ROWS = 16
 # below that the interpolant is linear and every estimate is an artifact.
 SAMPLE_FLOOR_GAPS = 4.0
 
-# Largest --count and --approach-count.  A schedule allocates all its
-# steps before the round-off floor cuts it, and a scan holds a few columns
-# per probe of its --n grid points and takes (probes x steps) work a block
-# of at most EVAL_CALL_POINTS entries at a time, so this cap and MAX_GRID_N
-# together bound a run's memory.
+# Largest --count and --approach-count.  A schedule allocates its steps
+# before any cut, and a scan holds a few columns per probe and evaluates at
+# most EVAL_CALL_POINTS points a call, so with MAX_GRID_N this bounds memory.
 MAX_COUNT = 1024
 
 # Largest --n for scan and verify.
@@ -453,9 +452,8 @@ def _effective_schedule(cfg: RunConfig, f) -> EpsilonSchedule:
     floor = getattr(f, "eps_floor", -math.inf)
     fitted = base.fitted(floor=floor)
     if fitted is None:
-        kept = int(np.sum(base.raw() > floor))
         raise DataError(
-            f"sample spacing leaves only {kept} usable increments; "
+            f"sample spacing leaves only {_count_above(base.raw(), floor)} usable increments; "
             "coarsen the schedule or resample the data")
     return fitted
 

@@ -63,13 +63,17 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"order must lie in (0, 1], got {beta}")
 
 
-def _check_window(f, x: float, eps: float, direction: Direction) -> None:
+def _inside(f, x, eps, direction: Direction):
+    """The one window rule: whether [x, x+eps] or [x-eps, x] lies in f's domain."""
     lo, hi = domain_of(f)
     if direction is Direction.FORWARD:
-        inside = lo <= x and x + eps <= hi
-    else:
-        inside = lo <= x - eps and x <= hi
-    if not inside:
+        return (lo <= x) & (x + eps <= hi)
+    return (lo <= x - eps) & (x <= hi)
+
+
+def _check_window(f, x: float, eps: float, direction: Direction) -> None:
+    if not _inside(f, x, eps, direction):
+        lo, hi = domain_of(f)
         raise DomainError(
             f"probe of width {eps:g} at x={x:g} ({direction.value}) "
             f"leaves the domain [{lo:g}, {hi:g}]")
@@ -78,13 +82,8 @@ def _check_window(f, x: float, eps: float, direction: Direction) -> None:
 def _check_windows(f, x, eps, direction: Direction) -> None:
     """Raise what _check_eps and _check_window raise for the first bad
     (x, eps) pair, x and eps broadcast against each other."""
-    lo, hi = domain_of(f)
     with np.errstate(invalid="ignore"):
-        ok = np.isfinite(eps) & (eps > 0.0)
-        if direction is Direction.FORWARD:
-            ok = ok & (lo <= x) & (x + eps <= hi)
-        else:
-            ok = ok & (lo <= x - eps) & (x <= hi)
+        ok = np.isfinite(eps) & (eps > 0.0) & _inside(f, x, eps, direction)
     if not ok.all():
         i = np.argmin(ok)
         x, eps = np.broadcast_arrays(x, eps)

@@ -62,6 +62,11 @@ def _floor(x):
     return FLOOR_FACTOR * _EPS_MACH * np.fmax(1.0, np.abs(x))
 
 
+def _count_above(ladder: np.ndarray, bound):
+    """The one schedule cut: how many entries of a descending ladder exceed bound(s)."""
+    return ladder.size - ladder[::-1].searchsorted(bound, side="right")
+
+
 @dataclass(frozen=True)
 class EpsilonSchedule:
     """Geometric ladder of probe increments eps0 * ratio**k, k < count."""
@@ -89,11 +94,10 @@ class EpsilonSchedule:
         Raises ScheduleUnderflowError when fewer than 4 survive.
         """
         eps = self.raw()
-        floor = _floor(x)
-        kept = eps[eps > floor]
+        kept = eps[:_count_above(eps, _floor(x))]
         if kept.size < MIN_USABLE:
             raise ScheduleUnderflowError(
-                f"only {kept.size} increments stay above the floor {floor:g} at x={x:g}")
+                f"only {kept.size} increments stay above the floor {_floor(x):g} at x={x:g}")
         return kept
 
     def fitted(self, floor: float = -math.inf,
@@ -106,14 +110,20 @@ class EpsilonSchedule:
         """
         if floor < 0.0 and margin >= self.eps0:
             return self   # raw() entries lie in [0, eps0]
+        if not floor < margin:
+            return None   # no entry lies in the cut, a NaN one included
         eps = self.raw()
-        keep = (eps > floor) & (eps <= margin)
-        if keep.all():
+        top = int(_count_above(eps, margin))
+        kept = int(_count_above(eps, floor)) - top
+        if kept == self.count:
             return self
-        kept = int(keep.sum())
         if kept < MIN_FITTED:
             return None
-        return EpsilonSchedule(float(eps[keep][0]), self.ratio, kept)
+        return EpsilonSchedule(float(eps[top]), self.ratio, kept)
+
+    def _usable(self, x):
+        """How many increments increments(x) keeps, x a float or an array."""
+        return _count_above(self.raw(), _floor(x))
 
 
 DEFAULT_SCHEDULE = EpsilonSchedule()
@@ -328,6 +338,7 @@ class HolderEstimate:
         return self.exponent > 1.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_holder_exponent(f, x: float, direction: Direction,
                              schedule: Optional[EpsilonSchedule] = None) -> HolderEstimate:
     """Pointwise regularity exponent by least squares on log osc vs log eps.
@@ -338,9 +349,9 @@ def estimate_holder_exponent(f, x: float, direction: Direction,
     constant and LocallyConstantError is raised.  The slope is clipped to
     [0, 1.5]: beyond linear the probe says "smoother than Lipschitz" and
     the exact value is not trustworthy, which the superlinear flag records.
+    An overflow makes the fit or the constant non-finite, with no warning.
     """
-    schedule = schedule or DEFAULT_SCHEDULE
-    eps = schedule.increments(x)
+    eps = (schedule or DEFAULT_SCHEDULE).increments(x)
     osc = diffops._osc_ladder(f, x, eps, (direction,))[0][0]
     keep = osc > 0.0
     if not keep.any():

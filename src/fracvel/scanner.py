@@ -22,7 +22,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .diffops import (Direction, _check_beta, _feval, _row_blocks, domain_of,
+from .diffops import (Direction, _check_beta, _feval, _inside, _row_blocks, domain_of,
                       variation_values)
 from .errors import DomainError, PreconditionError
 from .estimator import (
@@ -31,7 +31,7 @@ from .estimator import (
     EpsilonSchedule,
     LimitStatus,
     _classify_rows,
-    _floor,
+    _count_above,
     velocity_limit,
 )
 
@@ -121,77 +121,65 @@ def _batch_limits(f, xs: np.ndarray, forward: np.ndarray, beta: float,
     Probe i is at xs[i], forward where forward[i] and backward
     elsewhere.  Each probe's schedule is fitted to its domain margin; a
     probe it leaves no room gets status None, any other one what
-    velocity_limit reports with the fitted schedule.  Only probes whose
-    margin falls short of eps0 need a fitted schedule of their own.
-    Before anything is evaluated, each probe gets its fit and the length
-    of its ladder above the round-off floor, which depends on
-    max(1, |x|).  A length below MIN_USABLE fails that probe before
-    any evaluation, so the first such probe ends the batch: only the
-    probes before it are evaluated.  Those are grouped once, by one
-    integer key of direction, fit and length; each group, in the order
-    of its first probe, is evaluated as (points x increments) blocks of
-    one evaluator call each and classified row by row.
+    velocity_limit reports with the fitted schedule.  Before evaluation,
+    each probe gets its fit, once per distinct margin cut, and its ladder
+    length above the round-off floor, once per distinct fit.  The first
+    probe whose ladder is shorter than MIN_USABLE or whose window leaves
+    the domain ends the batch.  The probes before it are grouped by
+    direction, fit and length; each group, in the order of its first
+    probe, is evaluated as (points x increments) blocks of one evaluator
+    call each and classified row by row.
 
-    Returns (status, value, stop, error).  A failed batch does not say
-    which probe failed first, so it is answered probe by probe through
-    velocity_limit, in order: stop is the index of the first probe that
-    fails by itself, error what it raises, and the arrays hold every
-    result before stop.  When every probe before the first short ladder
-    passes, stop is that probe and error what velocity_limit raises
-    there (its order check, then the schedule's ScheduleUnderflowError),
-    with nothing at or past it evaluated.  Otherwise stop is len(xs)
-    and error None, and a clean replay's results stand, as
+    Returns (status, value, stop, error): stop is the first probe that
+    fails by itself, or len(xs), error what velocity_limit raises there,
+    or None, and the arrays hold every result before stop.  The probe
+    that ends the batch fails before any evaluation.  A batch that fails,
+    as when the evaluator raises, is replayed probe by probe through
+    velocity_limit, in order, and a clean replay's results stand, as
     rl_integral's do.
     """
     lo, hi = domain_of(f)
     with np.errstate(invalid="ignore"):
         margin = np.where(forward, hi - xs, xs - lo)
-    # probe i uses fits[fit_of[i]], or none where fit_of[i] is -1;
-    # not (margin >= eps0) also sends a NaN margin to fitted()
+    # probe i uses fits[fit_of[i]], none where that is None: a margin short of
+    # eps0 takes its cut's fit, and a NaN one, which alone cuts none, fits none
     fits = [schedule]
     fit_of = np.zeros(xs.size, dtype=int)
-    for i in np.flatnonzero(~(margin >= schedule.eps0)):
-        fit = schedule.fitted(margin=float(margin[i]))
-        if fit is None:
-            fit_of[i] = -1
-        else:
-            if fit not in fits:
-                fits.append(fit)
-            fit_of[i] = fits.index(fit)
-    # each fit's raw() padded with zeros, which no floor exceeds
-    ladders = np.array([np.pad(fit.raw(), (0, schedule.count - fit.count)) for fit in fits])
-    # counted a block of probes at a time, so no (probes x steps) table is held
-    kept = np.empty(xs.size, dtype=int)
-    for block in _row_blocks(xs.size, schedule.count):
-        kept[block] = np.count_nonzero(
-            ladders[fit_of[block]] > _floor(xs[block])[:, None], axis=1)
-    # the first probe whose ladder the round-off floor cuts below
-    # MIN_USABLE ends the batch
-    underflow = np.flatnonzero((fit_of >= 0) & (kept < MIN_USABLE))
-    stop = int(underflow[0]) if underflow.size else xs.size
-    group = np.where(fit_of < 0, -1,
-                     (2 * fit_of + ~forward) * (schedule.count + 1) + kept)
+    kept = schedule._usable(xs)
+    short = np.flatnonzero(~(margin >= schedule.eps0))
+    if short.size:
+        _, first, cut_of = np.unique(_count_above(schedule.raw(), margin[short]),
+                                     return_index=True, return_inverse=True)
+        fit_of[short] = 1 + cut_of
+        fits += [schedule.fitted(margin=m) for m in margin[short[first]].tolist()]
+        for j, fit in enumerate(fits[1:]):
+            rows = short[cut_of == j]
+            kept[rows] = 0 if fit is None else fit._usable(xs[rows])
+    eps0 = np.array([math.nan if fit is None else fit.eps0 for fit in fits])[fit_of]
+    has_fit = ~np.isnan(eps0)
+    inside = np.where(forward, _inside(f, xs, eps0, Direction.FORWARD),
+                      _inside(f, xs, eps0, Direction.BACKWARD))
+    fails = np.flatnonzero(has_fit & ((kept < MIN_USABLE) | ~inside))
+    stop = int(fails[0]) if fails.size else xs.size
+    group = np.where(has_fit, (2 * fit_of + ~forward) * (schedule.count + 1) + kept, -1)
     group[stop:] = -1
     status = np.full(xs.size, None, dtype=object)
     value = np.full(xs.size, np.nan)
     _, first = np.unique(group, return_index=True)
-    replay = []
+    # velocity_limit checks order, ladder and window before evaluating
+    replay = [stop] if stop < xs.size else []
     try:
         for i in np.sort(first):
             if group[i] >= 0:
                 rows = np.flatnonzero(group == group[i])
-                eps = fits[fit_of[i]].increments(float(xs[i]))
+                eps = fits[fit_of[i]].raw()[:kept[i]]
                 # variation_values adds a column for f(x) itself
                 for block in _row_blocks(rows.size, eps.size + 1):
                     idx = rows[block]
                     vals = variation_values(f, xs[idx], beta, _direction(forward[i]), eps)
                     _, status[idx], value[idx], _ = _classify_rows(vals, tol)
     except Exception:
-        replay = np.flatnonzero(group >= 0).tolist()
-    if stop < xs.size:
-        # velocity_limit checks the order and then cuts the schedule, so
-        # it raises there before evaluating anything
-        replay.append(stop)
+        replay = np.flatnonzero(group >= 0).tolist() + replay
     for i in replay:
         try:
             lim = velocity_limit(f, float(xs[i]), beta, _direction(forward[i]),

@@ -261,16 +261,19 @@ def make_polynomial(coeffs, domain: Tuple[float, float] = (-4.0, 4.0)) -> Analyt
         raise ValueError("need at least one coefficient")
     if not all(map(math.isfinite, coeffs)):
         raise ValueError("coefficients must be finite")
-    p = np.polynomial.Polynomial(coeffs)
+    coef = np.array(coeffs)
+    polyval = np.polynomial.polynomial.polyval
 
+    # x + 0.0 reads -0.0 as +0.0, as np.polynomial.Polynomial's domain map does
     def f(x):
-        return _descale(np.asarray(p(np.asarray(x, dtype=float))))
+        return _descale(np.asarray(polyval(np.asarray(x, dtype=float) + 0.0, coef)))
 
     lo, hi = float(domain[0]), float(domain[1])
     xs = (lo + 0.25 * (hi - lo), lo + 0.5 * (hi - lo), lo + 0.75 * (hi - lo))
     with np.errstate(over="ignore", invalid="ignore"):
-        dp = p.deriv()
-        marks = tuple(MarkedPoint(float(x), SMOOTH, float(dp(x)), float(dp(x))) for x in xs)
+        # polyder keeps a constant's signed zero, [0.] or [-0.]
+        slopes = polyval(np.array(xs), np.polynomial.polynomial.polyder(coef)).tolist()
+    marks = tuple(MarkedPoint(x, SMOOTH, d, d) for x, d in zip(xs, slopes))
     ident = "poly(" + ";".join(f"{c:g}" for c in coeffs) + ")"
     return AnalyticTestFunction(ident, (lo, hi), f, marks)
 

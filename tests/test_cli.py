@@ -743,6 +743,19 @@ class TestMainCommands:
             "", f"error: probe of width 0.0625 at x={x} ({side}) leaves the domain [-2, 2]\n")
         assert calls == []
 
+    def test_verify_leaving_the_domain_exits_1_before_evaluating_the_failing_probe(
+            self, capsys, monkeypatch):
+        # the first backward probe past x = 4 leaves the domain; before it
+        # come the two endpoint values and a few batches, not a replay of
+        # its 10,000 predecessors one at a time
+        calls = record_evaluator_calls(monkeypatch)
+        code = main(["verify", "--fn", "poly:coeffs=0.09;-0.6;1", "--theorem", "rolle",
+                     "--interval=-3.9,4.5", "--beta", "0.5", "--n", "10001"])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: probe of width 0.0625 at x=4.0002 "
+                                           "(backward) leaves the domain [-4, 4]\n")
+        assert calls[:2] == [1, 1] and len(calls) < 40, len(calls)
+
     def test_analysis_error_exit_1(self, capsys):
         # cusp domain is (-2, 2); probing at 5 fails inside analysis
         code = main(["analyze", "--fn", "cusp:", "--x", "5", "--beta", "0.5"])
@@ -1013,6 +1026,11 @@ def sample_file(tmp_path_factory):
 @example(argv=["scan", "--fn=cusp:k=-1.7e308,c0=1.7e308,beta=0.9", "--interval=-1,1",
                "--beta=0.5", "--n=5"])
 @example(argv=["holder", "--fn=poly:coeffs=-1.7e308;1.7e308;-1.7e308", "--x=0"])
+# the Hölder fit of an oscillation ladder that overflows: inf - inf and exp overflow
+@example(argv=["holder", "--fn=poly:coeffs=-1.7e308;1.7e308;-1.7e308", "--x=0.0",
+               "--direction=bwd", "--count=12"])
+@example(argv=["holder", "--fn=cusp:k=-1.7e308,c0=1.7e308,beta=0.9", "--x=0.125",
+               "--direction=fwd"])
 def test_any_command_line_exits_cleanly(sample_file, argv):
     # exit 0, 1 or 2 with a one-line reason, never a traceback; any other
     # exception escapes main and fails the test

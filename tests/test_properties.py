@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fracvel import (
     AnalyticTestFunction,
@@ -37,7 +37,7 @@ from common import (
 from fracvel import diffops, scanner
 from fracvel.cli import SampledFunction
 from fracvel.diffops import _osc_ladder
-from fracvel.estimator import (C1_RATIO_CUTOFF, FLOOR_FACTOR, VelocityReport,
+from fracvel.estimator import (C1_RATIO_CUTOFF, FLOOR_FACTOR, MIN_FITTED, VelocityReport,
                                _velocity_reports)
 
 FWD = Direction.FORWARD
@@ -59,19 +59,47 @@ def test_cusp_mirror_identity(a, beta, K, c0, u):
     assert np.isclose(neg(2.0 * a - x), pos(x), rtol=1e-9, atol=1e-9)
 
 
-@settings(max_examples=30, deadline=None)
+# a cut bound: a raw() entry (by index, exactly) or a multiple of one, or
+# any float, NaN and both infinities included
+_BOUNDS = st.one_of(st.integers(0, 59), st.tuples(st.integers(0, 59), st.floats(0.5, 2.0)),
+                    st.floats(-1.0, 2.0),
+                    st.sampled_from([-math.inf, math.inf, math.nan, -0.0, 0.0]))
+
+
+def _bound(raw, b):
+    if isinstance(b, int):
+        return float(raw[b % raw.size])
+    if isinstance(b, tuple):
+        return float(raw[b[0] % raw.size]) * b[1]
+    return b
+
+
+@settings(max_examples=60, deadline=None)
 @given(eps0=st.floats(1e-6, 1.0), ratio=st.floats(0.1, 0.9),
-       count=st.integers(4, 60), x=st.floats(-100.0, 100.0))
-def test_schedule_invariants(eps0, ratio, count, x):
+       count=st.integers(4, 60), x=st.floats(-100.0, 100.0),
+       floor=_BOUNDS, margin=_BOUNDS)
+def test_schedule_invariants(eps0, ratio, count, x, floor, margin):
     sched = EpsilonSchedule(eps0, ratio, count)
     raw = sched.raw()
     assert raw.size == count
     assert raw[0] == eps0
     assert np.all(np.diff(raw) < 0.0)
     eps = sched.increments(x)
-    floor = FLOOR_FACTOR * np.finfo(float).eps * max(1.0, abs(x))
-    assert np.all(eps > floor)
+    bound = FLOOR_FACTOR * np.finfo(float).eps * max(1.0, abs(x))
+    assert eps.tolist() == [e for e in raw.tolist() if e > bound]
     assert eps.size >= 4
+    # fitted() is the plain loop: the entries in (floor, margin], then
+    # self when that is all of them, None when fewer than MIN_FITTED, and
+    # otherwise the ladder re-based at the largest kept entry
+    floor, margin = _bound(raw, floor), _bound(raw, margin)
+    kept = [e for e in raw.tolist() if floor < e <= margin]
+    got = sched.fitted(floor, margin)
+    if len(kept) == count:
+        assert got is sched
+    elif len(kept) < MIN_FITTED:
+        assert got is None
+    else:
+        assert got == EpsilonSchedule(kept[0], ratio, len(kept))
 
 
 @settings(max_examples=50, deadline=None)
@@ -355,27 +383,78 @@ VERIFIER_FUNCTIONS = {
 }
 
 
-def _verdict(theorem, f, a, b, beta, n, target):
+def _verdict(theorem, f, a, b, beta, n, target, schedule):
     try:
         if theorem == "rolle":
-            return verify_rolle(f, a, b, beta, n)
+            return verify_rolle(f, a, b, beta, n, schedule)
         if theorem == "mean_value":
-            return verify_mean_value(f, a, b, beta, grid_n=n)
-        return verify_weak_darboux(f, a, b, beta, n, target=target)
+            return verify_mean_value(f, a, b, beta, schedule, grid_n=n)
+        return verify_weak_darboux(f, a, b, beta, n, schedule, target=target)
     except Exception as e:
         return type(e), str(e)
+
+
+def _pointwise_limits(f, xs, forward, beta, schedule, tol):
+    """_batch_limits by its definition: each probe in turn, through
+    velocity_limit with the schedule fitted to its margin, up to the first
+    probe that raises."""
+    lo, hi = f.domain
+    status = np.full(xs.size, None, dtype=object)
+    value = np.full(xs.size, np.nan)
+    for i, (x, fwd) in enumerate(zip(xs.tolist(), forward.tolist())):
+        fit = schedule.fitted(margin=hi - x if fwd else x - lo)
+        if fit is not None:
+            try:
+                lim = velocity_limit(f, x, beta, FWD if fwd else BWD, fit, tol)
+            except Exception as err:
+                return status, value, i, err
+            status[i], value[i] = lim.status, lim.value
+    return status, value, xs.size, None
+
+
+def _replays(run):
+    """run() as batched, with every batch refused, and probe by probe."""
+    batched = run()
+    with mock.patch.object(scanner, "variation_values",
+                           side_effect=RuntimeError("batch refused")):
+        replayed = run()
+    with mock.patch.object(scanner, "_batch_limits", _pointwise_limits):
+        pointwise = run()
+    return batched, replayed, pointwise
+
+
+# ratio 0.97 fits re-based ladders whose entries differ from raw()'s in
+# their last bits; at ratio 0.5 the ladders reach the round-off floor,
+# which past |x| = 1 cuts them shorter
+SCHEDULES = st.builds(EpsilonSchedule, st.sampled_from([2.0 ** -4, 0.1]),
+                      st.sampled_from([0.5, 0.97]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(VERIFIER_FUNCTIONS)),
        theorem=st.sampled_from(["rolle", "mean_value", "weak_darboux"]),
-       symmetric=st.booleans(), u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
+       symmetric=st.booleans(), u=st.floats(-0.1, 1.1), v=st.floats(-0.1, 1.1),
        beta=st.sampled_from([0.3, 0.5, 0.75, 1.0]), n=st.integers(3, 21),
-       target=st.none() | st.floats(-2.0, 2.0))
+       target=st.none() | st.floats(-2.0, 2.0), schedule=SCHEDULES)
+# forward probes from 2.95 to 3 on the far hump: many fits, each ladder
+# cut by the floor at |x| near 3, re-based exactly at ratio 0.5 and with
+# new last bits at ratio 0.97
+@example(name="far", theorem="weak_darboux", symmetric=False, u=0.97, v=1.0, beta=0.5,
+         n=21, target=None, schedule=EpsilonSchedule(2.0 ** -4, 0.5))
+@example(name="far", theorem="mean_value", symmetric=False, u=0.97, v=1.0, beta=0.3,
+         n=21, target=None, schedule=EpsilonSchedule(0.1, 0.97))
+# the forward probe at 1.9375 ends its window at the domain's end, 2, exactly
+@example(name="cusp", theorem="weak_darboux", symmetric=False, u=0.75, v=1.0, beta=0.5,
+         n=17, target=None, schedule=EpsilonSchedule())
+# past x = 4 the first backward probe leaves the domain
+@example(name="poly", theorem="rolle", symmetric=True, u=1.05, v=0.0, beta=0.5,
+         n=301, target=None, schedule=EpsilonSchedule())
 def test_verifier_verdicts_equal_their_pointwise_replay(name, theorem, symmetric, u, v,
-                                                         beta, n, target):
+                                                         beta, n, target, schedule):
     # a batch that cannot run replays every probe through velocity_limit,
-    # the point-by-point definition of each verdict
+    # the point-by-point definition of each verdict, which also gives it
+    # when every probe is answered by itself; an interval past the domain
+    # has probes whose windows leave it
     f, centre = VERIFIER_FUNCTIONS[name]
     lo, hi = f.domain
     if symmetric or theorem == "rolle":   # Rolle needs f(a) = f(b)
@@ -384,16 +463,14 @@ def test_verifier_verdicts_equal_their_pointwise_replay(name, theorem, symmetric
     else:
         a, b = lo + min(u, v) * (hi - lo), lo + max(u, v) * (hi - lo)
     assume(a < b)
-    batched = _verdict(theorem, f, a, b, beta, n, target)
-    with mock.patch.object(scanner, "variation_values",
-                           side_effect=RuntimeError("batch refused")):
-        replayed = _verdict(theorem, f, a, b, beta, n, target)
-    assert batched == replayed
+    batched, replayed, pointwise = _replays(
+        lambda: _verdict(theorem, f, a, b, beta, n, target, schedule))
+    assert batched == replayed == pointwise
 
 
-def _scan(f, a, b, beta, n, tol):
+def _scan(f, a, b, beta, n, tol, schedule):
     try:
-        return repr(scan_change_set(f, (a, b), beta, n, tol=tol))
+        return repr(scan_change_set(f, (a, b), beta, n, schedule=schedule, tol=tol))
     except Exception as e:
         return type(e), str(e)
 
@@ -402,16 +479,13 @@ def _scan(f, a, b, beta, n, tol):
 @given(name=st.sampled_from(sorted(VERIFIER_FUNCTIONS)),
        u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
        beta=st.sampled_from([0.3, 0.5, 0.75, 1.0]), n=st.integers(3, 21),
-       tol=st.sampled_from([1e-4, 1e-6, math.nan]))
-def test_scan_reports_equal_their_pointwise_replay(name, u, v, beta, n, tol):
+       tol=st.sampled_from([1e-4, 1e-6, math.nan]), schedule=SCHEDULES)
+def test_scan_reports_equal_their_pointwise_replay(name, u, v, beta, n, tol, schedule):
     # a scan whose batch cannot run answers every probe through
     # velocity_limit, and gives the batched report or raises its error
     f, _ = VERIFIER_FUNCTIONS[name]
     lo, hi = f.domain
     a, b = lo + min(u, v) * (hi - lo), lo + max(u, v) * (hi - lo)
     assume(a < b)
-    batched = _scan(f, a, b, beta, n, tol)
-    with mock.patch.object(scanner, "variation_values",
-                           side_effect=RuntimeError("batch refused")):
-        replayed = _scan(f, a, b, beta, n, tol)
-    assert batched == replayed
+    batched, replayed, pointwise = _replays(lambda: _scan(f, a, b, beta, n, tol, schedule))
+    assert batched == replayed == pointwise

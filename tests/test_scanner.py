@@ -160,7 +160,7 @@ class TestScanMatchesPointwiseLimits:
 
     def test_deep_schedule_scan_holds_no_probes_by_steps_table(self):
         # 8,192 probes by 1,024 steps would be 64 MiB of floats; ladder
-        # lengths are counted a block of probes at a time instead
+        # lengths are searched for in each fit's ladder instead
         tracemalloc.start()
         try:
             scan_change_set(make_power_cusp(), (-1, 1), 0.5, 4097,
@@ -232,6 +232,41 @@ class TestScanMatchesPointwiseLimits:
         bases = np.concatenate([t[:, 0] for t in seen])
         assert sorted(bases.tolist()) == sorted(px[:stop].tolist())
         assert np.concatenate([t.ravel() for t in seen]).max() < px[stop]
+
+    def test_window_leaving_the_domain_evaluates_no_probe_from_the_failing_one_on(self):
+        # past x = 4 the forward probes get no room and are skipped, and
+        # the first backward one fails by itself: the probes before it are
+        # evaluated in their batch, and nothing at or past it is
+        f = make_polynomial((0.09, -0.6, 1.0))
+        seen = []
+
+        def recorded(t):
+            seen.append(np.array(t))
+            return f(t)
+
+        recorded.domain = f.domain
+        n = 1001
+        px, forward = scanner._both_sides(np.linspace(-3.9, 4.5, n)[1:-1])
+        stop = int(np.argmax(px > 4.0)) + 1
+        assert not forward[stop] and px[stop - 1] == px[stop]
+        with pytest.raises(DomainError) as expected:
+            velocity_limit(f, px[stop], 0.5, BWD, tol=1e-3)
+        assert str(expected.value) == ("probe of width 0.0625 at x=4.0044 (backward) "
+                                       "leaves the domain [-4, 4]")
+        with pytest.raises(DomainError) as got:
+            verify_rolle(recorded, -3.9, 4.5, 0.5, n)
+        assert str(got.value) == str(expected.value)
+        # the endpoint values come first, one float each; then every call
+        # is a (probes x (1 + increments)) array whose first column is the
+        # probes' own abscissae
+        assert [t.ndim for t in seen[:2]] == [0, 0]
+        batches = seen[2:]
+        assert all(t.ndim == 2 for t in batches)   # no probe-by-probe replay
+        room = [DEFAULT_SCHEDULE.fitted(margin=4.0 - x if fwd else x + 4.0) is not None
+                for x, fwd in zip(px[:stop].tolist(), forward[:stop].tolist())]
+        bases = np.concatenate([t[:, 0] for t in batches])
+        assert sorted(bases.tolist()) == sorted(px[:stop][room].tolist())
+        assert np.concatenate([t.ravel() for t in batches]).max() <= 4.0
 
     def test_a_batch_the_evaluator_refuses_is_replayed(self):
         # calls of one probe's row pass, so the probe-by-probe answers stand

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from common import same_bits
 from fracvel import (
     SMOOTH,
     UNDEFINED,
@@ -254,6 +255,28 @@ class TestPolynomial:
             make_polynomial(())
         with pytest.raises(ValueError):
             make_polynomial((1.0, np.inf))
+
+    @settings(max_examples=150, deadline=None)
+    @given(coeffs=st.lists(st.floats(-1e3, 1e3) | st.sampled_from(
+               [0.0, -0.0, 1e308, -1e308, 1.7e308, 5e-324]), min_size=1, max_size=6),
+           lo=st.floats(-10.0, 9.0), width=st.floats(0.5, 20.0),
+           xs=st.lists(st.floats(-20.0, 20.0) | st.sampled_from(
+               [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200]), min_size=1, max_size=8))
+    def test_values_and_marks_match_numpy_polynomial_bit_for_bit(self, coeffs, lo,
+                                                                  width, xs):
+        # signed zeros included: the class maps x to 0.0 + 1.0*x first,
+        # and a constant's derivative is [0.] or [-0.]
+        f = make_polynomial(coeffs, (lo, lo + width))
+        p = np.polynomial.Polynomial(coeffs)
+        x = np.array(xs)
+        with np.errstate(all="ignore"):
+            assert same_bits(f(x), p(x))
+            for t in xs:
+                assert type(f(t)) is float and same_bits(f(t), p(np.asarray(t)))
+            dp = p.deriv()
+            want = [float(dp(m.x)) for m in f.marks]
+        assert same_bits([m.velocity_plus for m in f.marks], want)
+        assert same_bits([m.velocity_minus for m in f.marks], want)
 
 
 class TestContainerValidation:
