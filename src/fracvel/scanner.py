@@ -119,7 +119,8 @@ def _batch_limits(f, xs: np.ndarray, forward: np.ndarray, beta: float,
     """Status and value of the velocity limit at each probe, as arrays.
 
     Probe i is at xs[i], forward where forward[i] and backward
-    elsewhere.  Each probe's schedule is fitted to its domain margin; a
+    elsewhere.  Each probe's schedule is fitted to its domain margin (a
+    probe past the domain's far end keeps the whole schedule); a
     probe it leaves no room gets status None, any other one what
     velocity_limit reports with the fitted schedule.  Before evaluation,
     each probe gets its fit, once per distinct margin cut, and its ladder
@@ -142,11 +143,13 @@ def _batch_limits(f, xs: np.ndarray, forward: np.ndarray, beta: float,
     with np.errstate(invalid="ignore"):
         margin = np.where(forward, hi - xs, xs - lo)
     # probe i uses fits[fit_of[i]], none where that is None: a margin short of
-    # eps0 takes its cut's fit, and a NaN one, which alone cuts none, fits none
+    # eps0 takes its cut's fit, and a NaN one, which alone cuts none, fits
+    # none.  A negative margin puts the probe past the domain's far end, so it
+    # keeps the whole schedule, whose window leaves the domain.
     fits = [schedule]
     fit_of = np.zeros(xs.size, dtype=int)
     kept = schedule._usable(xs)
-    short = np.flatnonzero(~(margin >= schedule.eps0))
+    short = np.flatnonzero(~(margin >= schedule.eps0) & ~(margin < 0.0))
     if short.size:
         _, first, cut_of = np.unique(_count_above(schedule.raw(), margin[short]),
                                      return_index=True, return_inverse=True)

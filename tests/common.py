@@ -33,6 +33,8 @@ from fracvel.rlcalc import (
     DEFAULT_APPROACH,
     DEFAULT_QUAD,
     GRADED_NODE_CAP,
+    GRADED_SERIES_TERMS,
+    GRADED_SERIES_W,
     JACOBI_NODE_CAP,
     KG_H_FACTOR,
     KG_TOL,
@@ -142,19 +144,37 @@ def reference_ladder(f, x, eps, directions, n0=OSC_N0, cap=OSC_SAMPLE_CAP):
 
 
 def _graded_pass(f, a, x, mu, n):
-    """The graded product rule over [a, x] on n cells, one float."""
+    """The graded product rule over [a, x] on n cells, one float.
+
+    Each cell's hat-function moments against (1-s)**(mu-1) on the unit
+    mesh s, from u = 1 - s and the cell ratio w, the linear moment's
+    factor by its series below w = GRADED_SERIES_W; the sum of f at the
+    nodes times those weights, times (x-a)**mu.
+    """
     s = (np.arange(n + 1, dtype=float) / n) ** (2.0 / min(mu, 1.0 - mu))
+    u = 1.0 - s[:-1]
+    w = (s[1:] - s[:-1]) / u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.log1p(-w)
+        zeroth = -np.expm1(mu * q) / mu
+        psi = (zeroth + np.expm1((mu + 1.0) * q) / (mu + 1.0)) / (w * w)
+    coef = [1.0 / 2.0]
+    rising = 1.0
+    for k in range(1, GRADED_SERIES_TERMS):
+        rising *= (k - mu) / k
+        coef.append(rising / (k + 2.0))
+    series = np.full_like(w, coef[-1])
+    for c in reversed(coef[:-1]):
+        series = series * w + c
+    psi = np.where(w < GRADED_SERIES_W, series, psi)
+    scale = u ** mu
+    right = scale * w * psi
+    weights = np.append(zeroth * scale - right, 0.0)
+    weights[1:] += right
     t = a + (x - a) * s
     t[0], t[-1] = a, x
     ft = np.asarray(f(t), dtype=float)
-    u0 = x - t[:-1]
-    u1 = x - t[1:]
-    m0 = (u0 ** mu - u1 ** mu) / mu
-    m1 = x * m0 - (u0 ** (mu + 1.0) - u1 ** (mu + 1.0)) / (mu + 1.0)
-    dt = t[1:] - t[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(dt > 0.0, (ft[1:] - ft[:-1]) / np.where(dt > 0.0, dt, 1.0), 0.0)
-    return float(np.sum(ft[:-1] * m0 + slope * (m1 - t[:-1] * m0)))
+    return float(np.sum(ft * weights)) * float((np.array([x - a]) ** mu)[0])
 
 
 def _jacobi_pass(f, a, x, mu, n):

@@ -696,6 +696,17 @@ class TestMainCommands:
         assert payload["passed"] is True
         assert payload["velocity"] == 1.0
 
+    def test_lfd_graded_converges_at_small_beta(self, capsys):
+        # a cusp of small order from below: the graded rule's weights keep
+        # their digits on the finest cells, so the approach converges
+        beta, k = 0.16740015231087205, 1.1769108344972294
+        code = main(["lfd", "--fn", f"cusp:a=0.0,beta={beta!r},k={k!r}", "--x", "0.0",
+                     "--beta", repr(beta), "--direction", "bwd"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["lfd"]["status"] == "converged" and payload["passed"] is True
+        assert payload["lfd"]["value"] == pytest.approx(math.gamma(1.0 + beta) * k, abs=1e-4)
+
     def test_verify_mean_value(self, capsys):
         code = main(["verify", "--fn", "cusp:", "--theorem", "mean_value",
                      "--interval", "0,1", "--beta", "0.5"])
@@ -745,7 +756,7 @@ class TestMainCommands:
 
     def test_verify_leaving_the_domain_exits_1_before_evaluating_the_failing_probe(
             self, capsys, monkeypatch):
-        # the first backward probe past x = 4 leaves the domain; before it
+        # the first forward probe past x = 4 leaves the domain; before it
         # come the two endpoint values and a few batches, not a replay of
         # its 10,000 predecessors one at a time
         calls = record_evaluator_calls(monkeypatch)
@@ -753,8 +764,19 @@ class TestMainCommands:
                      "--interval=-3.9,4.5", "--beta", "0.5", "--n", "10001"])
         assert code == 1
         assert capsys.readouterr() == ("", "error: probe of width 0.0625 at x=4.0002 "
-                                           "(backward) leaves the domain [-4, 4]\n")
+                                           "(forward) leaves the domain [-4, 4]\n")
         assert calls[:2] == [1, 1] and len(calls) < 40, len(calls)
+
+    @pytest.mark.parametrize("interval, x", [("-1,2.5", "2.15"), ("-2.5,1", "-2.5")])
+    def test_verify_probe_outside_the_domain_leaves_it_on_either_side(
+            self, interval, x, capsys):
+        # a forward probe past the domain's far end leaves the domain as one
+        # before its near end does; neither reads as no room for the schedule
+        code = main(["verify", "--fn", "cusp:", "--theorem", "weak_darboux",
+                     f"--interval={interval}", "--beta", "0.5", "--n", "11"])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: probe of width 0.0625 at x={x} (forward) leaves the domain [-2, 2]\n")
 
     def test_analysis_error_exit_1(self, capsys):
         # cusp domain is (-2, 2); probing at 5 fails inside analysis

@@ -397,12 +397,14 @@ def _verdict(theorem, f, a, b, beta, n, target, schedule):
 def _pointwise_limits(f, xs, forward, beta, schedule, tol):
     """_batch_limits by its definition: each probe in turn, through
     velocity_limit with the schedule fitted to its margin, up to the first
-    probe that raises."""
+    probe that raises.  A probe past the domain's far end keeps the whole
+    schedule, whose window leaves the domain."""
     lo, hi = f.domain
     status = np.full(xs.size, None, dtype=object)
     value = np.full(xs.size, np.nan)
     for i, (x, fwd) in enumerate(zip(xs.tolist(), forward.tolist())):
-        fit = schedule.fitted(margin=hi - x if fwd else x - lo)
+        margin = hi - x if fwd else x - lo
+        fit = schedule if margin < 0.0 else schedule.fitted(margin=margin)
         if fit is not None:
             try:
                 lim = velocity_limit(f, x, beta, FWD if fwd else BWD, fit, tol)
@@ -446,7 +448,7 @@ SCHEDULES = st.builds(EpsilonSchedule, st.sampled_from([2.0 ** -4, 0.1]),
 # the forward probe at 1.9375 ends its window at the domain's end, 2, exactly
 @example(name="cusp", theorem="weak_darboux", symmetric=False, u=0.75, v=1.0, beta=0.5,
          n=17, target=None, schedule=EpsilonSchedule())
-# past x = 4 the first backward probe leaves the domain
+# past x = 4 the first forward probe leaves the domain
 @example(name="poly", theorem="rolle", symmetric=True, u=1.05, v=0.0, beta=0.5,
          n=301, target=None, schedule=EpsilonSchedule())
 def test_verifier_verdicts_equal_their_pointwise_replay(name, theorem, symmetric, u, v,

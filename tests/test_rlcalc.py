@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -137,6 +138,43 @@ class TestRlIntegral:
         f = lambda t: np.cos(50000.0 * np.asarray(t, dtype=float))
         with pytest.raises(QuadratureError):
             rl_integral(f, 0.0, 0.5, 1.0, JACOBI)
+
+
+# From the edges of (0, 1), where the grading squeezes the first cells
+# below the smallest double, through the middle
+GRADED_ORDERS = [0.01, 0.02, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.98, 0.99]
+
+
+class TestGradedRule:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu", GRADED_ORDERS)
+    @pytest.mark.parametrize("b", [0.05, 0.5, 0.9])
+    def test_power_closed_form_at_every_order(self, mu, b):
+        # I^mu |t|^b from 0 is G(b+1)/G(b+1+mu) |x|^(b+mu) on either side;
+        # a value the stop rule accepts lies within its own bound of it
+        xs = np.array([0.7, -0.7, 1e-3])
+        got = rl_integral(power(b), 0.0, mu, xs)
+        exact = math.gamma(b + 1.0) / math.gamma(b + 1.0 + mu) * np.abs(xs) ** (b + mu)
+        assert np.abs(got / exact - 1.0).max() <= rlcalc.QUAD_REL_CHANGE
+
+    @pytest.mark.parametrize("mu", GRADED_ORDERS)
+    @pytest.mark.parametrize("n", [8, 64, 4096, GRADED_NODE_CAP])
+    def test_weights_sum_to_the_kernel_integral(self, mu, n):
+        # sum_j W_j = int_0^1 (1-s)**(mu-1) ds = 1/mu
+        s, weights = rlcalc._graded_mesh(mu, n)
+        assert s.size == weights.size == n + 1 and s[0] == 0.0 and s[-1] == 1.0
+        assert abs(math.fsum(weights) * mu - 1.0) <= 4.0 * EPS
+
+    @pytest.mark.parametrize("mu, n", [(0.01, 64), (0.02, GRADED_NODE_CAP),
+                                       (0.98, GRADED_NODE_CAP), (0.99, 4096)])
+    def test_underflowed_cells_get_zero_weight_without_a_warning(self, mu, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s, weights = rlcalc._graded_mesh(mu, n)
+        # every node at s = 0 but the last one lies between flat cells
+        flat = np.flatnonzero(s == 0.0)[:-1]
+        assert flat.size > 0
+        assert np.isfinite(weights).all() and (weights[flat] == 0.0).all()
 
 
 class TestRlDerivative:
@@ -284,6 +322,14 @@ class TestEquivalence:
         c = make_chirp(0.5, 0.0)
         with pytest.raises(PreconditionError):
             check_lfd_equivalence(c, 0.0, 0.5, FWD)
+
+    def test_graded_cusp_passes_at_every_beta(self):
+        # the default graded rule on a unit cusp, both ways, small beta first
+        betas = [0.1, 0.15, 0.2] + np.linspace(0.03, 0.97, 48).tolist()
+        failed = [(beta, direction.value) for beta in betas for direction in (FWD, BWD)
+                  if not check_lfd_equivalence(make_power_cusp(0.0, beta, 1.0, 0.0), 0.0,
+                                               beta, direction).passed]
+        assert failed == []
 
     def test_zero_velocity_smooth_point(self):
         f = power(2.0)

@@ -234,9 +234,9 @@ class TestScanMatchesPointwiseLimits:
         assert np.concatenate([t.ravel() for t in seen]).max() < px[stop]
 
     def test_window_leaving_the_domain_evaluates_no_probe_from_the_failing_one_on(self):
-        # past x = 4 the forward probes get no room and are skipped, and
-        # the first backward one fails by itself: the probes before it are
-        # evaluated in their batch, and nothing at or past it is
+        # the first forward probe past x = 4 lies outside the domain and
+        # fails by itself, as the backward one beside it would: the probes
+        # before it are evaluated in their batch, and nothing at or past it is
         f = make_polynomial((0.09, -0.6, 1.0))
         seen = []
 
@@ -247,11 +247,11 @@ class TestScanMatchesPointwiseLimits:
         recorded.domain = f.domain
         n = 1001
         px, forward = scanner._both_sides(np.linspace(-3.9, 4.5, n)[1:-1])
-        stop = int(np.argmax(px > 4.0)) + 1
-        assert not forward[stop] and px[stop - 1] == px[stop]
+        stop = int(np.argmax(px > 4.0))
+        assert forward[stop] and px[stop + 1] == px[stop]
         with pytest.raises(DomainError) as expected:
-            velocity_limit(f, px[stop], 0.5, BWD, tol=1e-3)
-        assert str(expected.value) == ("probe of width 0.0625 at x=4.0044 (backward) "
+            velocity_limit(f, px[stop], 0.5, FWD, tol=1e-3)
+        assert str(expected.value) == ("probe of width 0.0625 at x=4.0044 (forward) "
                                        "leaves the domain [-4, 4]")
         with pytest.raises(DomainError) as got:
             verify_rolle(recorded, -3.9, 4.5, 0.5, n)
