@@ -189,10 +189,17 @@ def _parse_params(rest: str) -> dict:
     return params
 
 
-def _pop_float(params: dict, key: str, default: float) -> float:
-    raw = params.pop(key, None)
-    if raw is None:
-        return default
+# Each --fn kind's maker and keywords in argument order, named in lower case
+# (k for K); a keyword left out takes the maker's own default.
+_MAKERS = {
+    "cusp": (make_power_cusp, ("a", "beta", "K", "c0")),
+    "chirp": (make_chirp, ("gamma", "a")),
+    "weierstrass": (make_weierstrass, ("amp", "freq", "n_terms")),
+}
+
+
+def _pop_float(params: dict, key: str) -> float:
+    raw = params.pop(key)
     try:
         return float(raw)
     except ValueError:
@@ -207,23 +214,15 @@ def build_function(spec: str):
         if not rest:
             raise UsageError("file: needs a path, e.g. file:data.csv")
         return load_samples(rest)
-    if kind not in ("cusp", "chirp", "weierstrass", "poly"):
+    if kind != "poly" and kind not in _MAKERS:
         raise UsageError(f"unknown function kind {kind!r}")
     params = _parse_params(rest)
     try:
-        if kind == "cusp":
-            f = make_power_cusp(_pop_float(params, "a", 0.0),
-                                _pop_float(params, "beta", 0.5),
-                                _pop_float(params, "k", 1.0),
-                                _pop_float(params, "c0", 0.0))
-        elif kind == "chirp":
-            f = make_chirp(_pop_float(params, "gamma", 0.5),
-                           _pop_float(params, "a", 0.0))
-        elif kind == "weierstrass":
-            f = make_weierstrass(_pop_float(params, "amp", 0.5),
-                                 _pop_float(params, "freq", 3),
-                                 _pop_float(params, "n_terms", 24))
-        elif kind == "poly":
+        if kind in _MAKERS:
+            maker, keywords = _MAKERS[kind]
+            f = maker(**{kw: _pop_float(params, kw.lower())
+                         for kw in keywords if kw.lower() in params})
+        else:
             raw = params.pop("coeffs", None)
             if raw is None:
                 raise UsageError("poly needs coeffs=c0;c1;...")
@@ -446,9 +445,9 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     return cfg
 
 
-def _effective_schedule(cfg: RunConfig, f) -> EpsilonSchedule:
-    """The command line's schedule, cut at a sampled function's floor."""
-    base = EpsilonSchedule(cfg.eps0, cfg.ratio, cfg.count)
+def _effective_schedule(cfg: RunConfig, f, count: int) -> EpsilonSchedule:
+    """The CLI's one ladder builder: count steps, cut at a sampled function's floor."""
+    base = EpsilonSchedule(cfg.eps0, cfg.ratio, count)
     floor = getattr(f, "eps_floor", -math.inf)
     fitted = base.fitted(floor=floor)
     if fitted is None:
@@ -699,7 +698,7 @@ def _run_scan(cfg: RunConfig, f, schedule: EpsilonSchedule, tol: float) -> RunRe
 
 
 def _run_lfd(cfg: RunConfig, f, schedule: EpsilonSchedule, tol: float) -> RunResult:
-    approach = EpsilonSchedule(cfg.eps0, cfg.ratio, cfg.approach_count)
+    approach = _effective_schedule(cfg, f, cfg.approach_count)
     config = QuadratureConfig(cfg.nodes, QuadScheme(cfg.scheme))
     rep = check_lfd_equivalence(f, cfg.x, cfg.beta, _DIRECTIONS[cfg.direction],
                                 schedule, tol, approach, config, cfg.kg_tol)
@@ -764,7 +763,7 @@ def _run(cfg: RunConfig) -> RunResult:
     if cfg.command == "zoo":
         return _run_zoo()
     f = build_function(cfg.fn)
-    schedule = _effective_schedule(cfg, f)
+    schedule = _effective_schedule(cfg, f, cfg.count)
     tol = cfg.tol if cfg.tol is not None else (
         {"scan": SCAN_TOL, "verify": VERIFY_TOL}.get(cfg.command, DEFAULT_TOL))
     result = _HANDLERS[cfg.command](cfg, f, schedule, tol)

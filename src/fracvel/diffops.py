@@ -93,13 +93,24 @@ def _check_windows(f, x, eps, direction: Direction) -> None:
 
 
 def _feval(f, t):
-    """f at t, a float array or a float, as floats.  Every library call
-    of f goes through here, under np.errstate(over="ignore",
-    invalid="ignore"): a value that overflows to inf, or inf - inf, is
-    non-finite, which the estimators report as diverged, with no
-    warning."""
+    """f at t as floats: every library call of f goes through here.  An
+    array t reaches f as one 1-D float array and the values come back in
+    t's shape, one value broadcast to it; a float t reaches f unchanged.
+    Under np.errstate(over="ignore", invalid="ignore"), a value that
+    overflows, or inf - inf, is non-finite, reported as diverged."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.asarray(f(t), dtype=float)
+        if not isinstance(t, np.ndarray):
+            return np.asarray(f(t), dtype=float)
+        v = np.asarray(f(t.reshape(-1)), dtype=float)
+    if v.size == 1 and t.size != 1:
+        return np.broadcast_to(v.reshape(()), t.shape)
+    return v.reshape(t.shape)
+
+
+def _agree(cur, prev, rel: float):
+    """The one settle rule of a doubling: whether |cur - prev| is within rel
+    of the larger magnitude (or the smallest normal).  NaN never settles."""
+    return np.abs(cur - prev) <= rel * np.maximum(np.maximum(np.abs(cur), np.abs(prev)), _TINY)
 
 
 def _row_blocks(n_rows: int, row_len: int):
@@ -123,7 +134,7 @@ def variation_values(f, x, beta: float, direction: Direction, eps) -> np.ndarray
     """Fractional variation difference/eps**beta over an array of increments.
 
     x may be a point or a 1-D array of base points, giving one row per
-    point.  f(x) and every f(x +- eps) come from one vectorized call on
+    point.  f(x) and every f(x +- eps) come from one _feval call on
     the (points x (1 + increments)) array x +- [0, eps...], so deep
     schedules and whole grids stay cheap.
     """
@@ -139,8 +150,6 @@ def variation_values(f, x, beta: float, direction: Direction, eps) -> np.ndarray
     if t.size and not lo <= t.min() <= t.max() <= hi:
         _check_windows(f, xs, eps.max(), direction)
     v = _feval(f, t)
-    if v.shape != t.shape:
-        v = np.broadcast_to(v, t.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         return _variation_quotient(v[..., :1], v[..., 1:], beta, direction, eps)
 
@@ -165,16 +174,15 @@ def _annulus_extrema(f, x: float, outer: np.ndarray, inner: np.ndarray,
     """Max and min of f over the points of each annulus at offsets offs.
 
     Row k holds the points between the signed distances inner[k] and
-    outer[k] from x (_annulus_points).  Whole rows go to f, in the
-    blocks of _row_blocks.  ends, when given, receives each row's values
-    at its first and last offset as its two columns: at offsets from 0
-    to 1, f(x + inner[k]) and f(x + outer[k]).
+    outer[k] from x (_annulus_points).  Whole rows go to f, one _feval
+    call per block of _row_blocks.  ends, when given, receives each
+    row's values at its first and last offset as its two columns: at
+    offsets from 0 to 1, f(x + inner[k]) and f(x + outer[k]).
     """
     hi = np.empty(outer.size)
     lo = np.empty(outer.size)
     for rows in _row_blocks(outer.size, offs.size):
-        t = _annulus_points(x, outer[rows, None], inner[rows, None], offs)
-        v = np.broadcast_to(_feval(f, t.ravel()), (t.size,)).reshape(t.shape)
+        v = _feval(f, _annulus_points(x, outer[rows, None], inner[rows, None], offs))
         hi[rows] = v.max(axis=1)
         lo[rows] = v.min(axis=1)
         if ends is not None:
@@ -257,7 +265,7 @@ def _osc_ladder(f, x: float, eps, directions, n0: int = OSC_N0,
         hi[active] = np.maximum(hi[active], h)
         lo[active] = np.minimum(lo[active], l)
         cur = hi[active] - lo[active]
-        settled = cur - own[active] <= OSC_REL_CHANGE * np.maximum(cur, _TINY)
+        settled = _agree(cur, own[active], OSC_REL_CHANGE)
         own[active] = cur
         n_samples[active] = n
         refined[active] = settled

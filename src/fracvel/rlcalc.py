@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diffops import Direction, _feval, _row_blocks, domain_of
+from .diffops import Direction, _agree, _feval, _row_blocks, domain_of
 from .errors import DomainError, PreconditionError, QuadratureError
 from .estimator import (
     DEFAULT_TOL,
@@ -73,7 +73,6 @@ DEFAULT_APPROACH = EpsilonSchedule(count=16)
 # settled; from the asymptotic start they take 4 or 5 up to 2**10 nodes.
 JACOBI_NEWTON_CAP = 32
 
-_TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
 
 
@@ -143,7 +142,7 @@ def _check_rows(f, a: float, xs: np.ndarray) -> None:
 
 
 def _node_values(f, b, e, t, mirror, out=None):
-    """f at the nodes t of a block of rows; b, e are their (rows x 1) ends.
+    """f at the nodes t of a block of rows by one _feval; b, e: (rows x 1) ends.
 
     A mirrored row evaluates f at (b + e) - t: the right-sided integral
     over [x, a] is the left-sided integral of t -> f(x + a - t) based at x.
@@ -153,7 +152,7 @@ def _node_values(f, b, e, t, mirror, out=None):
     if mirror.any():
         pts = np.subtract(b + e, t, out=out)
         np.copyto(pts, t, where=~mirror[:, None])
-    return _feval(f, pts.ravel()).reshape(t.shape)
+    return _feval(f, pts)
 
 
 def _graded_product_rule(mu: float, n: int):
@@ -308,12 +307,6 @@ _RULES = {
 }
 
 
-def _agree(cur, prev):
-    """Whether each row's successive passes agree to QUAD_REL_CHANGE relative."""
-    return np.abs(cur - prev) <= QUAD_REL_CHANGE * np.maximum(
-        np.maximum(np.abs(cur), np.abs(prev)), _TINY)
-
-
 def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfig):
     """Raw integrals of every row by node doubling, depth first.
 
@@ -353,7 +346,7 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
         # rows last evaluated at n nodes, through every deeper level
         n *= 2
         for idx, cur in passes(rows, n):
-            left = idx[~_agree(cur, value[idx])]
+            left = idx[~_agree(cur, value[idx], QUAD_REL_CHANGE)]
             value[idx] = cur
             if left.size:
                 failed = n if 2 * n > cap else deepen(left, n)

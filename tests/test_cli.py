@@ -29,6 +29,7 @@ from fracvel.cli import (
 )
 from fracvel.rlcalc import DEFAULT_APPROACH
 from fracvel.scanner import scan_change_set
+from common import GAMMA_15
 
 
 def write_samples(path, xs, ys):
@@ -349,6 +350,19 @@ class TestSampledAnalyze:
         assert code == 0
         schedule = json.loads(capsys.readouterr().out)["schedule"]
         assert schedule["count"] == schedule["effective_count"] == count
+
+    def test_lfd_approach_stops_at_the_sample_floor(self, tmp_path, capsys):
+        # 2^17 gaps on [-1, 1] floor the probes at 2**-14; an approach
+        # ladder run below it reads the linear interpolant, whose
+        # derivative of order 1/2 at the cusp falls off like eps**(1/2)
+        xs = np.linspace(-1.0, 1.0, 2 ** 17 + 1)
+        path = write_samples(tmp_path / "cusp.csv", xs, np.sign(xs) * np.abs(xs) ** 0.5)
+        for scheme in ("graded_product", "jacobi_weighted"):
+            code = main(["lfd", "--fn", f"file:{path}", "--x", "0", "--beta", "0.5",
+                         "--direction", "fwd", "--scheme", scheme])
+            assert code == 0
+            lfd = json.loads(capsys.readouterr().out)["lfd"]
+            assert abs(lfd["value"] - GAMMA_15) < 5e-3
 
     def test_floor_cutting_below_eight_fails(self, tmp_path, capsys):
         # gaps of 5e-4 floor the probes at 2e-3, leaving 2**-4 .. 2**-8

@@ -24,6 +24,7 @@ from common import (
 from fracvel.diffops import (EVAL_CALL_POINTS, OSC_N0, OSC_SAMPLE_CAP, _osc_ladder,
                              _row_blocks)
 from fracvel.estimator import DEFAULT_SCHEDULE
+from fracvel.scanner import _grid_probes
 
 FWD = Direction.FORWARD
 BWD = Direction.BACKWARD
@@ -145,11 +146,19 @@ class TestBatchedVariation:
 
     @pytest.mark.parametrize("direction", [FWD, BWD])
     def test_a_block_is_one_array_call(self, direction):
-        f = CountingEvaluator(make_power_cusp(0.0, 0.3, 2.0, 0.0))
+        f = CountingEvaluator(make_power_cusp(0.0, 0.3, 2.0, 0.0), record=True)
         eps = EpsilonSchedule(2.0 ** -4, 0.5, 12).increments()
-        variation_values(f, np.linspace(-1.0, 1.0, 7), 0.3, direction, eps)
+        xs = np.linspace(-1.0, 1.0, 7)
+        variation_values(f, xs, 0.3, direction, eps)
         variation_values(f, 0.25, 0.3, direction, eps)
-        assert f.shapes == [(7, 13), (13,)]
+        # each call holds its points' rows x +- [0, eps...], f(x) first
+        steps = np.concatenate(([0.0], eps))
+        sign = 1.0 if direction is FWD else -1.0
+        rows = [np.reshape(t, (-1, eps.size + 1)) for t in f.args]
+        assert [r.shape for r in rows] == [(7, 13), (1, 13)]
+        assert [r[:, 0].tolist() for r in rows] == [xs.tolist(), [0.25]]
+        assert same_bits(rows[0], xs[:, None] + sign * steps)
+        assert same_bits(rows[1], 0.25 + sign * steps[None, :])
 
     def test_grid_blocks_stay_within_the_entry_bound(self):
         # per direction, as many probes as fit the bound without the f(x)
@@ -157,10 +166,13 @@ class TestBatchedVariation:
         k = DEFAULT_SCHEDULE.increments(0.0).size
         probes = EVAL_CALL_POINTS // k
         assert probes * (k + 1) > EVAL_CALL_POINTS
-        f = CountingEvaluator(make_power_cusp(0.0, 0.3, 2.0, 0.0))
+        f = CountingEvaluator(make_power_cusp(0.0, 0.3, 2.0, 0.0), record=True)
         scan_change_set(f, (-1.0, 1.0), 0.3, probes + 1)
         per_block = EVAL_CALL_POINTS // (k + 1)
-        assert all(len(shape) == 2 and shape[1] == k + 1 for shape in f.shapes)
+        # each call is whole rows of f(x) and its k f(x +- eps), one per probe
+        bases = np.concatenate([np.reshape(t, (-1, k + 1))[:, 0] for t in f.args])
+        px, _ = _grid_probes(np.linspace(-1.0, 1.0, probes + 1))
+        assert sorted(bases.tolist()) == sorted(px.tolist())
         assert max(f.sizes) <= EVAL_CALL_POINTS
         assert sum(f.sizes) == 2 * probes * (k + 1)
         assert len(f.sizes) == 2 * -(-probes // per_block)
@@ -264,15 +276,19 @@ def dyadic_depth(t):
 
 
 class CountingEvaluator:
-    def __init__(self, f):
+    """f, counting the points of each call; with record, it also keeps a
+    copy of each argument in args."""
+
+    def __init__(self, f, record=False):
         self.f = f
         self.sizes = []
-        self.shapes = []
+        self.args = [] if record else None
         self.domain = getattr(f, "domain", (-np.inf, np.inf))
 
     def __call__(self, t):
         self.sizes.append(np.size(t))
-        self.shapes.append(np.shape(t))
+        if self.args is not None:
+            self.args.append(np.array(t))
         return self.f(t)
 
 

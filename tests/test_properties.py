@@ -13,14 +13,18 @@ from fracvel import (
     EpsilonSchedule,
     LimitStatus,
     LocallyConstantError,
+    QuadratureConfig,
+    QuadScheme,
     classify_limit,
     default_zoo,
     estimate_holder_exponent,
     estimate_velocity,
+    kg_lfd,
     make_chirp,
     make_polynomial,
     make_power_cusp,
     make_weierstrass,
+    rl_integral,
     scan_change_set,
     variation_values,
     velocity_limit,
@@ -39,6 +43,7 @@ from fracvel.cli import SampledFunction
 from fracvel.diffops import _osc_ladder
 from fracvel.estimator import (C1_RATIO_CUTOFF, FLOOR_FACTOR, MIN_FITTED, VelocityReport,
                                _velocity_reports)
+from fracvel.rlcalc import QUAD_REL_CHANGE
 
 FWD = Direction.FORWARD
 BWD = Direction.BACKWARD
@@ -491,3 +496,116 @@ def test_scan_reports_equal_their_pointwise_replay(name, u, v, beta, n, tol, sch
     assume(a < b)
     batched, replayed, pointwise = _replays(lambda: _scan(f, a, b, beta, n, tol, schedule))
     assert batched == replayed == pointwise
+
+
+class Recorded:
+    """f, keeping what each call was given: a float as it is, an array
+    as a copy."""
+
+    def __init__(self, f, domain=(-math.inf, math.inf)):
+        self.f = f
+        self.domain = domain
+        self.args = []
+
+    def __call__(self, t):
+        self.args.append(np.array(t) if isinstance(t, np.ndarray) else t)
+        return self.f(t)
+
+
+def _outcome(run):
+    try:
+        return repr(run())
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _evaluator_paths(f, x, beta, centre):
+    """Every library path that calls f, around x at order beta (kg_lfd
+    and rl_integral based at x), by name: a thunk giving its report.
+    Rolle's interval is symmetric about centre."""
+    ends = x + np.array([0.25, -0.5])
+    paths = {
+        "estimate_velocity forward": lambda: estimate_velocity(f, x, beta, FWD),
+        "estimate_velocity backward": lambda: estimate_velocity(f, x, beta, BWD),
+        "estimate_holder_exponent": lambda: estimate_holder_exponent(f, x, FWD),
+        "velocity_limit": lambda: velocity_limit(f, x, beta, BWD),
+        "scan_change_set": lambda: scan_change_set(f, (x - 0.5, x + 0.5), beta, 9),
+        "verify_rolle": lambda: verify_rolle(f, centre - 0.5, centre + 0.5, beta, 9),
+        "verify_mean_value": lambda: verify_mean_value(f, x - 0.5, x + 0.5, beta),
+        "verify_weak_darboux": lambda: verify_weak_darboux(f, x - 0.5, x + 0.5, beta, 9),
+        "kg_lfd": lambda: kg_lfd(f, x, beta, FWD),
+    }
+    for scheme in QuadScheme:
+        paths[f"rl_integral {scheme.value}"] = (
+            lambda s=scheme: rl_integral(f, x, 1.0 - beta, ends, QuadratureConfig(scheme=s)))
+    return paths
+
+
+# paths whose first calls evaluate f at single points, and how many
+ENDPOINT_CALLS = {"verify_rolle": 2, "verify_mean_value": 2, "kg_lfd": 1}
+
+
+@settings(max_examples=15, deadline=None)
+@given(centre=st.floats(-1.0, 1.0), u=st.floats(-1.0, 1.0),
+       beta=st.floats(0.1, 0.9), K=st.floats(0.5, 2.0))
+def test_evaluator_contract_arrays_reach_f_as_one_d_floats(centre, u, beta, K):
+    # every array f is given is one 1-D float64 array, whatever the path
+    # batches; only two verifiers' f(a) and f(b) and kg_lfd's f(a) are
+    # floats, and only a path that raises may stop before any array
+    def kink(t):
+        return K * np.abs(np.asarray(t, dtype=float) - centre) ** beta
+
+    f = Recorded(kink, (centre - 2.0, centre + 2.0))
+    for name, run in _evaluator_paths(f, centre + u, beta, centre).items():
+        f.args.clear()
+        raised = isinstance(_outcome(run), tuple)
+        head = ENDPOINT_CALLS.get(name, 0)
+        assert all(isinstance(t, float) for t in f.args[:head]), name
+        arrays = f.args[head:]
+        assert arrays or raised, name
+        assert all(isinstance(t, np.ndarray) and t.ndim == 1 and t.dtype == np.float64
+                   for t in arrays), name
+
+
+# a relative bound on c * |x - a|**mu needs c far from the subnormals,
+# where a double carries too few digits to meet it
+@settings(max_examples=10, deadline=None)
+@given(c=st.floats(-10.0, 10.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-300),
+       x=st.floats(-1.0, 1.0), beta=st.floats(0.1, 0.9))
+def test_evaluator_contract_constants_may_answer_with_one_number(c, x, beta):
+    # an evaluator that answers every call with the number c gives the
+    # reports of one that fills the argument's shape with c, on every path
+    one = _evaluator_paths(lambda t: c, x, beta, x)
+    full = _evaluator_paths(lambda t: np.full(np.shape(t), c), x, beta, x)
+    for name in one:
+        assert _outcome(one[name]) == _outcome(full[name]), name
+    mu, ends = 1.0 - beta, x + np.array([0.25, -0.5])
+    want = c * np.abs(ends - x) ** mu / math.gamma(1.0 + mu)
+    for scheme in QuadScheme:
+        got = rl_integral(lambda t: c, x, mu, ends, QuadratureConfig(scheme=scheme))
+        assert np.all(np.abs(got - want) <= QUAD_REL_CHANGE * np.abs(want))
+
+
+@pytest.mark.parametrize("f", [lambda t: 2.0, lambda t: np.array([2.0]),
+                               lambda t: np.full(np.shape(t), 2.0)],
+                         ids=["scalar", "one value", "array"])
+def test_evaluator_contract_no_base_points_give_no_rows(f):
+    eps = EpsilonSchedule(2.0 ** -4, 0.5, 12).increments()
+    for direction in (FWD, BWD):
+        assert variation_values(f, np.empty(0), 0.5, direction, eps).shape == (0, eps.size)
+
+
+def test_evaluator_contract_one_d_only_evaluators_stay_batched():
+    # an evaluator that refuses any array but a 1-D one scans in the
+    # calls of one that takes any shape, one per direction
+    cusp = make_power_cusp(0.1, 0.5, 1.0, 0.0)
+
+    def one_d_only(t):
+        if np.ndim(t) > 1:
+            raise ValueError("1-D arrays only")
+        return cusp(t)
+
+    got, want = Recorded(one_d_only, cusp.domain), Recorded(cusp, cusp.domain)
+    rep = scan_change_set(got, (-1.0, 1.0), 0.5, 1001)
+    assert repr(rep) == repr(scan_change_set(want, (-1.0, 1.0), 0.5, 1001))
+    assert len(got.args) == len(want.args) == 2

@@ -117,6 +117,21 @@ def spike(t):
     return np.where(t == 0.5, np.inf, t)
 
 
+def default_ladder(x, forward):
+    """Increments a probe at x keeps under the default schedule."""
+    return DEFAULT_SCHEDULE.increments(x).size
+
+
+def call_rows(t, ladder):
+    """A recorded evaluator call of a batched velocity path as its probes'
+    rows, f(x) first and then each f(x +- eps), given each probe's ladder
+    length ladder(x, forward): every row of a call has the first one's."""
+    x0, x1 = t.flat[0], t.flat[1]
+    rows = np.reshape(t, (-1, ladder(x0, x1 > x0) + 1))
+    assert all(ladder(x, x1 > x0) + 1 == rows.shape[1] for x in rows[:, 0].tolist())
+    return rows
+
+
 class TestScanMatchesPointwiseLimits:
     @pytest.mark.parametrize("f, interval, beta, n", [
         # |x| > 1 shortens the usable ladder, so several lengths occur
@@ -143,10 +158,10 @@ class TestScanMatchesPointwiseLimits:
         # every (direction, ladder length) group of this grid fits
         # EVAL_CALL_POINTS, so each is one call of its rows x (1 + ladder)
         f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
-        shapes = []
+        seen = []
 
         def counted(t):
-            shapes.append(np.shape(t))
+            seen.append(np.array(t))
             return f(t)
 
         counted.domain = f.domain
@@ -155,8 +170,11 @@ class TestScanMatchesPointwiseLimits:
         groups = Counter((fwd, DEFAULT_SCHEDULE.increments(x).size)
                          for x, fwd in zip(px.tolist(), forward.tolist()))
         assert len(groups) == 4
-        assert sorted(shapes) == sorted((rows, k + 1) for (_, k), rows in groups.items())
-        assert max(math.prod(s) for s in shapes) <= EVAL_CALL_POINTS
+        rows = [call_rows(t, default_ladder) for t in seen]
+        assert sorted(r.shape for r in rows) == sorted((n, k + 1) for (_, k), n in groups.items())
+        assert max(r.size for r in rows) <= EVAL_CALL_POINTS
+        bases = np.concatenate([r[:, 0] for r in rows])
+        assert sorted(bases.tolist()) == sorted(px.tolist())
 
     def test_deep_schedule_scan_holds_no_probes_by_steps_table(self):
         # 8,192 probes by 1,024 steps would be 64 MiB of floats; ladder
@@ -227,13 +245,14 @@ class TestScanMatchesPointwiseLimits:
             scan_change_set(recorded, (1e9, 1e11), 0.5, n)
         assert str(got.value) == str(expected.value)
         assert 0 < stop < len(px) - 1
-        # each call is a (probes x (1 + increments)) array whose first
-        # column is the probes' own abscissae
-        bases = np.concatenate([t[:, 0] for t in seen])
+        # each call holds its probes' rows, whose first column is the
+        # probes' own abscissae
+        bases = np.concatenate([call_rows(t, default_ladder)[:, 0] for t in seen])
         assert sorted(bases.tolist()) == sorted(px[:stop].tolist())
         assert np.concatenate([t.ravel() for t in seen]).max() < px[stop]
 
-    def test_window_leaving_the_domain_evaluates_no_probe_from_the_failing_one_on(self):
+    def test_window_leaving_the_domain_evaluates_no_probe_from_the_failing_one_on(
+            self, monkeypatch):
         # the first forward probe past x = 4 lies outside the domain and
         # fails by itself, as the backward one beside it would: the probes
         # before it are evaluated in their batch, and nothing at or past it is
@@ -245,6 +264,13 @@ class TestScanMatchesPointwiseLimits:
             return f(t)
 
         recorded.domain = f.domain
+        replayed = []
+
+        def counted_limit(f, x, *args, **kwargs):
+            replayed.append(x)
+            return velocity_limit(f, x, *args, **kwargs)
+
+        monkeypatch.setattr(scanner, "velocity_limit", counted_limit)
         n = 1001
         px, forward = scanner._both_sides(np.linspace(-3.9, 4.5, n)[1:-1])
         stop = int(np.argmax(px > 4.0))
@@ -257,14 +283,21 @@ class TestScanMatchesPointwiseLimits:
             verify_rolle(recorded, -3.9, 4.5, 0.5, n)
         assert str(got.value) == str(expected.value)
         # the endpoint values come first, one float each; then every call
-        # is a (probes x (1 + increments)) array whose first column is the
-        # probes' own abscissae
+        # holds its probes' rows, whose first column is the probes' own
+        # abscissae; the one pointwise velocity_limit is the failing
+        # probe's, which raises before evaluating
         assert [t.ndim for t in seen[:2]] == [0, 0]
         batches = seen[2:]
-        assert all(t.ndim == 2 for t in batches)   # no probe-by-probe replay
-        room = [DEFAULT_SCHEDULE.fitted(margin=4.0 - x if fwd else x + 4.0) is not None
+        assert replayed == [px[stop]]   # no probe-by-probe replay
+
+        def fit(x, fwd):
+            return DEFAULT_SCHEDULE.fitted(margin=4.0 - x if fwd else x + 4.0)
+
+        room = [fit(x, fwd) is not None
                 for x, fwd in zip(px[:stop].tolist(), forward[:stop].tolist())]
-        bases = np.concatenate([t[:, 0] for t in batches])
+        bases = np.concatenate(
+            [call_rows(t, lambda x, fwd: fit(x, fwd).increments(x).size)[:, 0]
+             for t in batches])
         assert sorted(bases.tolist()) == sorted(px[:stop][room].tolist())
         assert np.concatenate([t.ravel() for t in batches]).max() <= 4.0
 
