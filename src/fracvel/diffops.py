@@ -207,7 +207,10 @@ def _osc_ladder(f, x: float, eps, directions, n0: int = OSC_N0,
     oscillation over its own samples plus f(x): the first doubling that
     gains less than OSC_REL_CHANGE relative stops that row
     (refined=True), and a row whose next grid would pass cap keeps its
-    samples with refined=False.  A window's value is the max minus the
+    samples with refined=False.  A row whose oscillation is +inf on its
+    first grid keeps its n0 samples with refined=False: no finer grid
+    can lower it, so it is never doubled (and a NaN a finer grid might
+    hold is not looked for).  A window's value is the max minus the
     min over its own row and every deeper one of its side, folded from
     the deepest row out, so it never increases as e shrinks.  The
     library always starts from OSC_N0 points under OSC_SAMPLE_CAP; n0
@@ -258,7 +261,8 @@ def _osc_ladder(f, x: float, eps, directions, n0: int = OSC_N0,
     own = hi - lo
     n_samples = np.full(outer.size, n)
     refined = np.zeros(outer.size, dtype=bool)
-    active = np.arange(outer.size)
+    # an infinite row stays infinite: its max only rises and its min only falls
+    active = np.flatnonzero(own != np.inf)
     while active.size and 2 * n - 1 <= cap:
         n = 2 * n - 1
         h, l = _annulus_extrema(f, x, outer[active], inner[active], _osc_offsets(n)[1::2])

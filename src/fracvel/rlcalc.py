@@ -62,7 +62,7 @@ GRADED_SERIES_TERMS = 6
 # Fewest starting nodes a QuadratureConfig accepts.
 MIN_NODES = 8
 
-# kg_lfd differences the derivative at a +/- eps over a step eps / KG_H_FACTOR.
+# rl_derivative's central difference at x has half-width |x-a| / KG_H_FACTOR.
 KG_H_FACTOR = 8.0
 
 # kg_lfd's approach schedule when none is given: the velocity ladder's
@@ -399,28 +399,21 @@ def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = 
     return float(value[0]) if xs.ndim == 0 else value
 
 
-def _check_step(a: float, x: float, h: float) -> None:
-    _check_point(a, x)
-    if not math.isfinite(h):
-        raise ValueError(f"difference step must be finite, got {h}")
-    if not 0.0 < h < abs(x - a):
-        raise ValueError(f"difference step {h:g} must stay below |x-a|={abs(x - a):g}")
-
-
 def rl_derivative(f, a: float, beta: float, x,
-                  config: Optional[QuadratureConfig] = None, h_diff=None):
+                  config: Optional[QuadratureConfig] = None):
     """Fractional derivative of order beta at x, based at a.
 
     The composition d/dx of the order (1-beta) integral, with the outer
-    derivative taken by a central difference of width h_diff (default
-    |x-a|/8, which must leave the stencil on one side of a).  For x < a
-    the right-sided operator is used and carries the mirrored sign.
+    derivative taken by a central difference of half-width
+    |x-a|/KG_H_FACTOR, which leaves the stencil on one side of a.  For
+    x < a the right-sided operator is used and carries the mirrored sign.
 
-    x may be a 1-D array, with h_diff a matching array or one step for
-    all; the result is then an array.  The x+h and x-h of each point
-    before the first invalid step go to one rl_integral call, in the
-    order a loop over the points would integrate them, and then that
-    step raises its own error, so errors come out in the loop's order.
+    x may be a 1-D array; the result is then an array.  The x+h and x-h
+    of every point go to one rl_integral call, in the order a loop over
+    the points would integrate them, so errors come out in rl_integral's
+    order.  A step that underflows to 0, as it does for
+    0 < |x-a| <= 4 * 2**-1074, is refused after the points before it
+    are integrated, where a loop would stop.
     """
     _check_order(beta)
     a = float(a)
@@ -428,20 +421,17 @@ def rl_derivative(f, a: float, beta: float, x,
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError("evaluation points must be a scalar or a 1-D array")
-    h = np.abs(xs - a) / 8.0 if h_diff is None else np.asarray(h_diff, dtype=float)
-    h = np.broadcast_to(h, xs.shape).reshape(-1)
     pts = xs.reshape(-1)
-    with np.errstate(invalid="ignore"):
-        ok = np.isfinite(pts) & (0.0 < h) & (h < np.abs(pts - a))
-    # the first invalid step, or the number of points
-    n = pts.size if ok.all() else int(np.argmin(ok))
-    if n == 0 < pts.size:
-        # nothing to integrate, and no config error before the step's own
-        _check_step(a, float(pts[0]), float(h[0]))
+    dist = np.abs(pts - a)
+    h = dist / KG_H_FACTOR
+    # the first point whose step underflows to 0, or the number of points
+    n = np.append(np.flatnonzero((h == 0.0) & (dist > 0.0)), pts.size)[0]
+    # a non-finite point is both of its own ends, so it fails as itself
+    h[~np.isfinite(pts)] = 0.0
     ends = np.stack([pts[:n] + h[:n], pts[:n] - h[:n]], axis=-1).reshape(-1)
     hi, lo = rl_integral(f, a, 1.0 - beta, ends, config).reshape(-1, 2).T
     if n < pts.size:
-        _check_step(a, float(pts[n]), float(h[n]))
+        raise ValueError(f"difference step 0 must stay below |x-a|={dist[n]:g}")
     d = (hi - lo) / (2.0 * h)
     d = np.where(pts > a, d, -d)
     return float(d[0]) if xs.ndim == 0 else d
@@ -486,7 +476,7 @@ def kg_lfd(f, a: float, beta: float, direction: Direction,
         raise DomainError(f"approach from below at a={a:g} leaves the domain")
 
     xs = a + eps if direction is Direction.FORWARD else a - eps
-    return classify_limit(rl_derivative(shifted, a, beta, xs, config, eps / KG_H_FACTOR), tol)
+    return classify_limit(rl_derivative(shifted, a, beta, xs, config), tol)
 
 
 @dataclass(frozen=True)

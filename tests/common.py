@@ -105,8 +105,9 @@ def _reference_side(f, x, eps, direction, n0, cap):
     for outer, inner in zip(eps, eps[1:] + [0.0]):
         n = int(n0)
         v = _feval(f, _window_points(x, outer, inner, _osc_offsets(n), direction))
-        row = None
-        while 2 * n - 1 <= cap:
+        # a row infinite on its first grid is never doubled
+        row = (v, n, False) if np.ptp(np.append(v, fx)) == np.inf else None
+        while row is None and 2 * n - 1 <= cap:
             prev = np.ptp(np.append(v, fx))
             n = 2 * n - 1
             v = _feval(f, _window_points(x, outer, inner, _osc_offsets(n), direction))
@@ -128,7 +129,8 @@ def reference_ladder(f, x, eps, directions, n0=OSC_N0, cap=OSC_SAMPLE_CAP):
     order of directions.  Row k of a side is the annulus between eps[k+1]
     and eps[k] away from x, the last row [0, eps[-1]].  Each level
     samples a row's whole n-point grid in its own call, and the row's
-    stop rule reads those samples plus f(x).  A window's value is
+    stop rule reads those samples plus f(x); a row infinite on its first
+    grid is never doubled.  A window's value is
     max - min over the last samples of its own row and of every deeper
     one.  f(x) and each f(x +- eps) are evaluated alone, one point a
     call.  Returns (value, n_samples, refined, fx, fe) arrays like
@@ -232,28 +234,25 @@ def reference_rl_integral(f, a, mu, xs, config=DEFAULT_QUAD):
                      for x in np.atleast_1d(np.asarray(xs, dtype=float)).tolist()])
 
 
-def reference_rl_derivative(f, a, beta, xs, config=DEFAULT_QUAD, h_diff=None):
+def reference_rl_derivative(f, a, beta, xs, config=DEFAULT_QUAD):
     """rl_derivative one point at a time from reference_rl_integral.
 
-    Per point: the checks of x and its step, the x+h integral, then the
-    x-h one, their central difference, negated below a.  h_diff is None
-    (|x-a|/8), one step or one step per point.  Returns one float per
-    entry of xs, or raises what the first failing point raises.
+    Per point: the checks of x and of its step |x-a|/KG_H_FACTOR, the
+    x+h integral, then the x-h one, their central difference, negated
+    below a.  Returns one float per entry of xs, or raises what the
+    first failing point raises.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    h = np.abs(xs - a) / 8.0 if h_diff is None else np.asarray(h_diff, dtype=float)
     out = []
-    for x, hx in zip(xs.tolist(), np.broadcast_to(h, xs.shape).tolist()):
+    for x in np.atleast_1d(np.asarray(xs, dtype=float)).tolist():
         if not math.isfinite(x):
             raise ValueError(f"evaluation point must be finite, got {x}")
         if x == a:
             raise ValueError("evaluation point must differ from the base point")
-        if not math.isfinite(hx):
-            raise ValueError(f"difference step must be finite, got {hx}")
-        if not 0.0 < hx < abs(x - a):
-            raise ValueError(f"difference step {hx:g} must stay below |x-a|={abs(x - a):g}")
-        hi, lo = reference_rl_integral(f, a, 1.0 - beta, [x + hx, x - hx], config)
-        d = (hi - lo) / (2.0 * hx)
+        h = abs(x - a) / KG_H_FACTOR
+        if h == 0.0:
+            raise ValueError(f"difference step 0 must stay below |x-a|={abs(x - a):g}")
+        hi, lo = reference_rl_integral(f, a, 1.0 - beta, [x + h, x - h], config)
+        d = (hi - lo) / (2.0 * h)
         out.append(d if x > a else -d)
     return np.array(out)
 

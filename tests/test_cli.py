@@ -721,6 +721,36 @@ class TestMainCommands:
         assert payload["lfd"]["status"] == "converged" and payload["passed"] is True
         assert payload["lfd"]["value"] == pytest.approx(math.gamma(1.0 + beta) * k, abs=1e-4)
 
+    @pytest.mark.parametrize("x, direction, err", [
+        ("0.937", "fwd", "error: approach from above at a=0.937 leaves the domain\n"),
+        ("-0.937", "bwd", "error: approach from below at a=-0.937 leaves the domain\n"),
+        ("0.9", "fwd", ""),
+    ])
+    def test_lfd_approach_keeps_room_for_the_stencil(self, x, direction, err, capsys):
+        # the velocity's widest window, 0.0625, fits inside [-1, 1] at
+        # |x| = 0.937, but the derivative stencil's reach 0.0625 * 1.125
+        # does not
+        code = main(["lfd", "--fn", "poly:coeffs=1,domain=-1;1", "--x", x, "--beta", "0.5",
+                     "--direction", direction])
+        out, got = capsys.readouterr()
+        assert (code, got) == (1 if err else 0, err)
+        if err:
+            assert out == ""
+
+    @pytest.mark.parametrize("argv, points", [
+        (["analyze", "--fn", "poly:coeffs=0;0;1e308", "--x", "1.3", "--beta", "0.5"],
+         2 * 38 * 9 + (2 * 38 - 1) * 8),
+        (["holder", "--fn", "poly:coeffs=0;0;1e308", "--x", "1.3", "--direction", "fwd"],
+         38 * 9 + (38 - 1) * 8),
+    ])
+    def test_infinite_oscillation_rows_are_not_doubled(self, argv, points, capsys, monkeypatch):
+        # the outer forward annulus overflows to inf on its first grid and
+        # is never doubled; the other rows settle at their first doubling
+        calls = record_evaluator_calls(monkeypatch)
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["schedule"]["effective_count"] == 38
+        assert len(calls) == 2 and sum(calls) == points
+
     def test_verify_mean_value(self, capsys):
         code = main(["verify", "--fn", "cusp:", "--theorem", "mean_value",
                      "--interval", "0,1", "--beta", "0.5"])

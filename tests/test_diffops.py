@@ -8,6 +8,7 @@ from fracvel import (
     LimitStatus,
     estimate_velocity,
     make_chirp,
+    make_polynomial,
     make_power_cusp,
     make_weierstrass,
     scan_change_set,
@@ -382,3 +383,21 @@ class TestOscillationLadder:
                 assert len(f.sizes) <= before
                 points += sum(f.sizes)
         assert points <= WHOLE_WINDOW_POINTS // 2
+
+    def test_infinite_rows_are_sampled_once(self):
+        # 1e308 t**2 overflows past t = 1.3408: the outer forward annulus
+        # at x = 1.3 holds inf on its first grid, and no finer grid can
+        # lower an infinite oscillation, so only the other 75 rows double
+        f = CountingEvaluator(make_polynomial((0.0, 0.0, 1e308)))
+        eps = EpsilonSchedule().increments(1.3)
+        got = _osc_ladder(f, 1.3, eps, (FWD, BWD))
+        want = reference_ladder(f.f, 1.3, eps, (FWD, BWD))
+        for g, w in zip(got, want):
+            assert same_bits(g, w)
+        value, n, refined = got[:3]
+        infinite = value == np.inf
+        assert infinite[0, 0] and infinite.sum() == 1
+        assert n[infinite].tolist() == [OSC_N0] and not refined[infinite].any()
+        assert refined[~infinite].all()
+        rows = 2 * eps.size
+        assert f.sizes == [rows * OSC_N0, (rows - 1) * (OSC_N0 - 1)]

@@ -28,6 +28,7 @@ from fracvel import (
     diffops,
     kg_lfd,
     make_chirp,
+    make_polynomial,
     make_power_cusp,
     rl_derivative,
     rl_integral,
@@ -198,49 +199,45 @@ class TestRlDerivative:
         left = rl_derivative(f, 0.0, 0.5, -0.64)
         assert left == pytest.approx(-right, rel=1e-6)
 
-    def test_step_must_fit(self):
-        with pytest.raises(ValueError):
-            rl_derivative(lambda t: t, 0.0, 0.5, 0.1, h_diff=0.2)
-
-    @pytest.mark.parametrize("h", [math.nan, math.inf])
-    def test_non_finite_step_rejected(self, h):
-        f, calls = counting(lambda t: np.asarray(t, dtype=float))
-        with pytest.raises(ValueError, match="difference step must be finite"):
-            rl_derivative(f, 0.0, 0.5, 0.1, h_diff=h)
-        assert calls == []
-
     @staticmethod
-    def loop(f, a, beta, xs, h_diff):
-        """rl_derivative as a loop of scalar calls, one step per point."""
-        return np.array([rl_derivative(f, a, beta, x, h_diff=h) for x, h in zip(xs, h_diff)])
+    def loop(f, a, beta, xs):
+        """rl_derivative as a loop of scalar calls."""
+        return np.array([rl_derivative(f, a, beta, x) for x in xs])
 
-    @pytest.mark.parametrize("xs, h_diff, message", [
-        ([0.4, -0.8, 0.3], [0.05, 0.1, 0.5], "difference step 0.5 must stay below |x-a|=0.3"),
-        ([0.4, -0.8, 0.3], [0.05, 0.1, -0.1], "difference step -0.1 must stay below |x-a|=0.3"),
-        ([0.4, -0.8, 0.3], [0.05, math.nan, 0.1], "difference step must be finite, got nan"),
-        ([0.4, 0.0, 0.3], [0.05, 0.0, 0.1], "evaluation point must differ from the base point"),
-        ([0.4, math.inf, 0.3], [0.05, 0.1, 0.1], "evaluation point must be finite, got inf"),
+    @pytest.mark.parametrize("xs, message", [
+        ([0.4, 0.0, 0.3], "evaluation point must differ from the base point"),
+        ([0.4, math.inf, 0.3], "evaluation point must be finite, got inf"),
+        ([0.4, -math.inf], "evaluation point must be finite, got -inf"),
+        ([0.4, math.nan], "evaluation point must be finite, got nan"),
+        # |x-a|/8 underflows to 0 before the point after it fails
+        ([0.4, 5e-324, 0.0], "difference step 0 must stay below |x-a|=4.94066e-324"),
+        ([0.4, -2e-323, math.inf], "difference step 0 must stay below |x-a|=1.97626e-323"),
     ])
-    def test_bad_step_after_valid_points_raises_its_error(self, xs, h_diff, message):
+    def test_bad_step_after_valid_points_raises_its_error(self, xs, message):
         f = power(0.5)
         want = (ValueError, message)
-        assert outcome(lambda: rl_derivative(f, 0.0, 0.5, xs, h_diff=h_diff)) == want
-        assert outcome(lambda: self.loop(f, 0.0, 0.5, xs, h_diff)) == want
-        assert outcome(lambda: reference_rl_derivative(f, 0.0, 0.5, xs, h_diff=h_diff)) == want
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(lambda: rl_derivative(f, 0.0, 0.5, xs)) == want
+        assert outcome(lambda: self.loop(f, 0.0, 0.5, xs)) == want
+        assert outcome(lambda: reference_rl_derivative(f, 0.0, 0.5, xs)) == want
 
     def test_bad_first_step_evaluates_nothing(self):
         # and its error comes before a start past the cap is refused
         f, calls = counting(power(0.5))
         config = QuadratureConfig(n_nodes=GRADED_NODE_CAP)
-        with pytest.raises(ValueError, match="difference step 0.5 must stay below"):
-            rl_derivative(f, 0.0, 0.5, [0.3, 0.4], config, h_diff=[0.5, 0.05])
+        for x, message in ((0.0, "evaluation point must differ from the base point"),
+                           (math.inf, "evaluation point must be finite, got inf"),
+                           (math.nan, "evaluation point must be finite, got nan")):
+            with pytest.raises(ValueError, match=message):
+                rl_derivative(f, 0.0, 0.5, [x, 0.4], config)
         with pytest.raises(QuadratureError, match="starting nodes leave no room to double"):
             rl_derivative(f, 0.0, 0.5, np.empty(0), config)
         assert calls == []
 
     def test_unsettled_point_before_a_bad_step_raises_first(self):
         # a new constant at each call never settles: the first point's x+h
-        # integral reaches the cap before the second point's step is read
+        # integral reaches the cap before the second point, x = a, is read
         def run(derivative):
             sizes = []
 
@@ -250,11 +247,11 @@ class TestRlDerivative:
 
             return outcome(lambda: derivative(f)), len(sizes)
 
-        xs, h_diff = [0.5, 0.25], [0.1, 0.5]
+        xs = [0.5, 0.0]
         want = ((QuadratureError, "no stabilization by 65536 nodes"), 11)
-        assert run(lambda f: rl_derivative(f, 0.0, 0.5, xs, h_diff=h_diff)) == want
-        assert run(lambda f: self.loop(f, 0.0, 0.5, xs, h_diff)) == want
-        assert run(lambda f: reference_rl_derivative(f, 0.0, 0.5, xs, h_diff=h_diff))[0] == want[0]
+        assert run(lambda f: rl_derivative(f, 0.0, 0.5, xs)) == want
+        assert run(lambda f: self.loop(f, 0.0, 0.5, xs)) == want
+        assert run(lambda f: reference_rl_derivative(f, 0.0, 0.5, xs))[0] == want[0]
 
 
 class TestKgLfd:
@@ -287,6 +284,18 @@ class TestKgLfd:
         with pytest.raises(Exception) as exc_info:
             kg_lfd(f, 1.99, 0.5, FWD)
         assert "leaves the domain" in str(exc_info.value)
+
+    @pytest.mark.parametrize("a, direction, side", [(0.937, FWD, "above"),
+                                                    (-0.937, BWD, "below")])
+    def test_approach_keeps_room_for_the_stencil(self, a, direction, side):
+        # a +/- eps0 stays inside (-1, 1), but the stencil's reach
+        # eps0 * (1 + 1/KG_H_FACTOR) does not: refused after f(a) alone
+        f, calls = counting(make_polynomial((1.0,), (-1.0, 1.0)))
+        assert abs(a) + rlcalc.DEFAULT_APPROACH.eps0 <= 1.0
+        with pytest.raises(DomainError) as exc_info:
+            kg_lfd(f, a, 0.5, direction)
+        assert str(exc_info.value) == f"approach from {side} at a={a:g} leaves the domain"
+        assert calls == [1]
 
 
 class TestKgLfdRescaled:
