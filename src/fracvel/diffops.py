@@ -208,11 +208,12 @@ def _osc_ladder(f, x: float, eps, directions, n0: int = OSC_N0,
     gains less than OSC_REL_CHANGE relative stops that row
     (refined=True), and a row whose next grid would pass cap keeps its
     samples with refined=False.  A row whose oscillation is +inf on its
-    first grid keeps its n0 samples with refined=False: no finer grid
-    can lower it, so it is never doubled (and a NaN a finer grid might
-    hold is not looked for).  A window's value is the max minus the
-    min over its own row and every deeper one of its side, folded from
-    the deepest row out, so it never increases as e shrinks.  The
+    first grid, or NaN on any grid, keeps the samples it has with
+    refined=False: its extrema only widen and a NaN stays, so no finer
+    grid could settle it (and a NaN a finer grid might hold is not
+    looked for).  A window's value is the max minus the min over its
+    own row and every deeper one of its side, folded from the deepest
+    row out, so it never increases as e shrinks.  The
     library always starts from OSC_N0 points under OSC_SAMPLE_CAP; n0
     and cap are there for tests (n0 = cap gives one fixed grid of n0
     points per annulus, and n0 is not checked).
@@ -238,8 +239,7 @@ def _osc_ladder(f, x: float, eps, directions, n0: int = OSC_N0,
     The ladder runs under np.errstate(over="ignore", invalid="ignore"),
     as _feval does: extrema of opposite sign near the largest double
     overflow their difference to inf, and an annulus whose samples are
-    all inf of one sign gives inf - inf, a nan oscillation that never
-    settles.
+    all inf of one sign gives inf - inf, a NaN oscillation.
     """
     eps = np.asarray(eps, dtype=float)
     for direction in directions:
@@ -261,8 +261,9 @@ def _osc_ladder(f, x: float, eps, directions, n0: int = OSC_N0,
     own = hi - lo
     n_samples = np.full(outer.size, n)
     refined = np.zeros(outer.size, dtype=bool)
-    # an infinite row stays infinite: its max only rises and its min only falls
-    active = np.flatnonzero(own != np.inf)
+    # an infinite row stays infinite, its max only rising and its min only
+    # falling, and np.maximum and np.minimum keep a NaN
+    active = np.flatnonzero(np.isfinite(own))
     while active.size and 2 * n - 1 <= cap:
         n = 2 * n - 1
         h, l = _annulus_extrema(f, x, outer[active], inner[active], _osc_offsets(n)[1::2])
@@ -273,7 +274,7 @@ def _osc_ladder(f, x: float, eps, directions, n0: int = OSC_N0,
         own[active] = cur
         n_samples[active] = n
         refined[active] = settled
-        active = active[~settled]
+        active = active[~(settled | np.isnan(cur))]
     hi = hi.reshape(sides, k)[:, ::-1]
     lo = lo.reshape(sides, k)[:, ::-1]
     value = (np.maximum.accumulate(hi, axis=1)[:, ::-1]

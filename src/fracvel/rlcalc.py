@@ -1,11 +1,14 @@
 """Riemann-Liouville quadrature and the local fractional derivative limit.
 
-The integral operator is computed by one of two rules: a product rule on
-a mesh graded toward the base point, exact for piecewise-linear data
-against the power kernel, or a Gauss-Jacobi rule that absorbs the kernel
-into the weight.  The derivative is the classical composition d/dx of
-the (1-beta) integral, differenced numerically; the local limit walks
-the evaluation point into the base point on a geometric schedule.
+The integral operator is one pass over either of two unit rules, nodes
+s and weights W on [0, 1] with int_0^1 g(s) (1-s)**(mu-1) ds ~
+sum_j W_j g(s_j): a product rule on a mesh graded toward the base point
+a, exact for piecewise-linear data against the power kernel, or a
+Gauss-Jacobi rule that absorbs the kernel into the weight.  A point x
+on either side of a takes the nodes a + (x-a) s and the scale
+|x-a|**mu.  The derivative is the classical composition d/dx of the
+(1-beta) integral, differenced numerically; the local limit walks the
+evaluation point into the base point on a geometric schedule.
 
 Node doubling runs depth first over blocks of evaluation points: the
 points of one evaluator call double together as one (points x nodes)
@@ -85,10 +88,10 @@ class QuadScheme(enum.Enum):
 class QuadratureConfig:
     """Quadrature rule selection and resolution.
 
-    n_nodes is the starting resolution; rules double it until two
-    successive evaluations agree to QUAD_REL_CHANGE relative.  The
-    graded scheme grades its mesh with exponent 2/min(mu, 1-mu) for
-    integral order mu, strong enough that a pure power |t-a|**mu
+    scheme picks the unit rule of every pass and n_nodes its starting
+    resolution, which doubles until two successive evaluations agree to
+    QUAD_REL_CHANGE relative.  The graded scheme grades its mesh with
+    exponent 2/min(mu, 1-mu) for integral order mu, strong enough that a pure power |t-a|**mu
     integrates at second order despite the endpoint singularities, and
     weights the nodes by hat-function moments of the kernel that keep
     their digits on the finest cells, so it converges for every mu in
@@ -122,69 +125,25 @@ def _check_point(a: float, x: float) -> None:
         raise ValueError(f"evaluation point must be finite, got {x}")
     if x == a:
         raise ValueError("evaluation point must differ from the base point")
+    if not math.isfinite(x - a):
+        raise ValueError(f"the length of [{min(a, x):g}, {max(a, x):g}] must be finite")
 
 
 def _check_rows(f, a: float, xs: np.ndarray) -> None:
     """Raise what a one-point integral raises for the first bad entry of xs.
 
-    Each row integrates over [min(a, x), max(a, x)], which must lie in
-    the domain of f on either side of a.
+    Each row integrates over [min(a, x), max(a, x)], whose length must
+    be finite and which must lie in the domain of f on either side of a.
     """
     lo, hi = domain_of(f)
-    with np.errstate(invalid="ignore"):
-        ok = (np.isfinite(xs) & (xs != a) & (lo <= np.minimum(a, xs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = (np.isfinite(xs - a) & (xs != a) & (lo <= np.minimum(a, xs))
               & (np.maximum(a, xs) <= hi))
     if ok.all():
         return
     x = float(xs[np.argmin(ok)])
     _check_point(a, x)
     raise DomainError(f"[{min(a, x):g}, {max(a, x):g}] is not inside the domain [{lo:g}, {hi:g}]")
-
-
-def _node_values(f, b, e, t, mirror, out=None):
-    """f at the nodes t of a block of rows by one _feval; b, e: (rows x 1) ends.
-
-    A mirrored row evaluates f at (b + e) - t: the right-sided integral
-    over [x, a] is the left-sided integral of t -> f(x + a - t) based at x.
-    The mirrored points go to out when given.
-    """
-    pts = t
-    if mirror.any():
-        pts = np.subtract(b + e, t, out=out)
-        np.copyto(pts, t, where=~mirror[:, None])
-    return _feval(f, pts)
-
-
-def _graded_product_rule(mu: float, n: int):
-    """Product rule on a mesh graded toward the base, as (block pass, nodes).
-
-    A row over [b, e] is written t = b + L*s with L = e - b and s the
-    unit mesh of _graded_mesh, so its integral is L**mu * sum_j W_j f(t_j)
-    with that mesh's weights.  The rule is exact for f linear between
-    nodes, and endpoint-singular integrands are never point-evaluated at
-    the singularity: product integration on a graded mesh, as in
-    Diethelm, Ford and Freed, Numer. Algorithms 36 (2004).  The weights
-    do not depend on the row, so each level computes them once.
-
-    Each row is summed along its own contiguous last axis, so its value
-    does not depend on the other rows.  A pass builds its nodes and their
-    mirrored points in one block allocated up front: glibc keeps a freed
-    block of that size on the heap, so repeated passes reuse warm pages.
-    """
-    s, weights = _graded_mesh(mu, n)
-
-    def block_pass(f, b, e, mirror):
-        rows = b.shape[0]
-        t, pts = np.empty(2 * rows * (n + 1)).reshape(2, rows, n + 1)
-        np.multiply(e - b, s, out=t)
-        t += b
-        t[:, 0], t[:, -1] = b[:, 0], e[:, 0]
-        ft = _node_values(f, b, e, t, mirror, pts)
-        # t is spent once f has seen it
-        np.multiply(ft, weights, out=t)
-        return t.sum(axis=-1) * ((e - b) ** mu)[:, 0]
-
-    return block_pass, n + 1
 
 
 def _graded_mesh(mu: float, n: int):
@@ -205,6 +164,12 @@ def _graded_mesh(mu: float, n: int):
     terms.  A cell whose width underflows to 0, as the first ones do once
     min(mu, 1-mu) is below about 0.03, has w = 0 and zero weight.  The
     weights sum to 1/mu within a few ulps.
+
+    This is product integration on a graded mesh, as in Diethelm, Ford
+    and Freed, Numer. Algorithms 36 (2004): the rule is exact for g
+    linear between nodes, and the kernel's blow-up at s = 1 sits in the
+    weights, never in a point value.  The mesh is the only unit rule
+    with nodes at s = 0 and s = 1.
     """
     s = (np.arange(n + 1, dtype=float) / n) ** (2.0 / min(mu, 1.0 - mu))
     u = 1.0 - s[:-1]
@@ -283,28 +248,44 @@ def _jacobi_rule(n: int, alpha: float):
     return s, w
 
 
-def _jacobi_weighted_rule(mu: float, n: int):
-    """Gauss-Jacobi rule with the kernel in the weight, as (block pass, nodes).
+def _jacobi_unit_rule(mu: float, n: int):
+    """The n-node Gauss-Jacobi rule of _jacobi_rule moved onto [0, 1].
 
-    Node s=+1 maps to t=x, absorbing the kernel blow-up.  Each row takes
-    its own dot product: a matrix product could round a row differently
-    with other rows beside it.
+    Under sigma = 2s - 1 the weight (1-sigma)**(mu-1) d sigma is
+    2**mu (1-s)**(mu-1) ds, so the nodes are (sigma+1)/2 and the weights
+    w * 2**-mu.  No node reaches s = 1, where the kernel blows up.
     """
-    s, w = _jacobi_rule(n, mu - 1.0)
-
-    def block_pass(f, b, e, mirror):
-        ft = _node_values(f, b, e, b + (e - b) * (s + 1.0) / 2.0, mirror)
-        return np.array([((hi - lo) / 2.0) ** mu * float(np.dot(w, row))
-                         for lo, hi, row in zip(b[:, 0].tolist(), e[:, 0].tolist(), ft)])
-
-    return block_pass, n
+    sigma, w = _jacobi_rule(n, mu - 1.0)
+    return (sigma + 1.0) / 2.0, w * 0.5 ** mu
 
 
-# Each scheme's rule and the node count its doubling may not pass.
+# Each scheme's unit rule, (mu, n) -> (nodes, weights), and the node
+# count its doubling may not pass.
 _RULES = {
-    QuadScheme.GRADED_PRODUCT: (_graded_product_rule, GRADED_NODE_CAP),
-    QuadScheme.JACOBI_WEIGHTED: (_jacobi_weighted_rule, JACOBI_NODE_CAP),
+    QuadScheme.GRADED_PRODUCT: (_graded_mesh, GRADED_NODE_CAP),
+    QuadScheme.JACOBI_WEIGHTED: (_jacobi_unit_rule, JACOBI_NODE_CAP),
 }
+
+
+def _block_pass(f, s, weights, mu: float, a: float, x):
+    """The unit rule (s, weights) from a to each x of (rows x 1), either side.
+
+    A row's nodes are t = a + (x - a) s, with a node at s = 1 pinned to
+    x, and its value is |x - a|**mu sum_j W_j f(t_j), summed along its
+    own contiguous axis so that it does not depend on the other rows.
+    The nodes are one block, which then takes the weighted values: glibc
+    keeps a freed block of that size on the heap, so repeated passes
+    reuse warm pages.
+    """
+    span = x - a
+    t = span * s
+    t += a
+    if s[-1] == 1.0:
+        t[:, -1] = x[:, 0]
+    ft = _feval(f, t)
+    # t is spent once f has seen it
+    np.multiply(ft, weights, out=t)
+    return t.sum(axis=-1) * (np.abs(span) ** mu)[:, 0]
 
 
 def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfig):
@@ -332,15 +313,14 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
     if 2 * n > cap:
         raise QuadratureError(
             f"{n} starting nodes leave no room to double under the cap of {cap}")
-    base, end, mirror = np.minimum(a, xs), np.maximum(a, xs), xs < a
     value = np.empty(xs.size)
 
     def passes(rows, n):
         # whole rows go to f, and a block's arrays die before the next is built
-        block_pass, nodes = rule(mu, n)
-        for block in _row_blocks(rows.size, nodes):
+        s, weights = rule(mu, n)
+        for block in _row_blocks(rows.size, s.size):
             idx = rows[block]
-            yield idx, block_pass(f, base[idx, None], end[idx, None], mirror[idx])
+            yield idx, _block_pass(f, s, weights, mu, a, xs[idx, None])
 
     def deepen(rows, n):
         # rows last evaluated at n nodes, through every deeper level
@@ -365,8 +345,10 @@ def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = 
     """Fractional integral of order mu based at a, evaluated at x.
 
     Computes (1/Gamma(mu)) * int_a^x f(t) (x-t)**(mu-1) dt for x > a.
-    Passing x < a evaluates the right-sided (reflected) form over [x, a].
-    Either way [min(a, x), max(a, x)] must lie in the domain of f.
+    Passing x < a evaluates the right-sided form
+    (1/Gamma(mu)) * int_x^a f(t) (t-x)**(mu-1) dt.  Either way
+    [min(a, x), max(a, x)] must have a finite length and lie in the
+    domain of f.
 
     x may be a 1-D array of points on either side of a; the result is
     then an array, each entry bit for bit the one-point result.  The
@@ -406,7 +388,7 @@ def rl_derivative(f, a: float, beta: float, x,
     The composition d/dx of the order (1-beta) integral, with the outer
     derivative taken by a central difference of half-width
     |x-a|/KG_H_FACTOR, which leaves the stencil on one side of a.  For
-    x < a the right-sided operator is used and carries the mirrored sign.
+    x < a the right-sided operator is used: minus d/dx of its integral.
 
     x may be a 1-D array; the result is then an array.  The x+h and x-h
     of every point go to one rl_integral call, in the order a loop over
@@ -422,13 +404,15 @@ def rl_derivative(f, a: float, beta: float, x,
     if xs.ndim > 1:
         raise ValueError("evaluation points must be a scalar or a 1-D array")
     pts = xs.reshape(-1)
-    dist = np.abs(pts - a)
-    h = dist / KG_H_FACTOR
-    # the first point whose step underflows to 0, or the number of points
-    n = np.append(np.flatnonzero((h == 0.0) & (dist > 0.0)), pts.size)[0]
-    # a non-finite point is both of its own ends, so it fails as itself
-    h[~np.isfinite(pts)] = 0.0
-    ends = np.stack([pts[:n] + h[:n], pts[:n] - h[:n]], axis=-1).reshape(-1)
+    # a span or an end that overflows is inf, which rl_integral refuses
+    with np.errstate(over="ignore"):
+        dist = np.abs(pts - a)
+        h = dist / KG_H_FACTOR
+        # the first point whose step underflows to 0, or the number of points
+        n = np.append(np.flatnonzero((h == 0.0) & (dist > 0.0)), pts.size)[0]
+        # a point with no finite span is both of its own ends: it fails as itself
+        h[~np.isfinite(dist)] = 0.0
+        ends = np.stack([pts[:n] + h[:n], pts[:n] - h[:n]], axis=-1).reshape(-1)
     hi, lo = rl_integral(f, a, 1.0 - beta, ends, config).reshape(-1, 2).T
     if n < pts.size:
         raise ValueError(f"difference step 0 must stay below |x-a|={dist[n]:g}")

@@ -105,8 +105,8 @@ def _reference_side(f, x, eps, direction, n0, cap):
     for outer, inner in zip(eps, eps[1:] + [0.0]):
         n = int(n0)
         v = _feval(f, _window_points(x, outer, inner, _osc_offsets(n), direction))
-        # a row infinite on its first grid is never doubled
-        row = (v, n, False) if np.ptp(np.append(v, fx)) == np.inf else None
+        # a row infinite or NaN on its first grid is never doubled
+        row = None if np.isfinite(np.ptp(np.append(v, fx))) else (v, n, False)
         while row is None and 2 * n - 1 <= cap:
             prev = np.ptp(np.append(v, fx))
             n = 2 * n - 1
@@ -114,7 +114,8 @@ def _reference_side(f, x, eps, direction, n0, cap):
             cur = np.ptp(np.append(v, fx))
             if cur - prev <= OSC_REL_CHANGE * max(cur, _TINY):
                 row = (v, n, True)
-                break
+            elif np.isnan(cur):
+                row = (v, n, False)
         rows.append(row or (v, n, False))
     samples, n_samples, refined = zip(*rows)
     value = [np.ptp(np.concatenate(samples[k:])) for k in range(len(samples))]
@@ -130,8 +131,8 @@ def reference_ladder(f, x, eps, directions, n0=OSC_N0, cap=OSC_SAMPLE_CAP):
     and eps[k] away from x, the last row [0, eps[-1]].  Each level
     samples a row's whole n-point grid in its own call, and the row's
     stop rule reads those samples plus f(x); a row infinite on its first
-    grid is never doubled.  A window's value is
-    max - min over the last samples of its own row and of every deeper
+    grid, or NaN on any grid, is not doubled further.  A window's value
+    is max - min over the last samples of its own row and of every deeper
     one.  f(x) and each f(x +- eps) are evaluated alone, one point a
     call.  Returns (value, n_samples, refined, fx, fe) arrays like
     diffops._osc_ladder, one row per direction.
@@ -146,12 +147,12 @@ def reference_ladder(f, x, eps, directions, n0=OSC_N0, cap=OSC_SAMPLE_CAP):
 
 
 def _graded_pass(f, a, x, mu, n):
-    """The graded product rule over [a, x] on n cells, one float.
+    """The graded product rule from a to x, either side, on n cells, one float.
 
     Each cell's hat-function moments against (1-s)**(mu-1) on the unit
     mesh s, from u = 1 - s and the cell ratio w, the linear moment's
     factor by its series below w = GRADED_SERIES_W; the sum of f at the
-    nodes times those weights, times (x-a)**mu.
+    nodes a + (x-a)*s times those weights, times |x-a|**mu.
     """
     s = (np.arange(n + 1, dtype=float) / n) ** (2.0 / min(mu, 1.0 - mu))
     u = 1.0 - s[:-1]
@@ -176,14 +177,20 @@ def _graded_pass(f, a, x, mu, n):
     t = a + (x - a) * s
     t[0], t[-1] = a, x
     ft = np.asarray(f(t), dtype=float)
-    return float(np.sum(ft * weights)) * float((np.array([x - a]) ** mu)[0])
+    return float(np.sum(ft * weights)) * float((np.abs(np.array([x - a])) ** mu)[0])
 
 
 def _jacobi_pass(f, a, x, mu, n):
-    """The n-node Gauss-Jacobi rule over [a, x], one float."""
-    s, w = _jacobi_rule(n, mu - 1.0)
-    t = a + (x - a) * (s + 1.0) / 2.0
-    return float(((x - a) / 2.0) ** mu * np.dot(w, np.asarray(f(t), dtype=float)))
+    """The n-node Gauss-Jacobi rule from a to x, either side, one float.
+
+    On [0, 1] its nodes are (sigma+1)/2 and its weights w * 0.5**mu; the
+    sum of f at the nodes a + (x-a)*s times those weights, times
+    |x-a|**mu.
+    """
+    sigma, w = _jacobi_rule(n, mu - 1.0)
+    t = a + (x - a) * ((sigma + 1.0) / 2.0)
+    ft = np.asarray(f(t), dtype=float)
+    return float(np.sum(ft * (w * 0.5 ** mu))) * float((np.abs(np.array([x - a])) ** mu)[0])
 
 
 def _reference_point(f, a, mu, x, config):
@@ -195,16 +202,12 @@ def _reference_point(f, a, mu, x, config):
         raise ValueError(f"evaluation point must be finite, got {x}")
     if x == a:
         raise ValueError("evaluation point must differ from the base point")
-    lo, hi = getattr(f, "domain", (-math.inf, math.inf))
     base, end = min(a, x), max(a, x)
+    if not math.isfinite(x - a):
+        raise ValueError(f"the length of [{base:g}, {end:g}] must be finite")
+    lo, hi = getattr(f, "domain", (-math.inf, math.inf))
     if base < lo or end > hi:
         raise DomainError(f"[{base:g}, {end:g}] is not inside the domain [{lo:g}, {hi:g}]")
-    g = f
-    if x < a:
-        # the right-sided integral over [x, a] is the left-sided one of
-        # t -> f(x + a - t) based at x
-        def g(t):
-            return f(x + a - np.asarray(t, dtype=float))
     graded = config.scheme is QuadScheme.GRADED_PRODUCT
     one_pass = _graded_pass if graded else _jacobi_pass
     cap = GRADED_NODE_CAP if graded else JACOBI_NODE_CAP
@@ -212,10 +215,10 @@ def _reference_point(f, a, mu, x, config):
     if 2 * n > cap:
         raise QuadratureError(
             f"{n} starting nodes leave no room to double under the cap of {cap}")
-    prev = one_pass(g, base, end, mu, n)
+    prev = one_pass(f, a, x, mu, n)
     while 2 * n <= cap:
         n *= 2
-        cur = one_pass(g, base, end, mu, n)
+        cur = one_pass(f, a, x, mu, n)
         if abs(cur - prev) <= QUAD_REL_CHANGE * max(abs(cur), abs(prev), _TINY):
             return cur / math.gamma(mu)
         prev = cur
@@ -225,10 +228,10 @@ def _reference_point(f, a, mu, x, config):
 def reference_rl_integral(f, a, mu, xs, config=DEFAULT_QUAD):
     """rl_integral one point at a time, each doubling its own nodes.
 
-    Each pass is one evaluator call on one point's nodes, and a point
-    below a integrates a mirrored copy of f: the plainest form of the
-    checks, the stop and cap rules and the reflection.  Returns one float
-    per entry of xs, or raises what the first failing point raises.
+    Each pass is one evaluator call on one point's nodes, on either side
+    of a: the plainest form of the checks and of the stop and cap rules.
+    Returns one float per entry of xs, or raises what the first failing
+    point raises.
     """
     return np.array([_reference_point(f, float(a), mu, x, config)
                      for x in np.atleast_1d(np.asarray(xs, dtype=float)).tolist()])
@@ -237,10 +240,10 @@ def reference_rl_integral(f, a, mu, xs, config=DEFAULT_QUAD):
 def reference_rl_derivative(f, a, beta, xs, config=DEFAULT_QUAD):
     """rl_derivative one point at a time from reference_rl_integral.
 
-    Per point: the checks of x and of its step |x-a|/KG_H_FACTOR, the
-    x+h integral, then the x-h one, their central difference, negated
-    below a.  Returns one float per entry of xs, or raises what the
-    first failing point raises.
+    Per point: the checks of x, of its span and of its step
+    |x-a|/KG_H_FACTOR, the x+h integral, then the x-h one, their central
+    difference, negated below a.  Returns one float per entry of xs, or
+    raises what the first failing point raises.
     """
     out = []
     for x in np.atleast_1d(np.asarray(xs, dtype=float)).tolist():
@@ -248,6 +251,8 @@ def reference_rl_derivative(f, a, beta, xs, config=DEFAULT_QUAD):
             raise ValueError(f"evaluation point must be finite, got {x}")
         if x == a:
             raise ValueError("evaluation point must differ from the base point")
+        if not math.isfinite(x - a):
+            raise ValueError(f"the length of [{min(a, x):g}, {max(a, x):g}] must be finite")
         h = abs(x - a) / KG_H_FACTOR
         if h == 0.0:
             raise ValueError(f"difference step 0 must stay below |x-a|={abs(x - a):g}")

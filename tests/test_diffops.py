@@ -401,3 +401,24 @@ class TestOscillationLadder:
         assert refined[~infinite].all()
         rows = 2 * eps.size
         assert f.sizes == [rows * OSC_N0, (rows - 1) * (OSC_N0 - 1)]
+
+    def test_nan_rows_stop_doubling(self):
+        # the identity but NaN at 2**-5 + 2**-9, which only the 17-point
+        # grid of the annulus between 2**-5 and 2**-4 samples; max and min
+        # keep a NaN, so no finer grid could settle that row, and doubling
+        # it to the cap took 14 evaluator calls over 66,183 points
+        bad = 2.0 ** -5 + 2.0 ** -9
+
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            return np.where(t == bad, np.nan, t)
+
+        eps = DEFAULT_SCHEDULE.increments(0.0)
+        value, n, refined = assert_ladder_matches_reference(f, 0.0, eps, FWD)
+        row = eps == 2.0 ** -4
+        assert (np.isnan(value) == (eps >= 2.0 ** -4)).all()
+        assert n[row].tolist() == [2 * OSC_N0 - 1] and not refined[row].any()
+        assert refined[~row].all()
+        g = CountingEvaluator(f)
+        estimate_velocity(g, 0.0, 0.5, FWD)
+        assert len(g.sizes) == 2 and sum(g.sizes) == 663

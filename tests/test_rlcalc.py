@@ -35,7 +35,7 @@ from fracvel import (
     rlcalc,
 )
 from fracvel.diffops import EVAL_CALL_POINTS
-from fracvel.rlcalc import GRADED_NODE_CAP
+from fracvel.rlcalc import GRADED_NODE_CAP, JACOBI_NODE_CAP
 
 FWD = Direction.FORWARD
 BWD = Direction.BACKWARD
@@ -125,14 +125,34 @@ class TestRlIntegral:
         assert calls == []
 
     @pytest.mark.parametrize("a, x", [(math.nan, 0.5), (math.inf, 0.5), (0.0, math.nan),
-                                      (0.0, -math.inf), (0.0, [math.nan, 0.5])])
+                                      (0.0, -math.inf), (0.0, [math.nan, 0.5]),
+                                      (-1e308, 1e308)])
     def test_non_finite_points_rejected_before_any_evaluation(self, a, x):
+        # the length of [-1e308, 1e308] overflows, and the suite turns
+        # numpy warnings into errors
         f, calls = counting(lambda t: np.asarray(t, dtype=float))
         with pytest.raises(ValueError, match="must be finite"):
             rl_integral(f, a, 0.5, x)
         with pytest.raises(ValueError, match="must be finite"):
             rl_derivative(f, a, 0.5, x)
         assert calls == []
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_row_below_the_base_keeps_its_ends(self, scheme):
+        # the nodes a + (x - a) s stay inside [x, a], and the graded mesh's
+        # end nodes give f(0.1) and f(-0.7) exactly; reflecting f about the
+        # midpoint evaluated it at (-0.7 + 0.1) + 0.7 = 0.09999999999999998
+        seen = []
+
+        def f(t):
+            seen.append(np.array(t, dtype=float))
+            return np.asarray(t, dtype=float)
+
+        rl_integral(f, 0.1, 0.5, -0.7, SCHEMES[scheme])
+        t = np.concatenate(seen)
+        assert -0.7 <= t.min() and t.max() <= 0.1
+        if scheme == "graded":
+            assert (t == 0.1).any() and (t == -0.7).any()
 
     def test_unresolvable_integrand_raises(self):
         # 1024-node cap of the weighted-gauss scheme cannot track this
@@ -144,6 +164,14 @@ class TestRlIntegral:
 # From the edges of (0, 1), where the grading squeezes the first cells
 # below the smallest double, through the middle
 GRADED_ORDERS = [0.01, 0.02, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.98, 0.99]
+
+
+# Unit rules up to each scheme's cap; the graded cases keep their bare
+# node-count ids
+UNIT_RULES = ([pytest.param(QuadScheme.GRADED_PRODUCT, n, id=str(n))
+               for n in (8, 64, 4096, GRADED_NODE_CAP)]
+              + [pytest.param(QuadScheme.JACOBI_WEIGHTED, n, id=f"jacobi-{n}")
+                 for n in (8, 64, 512, JACOBI_NODE_CAP)])
 
 
 class TestGradedRule:
@@ -159,12 +187,17 @@ class TestGradedRule:
         assert np.abs(got / exact - 1.0).max() <= rlcalc.QUAD_REL_CHANGE
 
     @pytest.mark.parametrize("mu", GRADED_ORDERS)
-    @pytest.mark.parametrize("n", [8, 64, 4096, GRADED_NODE_CAP])
-    def test_weights_sum_to_the_kernel_integral(self, mu, n):
-        # sum_j W_j = int_0^1 (1-s)**(mu-1) ds = 1/mu
-        s, weights = rlcalc._graded_mesh(mu, n)
-        assert s.size == weights.size == n + 1 and s[0] == 0.0 and s[-1] == 1.0
-        assert abs(math.fsum(weights) * mu - 1.0) <= 4.0 * EPS
+    @pytest.mark.parametrize("scheme, n", UNIT_RULES)
+    def test_weights_sum_to_the_kernel_integral(self, mu, scheme, n):
+        # sum_j W_j = int_0^1 (1-s)**(mu-1) ds = 1/mu, and the nodes ascend
+        # inside [0, 1]; only the graded mesh has nodes at 0 and 1
+        rule, _ = rlcalc._RULES[scheme]
+        s, weights = rule(mu, n)
+        graded = scheme is QuadScheme.GRADED_PRODUCT
+        assert s.size == weights.size == n + graded
+        assert 0.0 <= s[0] and (np.diff(s) >= 0.0).all() and s[-1] <= 1.0
+        assert (s[0] == 0.0 and s[-1] == 1.0) == graded
+        assert abs(math.fsum(weights) * mu - 1.0) <= (4.0 if graded else 5.0) * EPS
 
     @pytest.mark.parametrize("mu, n", [(0.01, 64), (0.02, GRADED_NODE_CAP),
                                        (0.98, GRADED_NODE_CAP), (0.99, 4096)])
@@ -510,7 +543,7 @@ def test_split_ladder_keeps_the_loop_outcome(scheme, doublings, per_call, a, mu,
     # oscillation no mesh resolves, so it never settles
     rule, cap = rlcalc._RULES[SCHEMES[scheme].scheme]
     config = QuadratureConfig(cap >> doublings, SCHEMES[scheme].scheme)
-    bound = per_call * rule(mu, cap)[1]
+    bound = per_call * rule(mu, cap)[0].size
     lo, hi, k = a - reach_below, a + reach_above, 10.0 ** log_k
 
     def wild(t):
@@ -603,6 +636,13 @@ class TestBatchedLadder:
         want = (DomainError, "[0, 2.1375] is not inside the domain [-2, 2]")
         assert outcome(lambda: rl_derivative(f, 0.0, 0.5, xs)) == want
         assert outcome(lambda: reference_rl_derivative(f, 0.0, 0.5, xs)) == want
+
+    def test_span_that_overflows_fails_in_loop_order(self):
+        # the point before it is integrated first, as a loop does
+        f = lambda t: np.asarray(t, dtype=float) * 0.0 + 1.0
+        want = (ValueError, "the length of [-1e+308, 1e+308] must be finite")
+        for call in (rl_integral, rl_derivative, reference_rl_integral, reference_rl_derivative):
+            assert outcome(lambda: call(f, -1e308, 0.5, [0.5, 1e308])) == want
 
     @staticmethod
     def picky(limit):
