@@ -28,7 +28,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -275,9 +275,6 @@ class RunConfig:
     zoo_action: Optional[str] = None
 
 
-_CONFIG_FIELDS = frozenset(f.name for f in fields(RunConfig))
-
-
 def _add_common(p, with_direction=True, both_ok=True):
     p.add_argument("--fn", required=True, help="function spec, kind:key=val,...")
     p.add_argument("--tol", type=float, default=None,
@@ -401,7 +398,7 @@ def _parse_values(argv: Optional[Sequence[str]]) -> dict:
 
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
-    cfg = RunConfig(**{k: v for k, v in _parse_values(argv).items() if k in _CONFIG_FIELDS})
+    cfg = RunConfig(**_parse_values(argv))
     if cfg.interval is not None:
         cfg.interval = _parse_interval(cfg.interval)
     for flag, value in (("--x", cfg.x), ("--target", cfg.target)):

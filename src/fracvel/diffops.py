@@ -63,16 +63,16 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"order must lie in (0, 1], got {beta}")
 
 
-def _inside(f, x, eps, direction: Direction):
-    """The one window rule: whether [x, x+eps] or [x-eps, x] lies in f's domain."""
+def _inside(f, p, q):
+    """The one domain rule: whether the span between p and q, in either
+    order, lies in f's domain, an interval, so whether both ends do.
+    p and q may be arrays; NaN is outside."""
     lo, hi = domain_of(f)
-    if direction is Direction.FORWARD:
-        return (lo <= x) & (x + eps <= hi)
-    return (lo <= x - eps) & (x <= hi)
+    return (lo <= p) & (p <= hi) & (lo <= q) & (q <= hi)
 
 
 def _check_window(f, x: float, eps: float, direction: Direction) -> None:
-    if not _inside(f, x, eps, direction):
+    if not _inside(f, x, x + _SIGN[direction] * eps):
         lo, hi = domain_of(f)
         raise DomainError(
             f"probe of width {eps:g} at x={x:g} ({direction.value}) "
@@ -83,7 +83,7 @@ def _check_windows(f, x, eps, direction: Direction) -> None:
     """Raise what _check_eps and _check_window raise for the first bad
     (x, eps) pair, x and eps broadcast against each other."""
     with np.errstate(invalid="ignore"):
-        ok = np.isfinite(eps) & (eps > 0.0) & _inside(f, x, eps, direction)
+        ok = np.isfinite(eps) & (eps > 0.0) & _inside(f, x, x + _SIGN[direction] * eps)
     if not ok.all():
         i = np.argmin(ok)
         x, eps = np.broadcast_arrays(x, eps)
@@ -142,12 +142,11 @@ def variation_values(f, x, beta: float, direction: Direction, eps) -> np.ndarray
     _check_eps(eps)
     _check_beta(beta)
     xs = np.asarray(x, dtype=float)
-    steps = np.concatenate(([0.0], eps))
-    t = xs[..., None] + steps if direction is Direction.FORWARD else xs[..., None] - steps
+    # x + -e is x - e bit for bit, and x + -0.0 is x
+    t = xs[..., None] + _SIGN[direction] * np.concatenate(([0.0], eps))
     # t holds each window's ends x and x +- max(eps), and rounding keeps
     # order, so t lies in the domain exactly when every window does
-    lo, hi = domain_of(f)
-    if t.size and not lo <= t.min() <= t.max() <= hi:
+    if t.size and not _inside(f, t.min(), t.max()):
         _check_windows(f, xs, eps.max(), direction)
     v = _feval(f, t)
     with np.errstate(over="ignore", invalid="ignore"):

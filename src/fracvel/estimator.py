@@ -159,7 +159,7 @@ def _classify_rows(values: np.ndarray, tol: float):
     """The windowed Cauchy rule of classify_limit, applied to each row.
 
     values is 2-D, one sequence per row.  Returns (window, status, value,
-    residual): the last max(4, N//4) columns, then per row the
+    residual): the last max(MIN_USABLE, N//4) columns, then per row the
     LimitStatus, the last window entry and the window spread, the last
     two NaN where the row diverged.
     """
@@ -168,7 +168,7 @@ def _classify_rows(values: np.ndarray, tol: float):
         raise ValueError(f"need at least {MIN_USABLE} values, got {n}")
     if not np.isfinite(tol) or tol < 0.0:
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
-    window = values[:, -max(4, n // 4):]
+    window = values[:, -max(MIN_USABLE, n // 4):]
     bounded = (np.isfinite(values).all(axis=1)
                & (np.abs(window) <= DIVERGENCE_CUTOFF).all(axis=1))
     residual = np.subtract(window.max(axis=1), window.min(axis=1),

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diffops import Direction, _agree, _feval, _row_blocks, domain_of
+from .diffops import _SIGN, Direction, _agree, _feval, _inside, _row_blocks, domain_of
 from .errors import DomainError, PreconditionError, QuadratureError
 from .estimator import (
     DEFAULT_TOL,
@@ -135,14 +135,13 @@ def _check_rows(f, a: float, xs: np.ndarray) -> None:
     Each row integrates over [min(a, x), max(a, x)], whose length must
     be finite and which must lie in the domain of f on either side of a.
     """
-    lo, hi = domain_of(f)
     with np.errstate(over="ignore", invalid="ignore"):
-        ok = (np.isfinite(xs - a) & (xs != a) & (lo <= np.minimum(a, xs))
-              & (np.maximum(a, xs) <= hi))
+        ok = np.isfinite(xs - a) & (xs != a) & _inside(f, a, xs)
     if ok.all():
         return
     x = float(xs[np.argmin(ok)])
     _check_point(a, x)
+    lo, hi = domain_of(f)
     raise DomainError(f"[{min(a, x):g}, {max(a, x):g}] is not inside the domain [{lo:g}, {hi:g}]")
 
 
@@ -431,6 +430,8 @@ def kg_lfd(f, a: float, beta: float, direction: Direction,
     f - f(a), backward uses f(a) - f), the fractional derivative of the
     shifted function is evaluated at a +/- eps for each approach step,
     and the sequence is classified by the usual windowed Cauchy rule.
+    The first step's stencil, a included, must lie in f's domain; that
+    is checked before f is evaluated.
 
     All approach points go to one rl_derivative call, so their 2 x steps
     integrals double together in blocks, depth first, f seeing at most
@@ -442,6 +443,12 @@ def kg_lfd(f, a: float, beta: float, direction: Direction,
     a = float(a)
     approach = approach or DEFAULT_APPROACH
     config = config or DEFAULT_QUAD
+    eps = _SIGN[direction] * approach.increments(a)
+    # the first step's stencil reaches eps[0] * (1 + 1/KG_H_FACTOR) from a
+    if not _inside(f, a, a + eps[0] * (1.0 + 1.0 / KG_H_FACTOR)):
+        side = "above" if direction is Direction.FORWARD else "below"
+        raise DomainError(f"approach from {side} at a={a:g} leaves the domain")
+
     fa = float(_feval(f, a))
     if direction is Direction.FORWARD:
         def shifted(t):
@@ -450,17 +457,7 @@ def kg_lfd(f, a: float, beta: float, direction: Direction,
         def shifted(t):
             return fa - np.asarray(f(t), dtype=float)
     shifted.domain = domain_of(f)
-
-    eps = approach.increments(a)
-    lo, hi = domain_of(f)
-    reach = eps[0] * (1.0 + 1.0 / KG_H_FACTOR)
-    if direction is Direction.FORWARD and a + reach > hi:
-        raise DomainError(f"approach from above at a={a:g} leaves the domain")
-    if direction is Direction.BACKWARD and a - reach < lo:
-        raise DomainError(f"approach from below at a={a:g} leaves the domain")
-
-    xs = a + eps if direction is Direction.FORWARD else a - eps
-    return classify_limit(rl_derivative(shifted, a, beta, xs, config), tol)
+    return classify_limit(rl_derivative(shifted, a, beta, a + eps, config), tol)
 
 
 @dataclass(frozen=True)

@@ -79,8 +79,8 @@ class ChangeSetReport:
 
 
 def _require_margin(f, a: float, b: float, eps0: float) -> None:
-    lo, hi = domain_of(f)
-    if a - eps0 < lo or b + eps0 > hi:
+    if not _inside(f, a - eps0, b + eps0):
+        lo, hi = domain_of(f)
         raise DomainError(
             f"scan of [{a:g}, {b:g}] needs probes within [{a - eps0:g}, {b + eps0:g}], "
             f"outside the domain [{lo:g}, {hi:g}]")
@@ -160,8 +160,7 @@ def _batch_limits(f, xs: np.ndarray, forward: np.ndarray, beta: float,
             kept[rows] = 0 if fit is None else fit._usable(xs[rows])
     eps0 = np.array([math.nan if fit is None else fit.eps0 for fit in fits])[fit_of]
     has_fit = ~np.isnan(eps0)
-    inside = np.where(forward, _inside(f, xs, eps0, Direction.FORWARD),
-                      _inside(f, xs, eps0, Direction.BACKWARD))
+    inside = _inside(f, xs, xs + np.where(forward, eps0, -eps0))
     fails = np.flatnonzero(has_fit & ((kept < MIN_USABLE) | ~inside))
     stop = int(fails[0]) if fails.size else xs.size
     group = np.where(has_fit, (2 * fit_of + ~forward) * (schedule.count + 1) + kept, -1)

@@ -163,6 +163,49 @@ def test_variation_scales_with_the_prefactor(K, beta, x, k, direction):
     assert abs(lhs - rhs) <= slack
 
 
+_BIG = np.finfo(float).max
+_TINY = np.finfo(float).tiny
+# doubles at the edges: signed zeros, subnormals, the smallest normal,
+# values near the largest double, both infinities and NaN
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-320, _TINY, -_TINY,
+          _BIG, -_BIG, np.nextafter(_BIG, 0.0), math.inf, -math.inf, math.nan]
+_EDGE_FLOATS = st.one_of(st.floats(), st.sampled_from(_EDGES))
+# a domain end, finite or not
+_ENDS = st.one_of(st.floats(allow_nan=False), st.sampled_from([-math.inf, math.inf, -_BIG, _BIG]))
+
+
+def _window_rule(lo, hi, x, e, direction):
+    # whether [x, x+e] (forward) or [x-e, x] (backward) lies in [lo, hi]
+    if direction is FWD:
+        return bool((lo <= x) & (x + e <= hi))
+    return bool((lo <= x - e) & (x <= hi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_EDGE_FLOATS,
+       e=st.one_of(st.floats(min_value=0.0, exclude_min=True),
+                   st.sampled_from([5e-324, _BIG, math.inf, math.nan])),
+       ends=st.tuples(_ENDS, _ENDS), direction=st.sampled_from([FWD, BWD]))
+def test_span_rule_is_the_window_rule(x, e, ends, direction):
+    # the span between x and the signed abscissa x + s*e decides exactly
+    # what the per-direction window rule decided, and x + (-1.0)*e is
+    # x - e bit for bit
+    lo, hi = sorted(ends)
+    assume(lo < hi)
+    f = lambda t: t
+    f.domain = (lo, hi)
+    x, e = np.float64(x), np.float64(e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = x + diffops._SIGN[direction] * e
+        assert same_bits(q, x + e if direction is FWD else x - e)
+        expected = _window_rule(lo, hi, x, e, direction)
+        assert bool(diffops._inside(f, x, q)) is expected
+        assert bool(diffops._inside(f, q, x)) is expected
+        # arrays answer entry by entry
+        got = diffops._inside(f, np.array([x, 0.0]), np.array([q, 0.0]))
+    assert got.tolist() == [expected, lo <= 0.0 <= hi]
+
+
 @settings(max_examples=30, deadline=None)
 @given(x=st.floats(-1.0, 1.0), k=st.integers(2, 12),
        n=st.integers(3, 65), direction=st.sampled_from([FWD, BWD]))

@@ -322,13 +322,45 @@ class TestKgLfd:
                                                     (-0.937, BWD, "below")])
     def test_approach_keeps_room_for_the_stencil(self, a, direction, side):
         # a +/- eps0 stays inside (-1, 1), but the stencil's reach
-        # eps0 * (1 + 1/KG_H_FACTOR) does not: refused after f(a) alone
+        # eps0 * (1 + 1/KG_H_FACTOR) does not: refused before f(a)
         f, calls = counting(make_polynomial((1.0,), (-1.0, 1.0)))
         assert abs(a) + rlcalc.DEFAULT_APPROACH.eps0 <= 1.0
         with pytest.raises(DomainError) as exc_info:
             kg_lfd(f, a, 0.5, direction)
         assert str(exc_info.value) == f"approach from {side} at a={a:g} leaves the domain"
-        assert calls == [1]
+        assert calls == []
+
+    @pytest.mark.parametrize("direction, side", [(FWD, "above"), (BWD, "below")])
+    @pytest.mark.parametrize("a", [5.0, -5.0, math.nan])
+    def test_base_outside_the_domain_is_refused_before_evaluating(self, a, direction, side):
+        # the span from a to the stencil's reach must lie in (-2, 2), a
+        # itself included, on either side of the domain
+        f, calls = counting(make_power_cusp(0.0, 0.5, 1.0, 0.0))
+        with pytest.raises(DomainError) as exc_info:
+            kg_lfd(f, a, 0.5, direction)
+        assert str(exc_info.value) == f"approach from {side} at a={a:g} leaves the domain"
+        assert calls == []
+
+    @pytest.mark.parametrize("config", SCHEMES.values(), ids=SCHEMES.keys())
+    def test_constant_keeps_the_sign_of_zero(self, config):
+        # f - f(a) forward and f(a) - f backward are +0.0, and the
+        # derivative below a is minus d/dx of the right-sided integral, so
+        # the backward limit reads -0.0 at every step
+        f = make_polynomial((2.5,))
+        for direction, zero in ((FWD, 0.0), (BWD, -0.0)):
+            shifted = []
+
+            def spy(g, a, beta, xs, config):
+                shifted.append(g(xs))
+                return rl_derivative(g, a, beta, xs, config)
+
+            with mock.patch.object(rlcalc, "rl_derivative", spy):
+                est = kg_lfd(f, 0.3, 0.5, direction, config=config)
+            assert same_bits(shifted[0], np.zeros(shifted[0].size))
+            assert est.status is LimitStatus.CONVERGED
+            assert same_bits(est.value, zero)
+            assert same_bits(est.tail_values, [zero] * 4)
+            assert same_bits(est.residual, 0.0)
 
 
 class TestKgLfdRescaled:
