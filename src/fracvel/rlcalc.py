@@ -18,6 +18,9 @@ point still gets the bits it would get alone.
 
 Gamma comes from math.gamma and the Gauss-Jacobi rule from a Newton
 iteration on the three-term recurrence, so the module needs numpy alone.
+Each unit rule is built once per process: one 128-entry cache holds the
+rules of both schemes, those of at most JACOBI_NODE_CAP + 1 nodes, about
+2.1 MB at most; a larger graded mesh is built per use.
 """
 from __future__ import annotations
 
@@ -219,7 +222,6 @@ def _jacobi_values(n: int, alpha: float, s: np.ndarray):
     return p, dp
 
 
-@lru_cache(maxsize=64)
 def _jacobi_rule(n: int, alpha: float):
     """Gauss-Jacobi nodes and weights for the weight (1-s)**alpha on [-1, 1].
 
@@ -266,6 +268,21 @@ _RULES = {
 }
 
 
+@lru_cache(maxsize=128)
+def _unit_rule(scheme: QuadScheme, mu: float, n: int):
+    """The scheme's unit rule for order mu at n, built once per process.
+
+    Both arrays are read-only, since every caller shares them.  Only
+    rules of n <= JACOBI_NODE_CAP belong here, so that the 128 entries,
+    shared by both schemes, hold at most 2 x 1025 doubles each, about
+    2.1 MB in all; a larger graded mesh is built per use by
+    _unit_rule.__wrapped__.
+    """
+    s, weights = _RULES[scheme][0](mu, n)
+    s.flags.writeable = weights.flags.writeable = False
+    return s, weights
+
+
 def _block_pass(f, s, weights, mu: float, a: float, x):
     """The unit rule (s, weights) from a to each x of (rows x 1), either side.
 
@@ -307,7 +324,7 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
     bounds the memory of a pass.
     """
     _check_rows(f, a, xs)
-    rule, cap = _RULES[config.scheme]
+    cap = _RULES[config.scheme][1]
     n = int(config.n_nodes)
     if 2 * n > cap:
         raise QuadratureError(
@@ -316,7 +333,8 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
 
     def passes(rows, n):
         # whole rows go to f, and a block's arrays die before the next is built
-        s, weights = rule(mu, n)
+        rule = _unit_rule if n <= JACOBI_NODE_CAP else _unit_rule.__wrapped__
+        s, weights = rule(config.scheme, mu, n)
         for block in _row_blocks(rows.size, s.size):
             idx = rows[block]
             yield idx, _block_pass(f, s, weights, mu, a, xs[idx, None])
@@ -361,7 +379,8 @@ def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = 
     """
     _check_order(mu)
     config = config or DEFAULT_QUAD
-    a = float(a)
+    # a float order is a key of the rule cache, even if mu is a 0-d array
+    a, mu = float(a), float(mu)
     _check_base(a)
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
@@ -415,8 +434,8 @@ def rl_derivative(f, a: float, beta: float, x,
     hi, lo = rl_integral(f, a, 1.0 - beta, ends, config).reshape(-1, 2).T
     if n < pts.size:
         raise ValueError(f"difference step 0 must stay below |x-a|={dist[n]:g}")
-    d = (hi - lo) / (2.0 * h)
-    d = np.where(pts > a, d, -d)
+    # lo - hi below a, not -(hi - lo), so that a zero quotient is +0.0 on either side
+    d = np.where(pts > a, hi - lo, lo - hi) / (2.0 * h)
     return float(d[0]) if xs.ndim == 0 else d
 
 

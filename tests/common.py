@@ -8,6 +8,7 @@ helpers at the end restate algorithms in their plainest form, for
 comparison with the optimized library paths.
 """
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +42,10 @@ from fracvel.rlcalc import (
     QUAD_REL_CHANGE,
     _jacobi_rule,
 )
+
+# The reference loops below rebuild the same few rules; the library's
+# own cache holds unit rules, not these.
+_jacobi_rule = lru_cache(maxsize=64)(_jacobi_rule)
 
 # Shallower ladder for order-1 probes: at eps near 2**-42 the difference
 # f(x+eps)-f(x) is pure cancellation noise of size eps_mach*|f|/eps.
@@ -242,8 +247,8 @@ def reference_rl_derivative(f, a, beta, xs, config=DEFAULT_QUAD):
 
     Per point: the checks of x, of its span and of its step
     |x-a|/KG_H_FACTOR, the x+h integral, then the x-h one, their central
-    difference, negated below a.  Returns one float per entry of xs, or
-    raises what the first failing point raises.
+    difference, taken as lo - hi below a.  Returns one float per entry
+    of xs, or raises what the first failing point raises.
     """
     out = []
     for x in np.atleast_1d(np.asarray(xs, dtype=float)).tolist():
@@ -257,8 +262,7 @@ def reference_rl_derivative(f, a, beta, xs, config=DEFAULT_QUAD):
         if h == 0.0:
             raise ValueError(f"difference step 0 must stay below |x-a|={abs(x - a):g}")
         hi, lo = reference_rl_integral(f, a, 1.0 - beta, [x + h, x - h], config)
-        d = (hi - lo) / (2.0 * h)
-        out.append(d if x > a else -d)
+        out.append((hi - lo if x > a else lo - hi) / (2.0 * h))
     return np.array(out)
 
 

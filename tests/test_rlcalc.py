@@ -35,7 +35,7 @@ from fracvel import (
     rlcalc,
 )
 from fracvel.diffops import EVAL_CALL_POINTS
-from fracvel.rlcalc import GRADED_NODE_CAP, JACOBI_NODE_CAP
+from fracvel.rlcalc import GRADED_NODE_CAP, JACOBI_NODE_CAP, MIN_NODES
 
 FWD = Direction.FORWARD
 BWD = Direction.BACKWARD
@@ -343,11 +343,11 @@ class TestKgLfd:
 
     @pytest.mark.parametrize("config", SCHEMES.values(), ids=SCHEMES.keys())
     def test_constant_keeps_the_sign_of_zero(self, config):
-        # f - f(a) forward and f(a) - f backward are +0.0, and the
-        # derivative below a is minus d/dx of the right-sided integral, so
-        # the backward limit reads -0.0 at every step
+        # f - f(a) forward and f(a) - f backward are +0.0, and below a
+        # the quotient is (lo - hi) / 2h, never a negated +0.0, so both
+        # limits read +0.0 at every step
         f = make_polynomial((2.5,))
-        for direction, zero in ((FWD, 0.0), (BWD, -0.0)):
+        for direction, zero in ((FWD, 0.0), (BWD, 0.0)):
             shifted = []
 
             def spy(g, a, beta, xs, config):
@@ -492,8 +492,8 @@ class TestJacobiRule:
     def test_newton_cap_raises(self):
         with mock.patch.object(rlcalc, "JACOBI_NEWTON_CAP", 2):
             with pytest.raises(QuadratureError, match="did not settle in 2 Newton steps"):
-                rlcalc._jacobi_rule.__wrapped__(64, -0.5)
-            # an order no other test builds a rule for, so the cache is cold
+                rlcalc._jacobi_rule(64, -0.5)
+            # an order no other test builds a rule for, so _unit_rule's cache is cold
             with pytest.raises(QuadratureError, match="did not settle"):
                 rl_integral(lambda t: t, 0.0, 0.4321, 1.0, JACOBI)
 
@@ -523,6 +523,80 @@ def same_outcome(got, want) -> bool:
         # an error against values is a mismatch, not an array comparison
         return type(got) is type(want) and got == want
     return same_bits(got, want)
+
+
+def building(scheme):
+    """Patch scheme's _RULES builder with a spy; the list of its (mu, n) builds."""
+    builder, cap = rlcalc._RULES[scheme]
+    builds = []
+
+    def spy(mu, n):
+        builds.append((mu, n))
+        return builder(mu, n)
+
+    return mock.patch.dict(rlcalc._RULES, {scheme: (spy, cap)}), builds
+
+
+@settings(max_examples=25, deadline=None)
+@given(scheme=st.sampled_from(list(QuadScheme)), mu=st.floats(1e-3, 1.0 - 1e-3),
+       n=st.integers(MIN_NODES, JACOBI_NODE_CAP))
+def test_unit_rule_cache_is_the_rule(scheme, mu, n):
+    # what the cache hands every caller is the builder's rule, bit for
+    # bit, and no caller can write to it
+    cached = rlcalc._unit_rule(scheme, mu, n)
+    fresh = rlcalc._RULES[scheme][0](mu, n)
+    for got, want in zip(cached, fresh):
+        assert same_bits(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.5
+
+
+class TestUnitRuleCache:
+    @pytest.mark.parametrize("config", SCHEMES.values(), ids=SCHEMES.keys())
+    def test_second_lfd_builds_nothing(self, config):
+        # an order no other test uses: the first kg_lfd builds each of its
+        # levels once, and the second takes them all from the cache
+        f = make_power_cusp(0.0, 0.4567, 1.0, 0.0)
+        patch, builds = building(config.scheme)
+        with patch:
+            first = kg_lfd(f, 0.0, 0.4567, BWD, config=config)
+            levels = list(builds)
+            second = kg_lfd(f, 0.0, 0.4567, BWD, config=config)
+        assert levels and len(set(levels)) == len(levels)
+        assert builds == levels
+        for name in ("value", "tail_values", "residual"):
+            assert same_bits(getattr(second, name), getattr(first, name))
+        assert repr(second) == repr(first)
+
+    def test_rules_above_the_node_bound_stay_out_of_the_cache(self):
+        # 128 rules of at most JACOBI_NODE_CAP + 1 nodes, two arrays of
+        # doubles each, hold at most 2.1 MB
+        info = rlcalc._unit_rule.cache_info
+        assert info().maxsize * 2 * (JACOBI_NODE_CAP + 1) * 8 <= 2.1e6
+        # a row that never settles takes the graded ladder to its cap
+        wild = lambda t: np.cos(1e7 * np.asarray(t, dtype=float))
+        patch, builds = building(QuadScheme.GRADED_PRODUCT)
+        before = info()
+        with patch, pytest.raises(QuadratureError, match=f"by {GRADED_NODE_CAP} nodes"):
+            rl_integral(wild, 0.0, 0.5, 1.0, QuadratureConfig(2 * JACOBI_NODE_CAP))
+        assert info() == before
+        assert [n for _, n in builds] == [2 ** k for k in range(11, 17)]
+        # from 256 nodes, at an order no other test uses, only the levels
+        # up to the bound are looked up, and each misses once
+        del builds[:]
+        with patch, pytest.raises(QuadratureError):
+            rl_integral(wild, 0.0, 0.3579, 1.0, QuadratureConfig(256))
+        assert [n for _, n in builds] == [2 ** k for k in range(8, 17)]
+        after = info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 3)
+        assert after.currsize <= after.maxsize == 128
+
+    @pytest.mark.parametrize("config", SCHEMES.values(), ids=SCHEMES.keys())
+    def test_order_may_be_a_0d_array(self, config):
+        # the order is a cache key, so it is taken as a float
+        want = rl_integral(lambda t: t, 0.0, 0.5, 1.0, config)
+        assert same_bits(rl_integral(lambda t: t, 0.0, np.array(0.5), 1.0, config), want)
 
 
 def _integrand(kind, c, p):
@@ -573,9 +647,10 @@ def test_split_ladder_keeps_the_loop_outcome(scheme, doublings, per_call, a, mu,
     # blocks; rows settle at depths set by the frequency and their length,
     # and a row reaching past a - reach_below or a + reach_above sees an
     # oscillation no mesh resolves, so it never settles
-    rule, cap = rlcalc._RULES[SCHEMES[scheme].scheme]
+    _, cap = rlcalc._RULES[SCHEMES[scheme].scheme]
     config = QuadratureConfig(cap >> doublings, SCHEMES[scheme].scheme)
-    bound = per_call * rule(mu, cap)[0].size
+    # a row's nodes at the cap: only the graded mesh has n + 1
+    bound = per_call * (cap + (config.scheme is QuadScheme.GRADED_PRODUCT))
     lo, hi, k = a - reach_below, a + reach_above, 10.0 ** log_k
 
     def wild(t):
