@@ -6,9 +6,9 @@ sum_j W_j g(s_j): a product rule on a mesh graded toward the base point
 a, exact for piecewise-linear data against the power kernel, or a
 Gauss-Jacobi rule that absorbs the kernel into the weight.  A point x
 on either side of a takes the nodes a + (x-a) s and the scale
-|x-a|**mu.  The derivative is the classical composition d/dx of the
-(1-beta) integral, differenced numerically; the local limit walks the
-evaluation point into the base point on a geometric schedule.
+|x-a|**mu.  The derivative is taken in Marchaud form, one (1-beta)
+integral of a divided difference per point, and the local limit walks
+the evaluation point into the base point on a geometric schedule.
 
 Node doubling runs depth first over blocks of evaluation points: the
 points of one evaluator call double together as one (points x nodes)
@@ -67,9 +67,6 @@ GRADED_SERIES_TERMS = 6
 
 # Fewest starting nodes a QuadratureConfig accepts.
 MIN_NODES = 8
-
-# rl_derivative's central difference at x has half-width |x-a| / KG_H_FACTOR.
-KG_H_FACTOR = 8.0
 
 # kg_lfd's approach schedule when none is given: the velocity ladder's
 # eps0 and ratio, cut to 16 steps.
@@ -132,20 +129,28 @@ def _check_point(a: float, x: float) -> None:
         raise ValueError(f"the length of [{min(a, x):g}, {max(a, x):g}] must be finite")
 
 
-def _check_rows(f, a: float, xs: np.ndarray) -> None:
-    """Raise what a one-point integral raises for the first bad entry of xs.
+def _check_ladder(f, a: float, xs: np.ndarray, config: QuadratureConfig) -> int:
+    """Raise what a one-point integral raises for the first bad entry of
+    xs, then for a start with no room to double; the node cap.
 
     Each row integrates over [min(a, x), max(a, x)], whose length must
     be finite and which must lie in the domain of f on either side of a.
+    A start whose first doubling already passes the cap could never
+    compare two passes.  Nothing is evaluated.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         ok = np.isfinite(xs - a) & (xs != a) & _inside(f, a, xs)
-    if ok.all():
-        return
-    x = float(xs[np.argmin(ok)])
-    _check_point(a, x)
-    lo, hi = domain_of(f)
-    raise DomainError(f"[{min(a, x):g}, {max(a, x):g}] is not inside the domain [{lo:g}, {hi:g}]")
+    if not ok.all():
+        x = float(xs[np.argmin(ok)])
+        _check_point(a, x)
+        lo, hi = domain_of(f)
+        raise DomainError(
+            f"[{min(a, x):g}, {max(a, x):g}] is not inside the domain [{lo:g}, {hi:g}]")
+    cap = _RULES[config.scheme][1]
+    if 2 * config.n_nodes > cap:
+        raise QuadratureError(
+            f"{config.n_nodes} starting nodes leave no room to double under the cap of {cap}")
+    return cap
 
 
 def _graded_mesh(mu: float, n: int):
@@ -268,9 +273,29 @@ _RULES = {
 }
 
 
+def _marchaud_rule(s, weights):
+    """The unit rule (s, weights) for the Marchaud form's divided differences.
+
+    At the graded mesh's node s = 1, t = x and the divided difference
+    (g(x) - g(t))/|x-t| is 0/0.  There it is extrapolated linearly from
+    the two nodes before it, so the node's weight W_n moves onto them,
+    W_n (1+r) and -W_n r with r = (s_n - s_{n-1})/(s_{n-1} - s_{n-2}),
+    and the node is dropped.  A rule with no node at s = 1 is its own
+    Marchaud rule.
+    """
+    if s[-1] != 1.0:
+        return s, weights
+    r = (s[-1] - s[-2]) / (s[-2] - s[-3])
+    folded = weights[:-1].copy()
+    folded[-1] += weights[-1] * (1.0 + r)
+    folded[-2] -= weights[-1] * r
+    return s[:-1], folded
+
+
 @lru_cache(maxsize=128)
-def _unit_rule(scheme: QuadScheme, mu: float, n: int):
-    """The scheme's unit rule for order mu at n, built once per process.
+def _unit_rule(scheme: QuadScheme, mu: float, n: int, marchaud: bool = False):
+    """The scheme's unit rule for order mu at n, built once per process;
+    its Marchaud rule (_marchaud_rule) if marchaud.
 
     Both arrays are read-only, since every caller shares them.  Only
     rules of n <= JACOBI_NODE_CAP belong here, so that the 128 entries,
@@ -279,19 +304,24 @@ def _unit_rule(scheme: QuadScheme, mu: float, n: int):
     _unit_rule.__wrapped__.
     """
     s, weights = _RULES[scheme][0](mu, n)
+    if marchaud:
+        s, weights = _marchaud_rule(s, weights)
     s.flags.writeable = weights.flags.writeable = False
     return s, weights
 
 
-def _block_pass(f, s, weights, mu: float, a: float, x):
+def _block_pass(f, s, weights, mu: float, a: float, x, fx=None):
     """The unit rule (s, weights) from a to each x of (rows x 1), either side.
 
     A row's nodes are t = a + (x - a) s, with a node at s = 1 pinned to
-    x, and its value is |x - a|**mu sum_j W_j f(t_j), summed along its
+    x, and its value is |x - a|**mu sum_j W_j g(t_j), summed along its
     own contiguous axis so that it does not depend on the other rows.
-    The nodes are one block, which then takes the weighted values: glibc
-    keeps a freed block of that size on the heap, so repeated passes
-    reuse warm pages.
+    g is f, or, given f(x) as fx (rows x 1) and a Marchaud rule, the
+    divided difference (f(x) - f(t))/|x - t|, each node over its own
+    distance from x, so that the rounding of t stays out of it; a node
+    that rounds onto x adds 0.  The nodes are one block, which then
+    takes the weighted values: glibc keeps a freed block of that size on
+    the heap, so repeated passes reuse warm pages.
     """
     span = x - a
     t = span * s
@@ -300,14 +330,28 @@ def _block_pass(f, s, weights, mu: float, a: float, x):
         t[:, -1] = x[:, 0]
     ft = _feval(f, t)
     # t is spent once f has seen it
-    np.multiply(ft, weights, out=t)
-    return t.sum(axis=-1) * (np.abs(span) ** mu)[:, 0]
+    scale = np.abs(span) ** mu
+    if fx is None:
+        np.multiply(ft, weights, out=t)
+    else:
+        # (f(x) - f(t)) / (x - t) is the divided difference times the
+        # sign of the span, which the scale takes back; f(t) may be t
+        # itself, so it is read before t is
+        diff = fx - ft
+        np.subtract(x, t, out=t)
+        np.divide(diff, t, out=t, where=t != 0.0)
+        t *= weights
+        scale *= np.sign(span)
+    return t.sum(axis=-1) * scale[:, 0]
 
 
-def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfig):
-    """Raw integrals of every row by node doubling, depth first.
+def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfig,
+                 fx=None, lead=None):
+    """Raw sums of every row by node doubling, depth first: integrals, or
+    given f at xs as fx, integrals of divided differences (_block_pass).
 
-    Every row is first evaluated at config.n_nodes.  Then the rows double
+    The rows and the start are checked first (_check_ladder).  Every row
+    is first evaluated at config.n_nodes.  Then the rows double
     in the blocks of one evaluator call each (_row_blocks), and a block's
     rows whose last two passes do not agree to QUAD_REL_CHANGE relative
     go through every deeper level before the next block starts.  So the
@@ -315,35 +359,38 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
     further, as in a loop over the rows.  A row's value does not depend
     on the other rows of its call, so each row gets the bits it would
     get alone.  Returns the values and the node count of the first row
-    that reaches the cap unsettled, or None.  A start whose first
-    doubling already passes the cap could never compare two passes, so
-    it fails before evaluating anything.
+    that reaches the cap unsettled, or None.
+
+    A divided-difference row is a Marchaud derivative's second term, and
+    it settles with its derivative: lead holds each row's first term over
+    the second term's factor, which the settle rule adds to both passes.
+    So a row whose differences are round-off next to its first term, as
+    f = 1 + 1e-15 t gives, settles as soon as that term does.
 
     A suspended level holds its row indices, one value per row and its
     rule's mesh, never a block's node arrays, so the call bound still
     bounds the memory of a pass.
     """
-    _check_rows(f, a, xs)
-    cap = _RULES[config.scheme][1]
+    cap = _check_ladder(f, a, xs, config)
     n = int(config.n_nodes)
-    if 2 * n > cap:
-        raise QuadratureError(
-            f"{n} starting nodes leave no room to double under the cap of {cap}")
+    marchaud = fx is not None
     value = np.empty(xs.size)
 
     def passes(rows, n):
         # whole rows go to f, and a block's arrays die before the next is built
         rule = _unit_rule if n <= JACOBI_NODE_CAP else _unit_rule.__wrapped__
-        s, weights = rule(config.scheme, mu, n)
+        s, weights = rule(config.scheme, mu, n, marchaud)
         for block in _row_blocks(rows.size, s.size):
             idx = rows[block]
-            yield idx, _block_pass(f, s, weights, mu, a, xs[idx, None])
+            yield idx, _block_pass(f, s, weights, mu, a, xs[idx, None],
+                                   fx[idx, None] if marchaud else None)
 
     def deepen(rows, n):
         # rows last evaluated at n nodes, through every deeper level
         n *= 2
         for idx, cur in passes(rows, n):
-            left = idx[~_agree(cur, value[idx], QUAD_REL_CHANGE)]
+            off = 0.0 if lead is None else lead[idx]
+            left = idx[~_agree(cur + off, value[idx] + off, QUAD_REL_CHANGE)]
             value[idx] = cur
             if left.size:
                 failed = n if 2 * n > cap else deepen(left, n)
@@ -356,6 +403,26 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
         value[idx] = cur
     failed = deepen(rows, n)
     return value, failed
+
+
+def _integrate(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfig,
+               fx=None, lead=None):
+    """_quad_ladder's values, with errors as a loop over the rows raises
+    them: a row that does not stabilize raises the QuadratureError every
+    such row shares, and any other failure of a batch is replayed one
+    row at a time."""
+    try:
+        value, failed = _quad_ladder(f, a, mu, xs, config, fx, lead)
+    except Exception:
+        # no replay can explain the failure of a batch of one or none
+        if xs.size <= 1:
+            raise
+        return np.concatenate([_integrate(f, a, mu, xs[i:i + 1], config,
+                                          *(None if v is None else v[i:i + 1] for v in (fx, lead)))
+                               for i in range(xs.size)])
+    if failed:
+        raise QuadratureError(f"no stabilization by {failed} nodes")
+    return value
 
 
 def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = None):
@@ -385,17 +452,7 @@ def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = 
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError("evaluation points must be a scalar or a 1-D array")
-    rows = xs.reshape(-1)
-    try:
-        value, failed = _quad_ladder(f, a, mu, rows, config)
-    except Exception:
-        # no replay can explain the failure of a batch of one or none
-        if rows.size <= 1:
-            raise
-        return np.array([rl_integral(f, a, mu, v, config) for v in rows.tolist()])
-    if failed:
-        raise QuadratureError(f"no stabilization by {failed} nodes")
-    value /= math.gamma(mu)
+    value = _integrate(f, a, mu, xs.reshape(-1), config) / math.gamma(mu)
     return float(value[0]) if xs.ndim == 0 else value
 
 
@@ -403,39 +460,52 @@ def rl_derivative(f, a: float, beta: float, x,
                   config: Optional[QuadratureConfig] = None):
     """Fractional derivative of order beta at x, based at a.
 
-    The composition d/dx of the order (1-beta) integral, with the outer
-    derivative taken by a central difference of half-width
-    |x-a|/KG_H_FACTOR, which leaves the stencil on one side of a.  For
-    x < a the right-sided operator is used: minus d/dx of its integral.
+    The Riemann-Liouville derivative d/dx of the order (1-beta)
+    integral, in Marchaud form (Samko, Kilbas and Marichev, "Fractional
+    Integrals and Derivatives", 1993):
 
-    x may be a 1-D array; the result is then an array.  The x+h and x-h
-    of every point go to one rl_integral call, in the order a loop over
-    the points would integrate them, so errors come out in rl_integral's
-    order.  A step that underflows to 0, as it does for
-    0 < |x-a| <= 4 * 2**-1074, is refused after the points before it
-    are integrated, where a loop would stop.
+        D^beta f(x) = f(x) / (Gamma(1-beta) |x-a|**beta)
+                      + beta * I^(1-beta)[h_x](x),
+        h_x(t) = (f(x) - f(t)) / |x-t|,
+
+    for f continuous on the span and Hoelder at x of an order above
+    beta.  For x < a it is the right-sided operator, minus d/dx of its
+    integral.  The first term is the derivative of the constant f(x), so
+    it is there whenever f(x) != 0, f(a) != 0 included.  Each point
+    takes one integral, of h_x, on the rule of its order 1-beta, which
+    doubles its nodes as rl_integral's do until two passes give
+    derivatives that agree to QUAD_REL_CHANGE relative; each node's
+    difference is over its own distance from x, and at the graded
+    mesh's node t = x, where h_x is 0/0, h_x is extrapolated linearly
+    from the two nodes before it.
+
+    x may be a 1-D array; the result is then an array.  The points are
+    checked as rl_integral checks them, before f is evaluated, then f(x)
+    of every point comes from one evaluator call and the integrals
+    double together in blocks.  Errors come out as a loop over the
+    points would raise them.
     """
     _check_order(beta)
-    a = float(a)
+    config = config or DEFAULT_QUAD
+    a, beta = float(a), float(beta)
     _check_base(a)
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError("evaluation points must be a scalar or a 1-D array")
     pts = xs.reshape(-1)
-    # a span or an end that overflows is inf, which rl_integral refuses
-    with np.errstate(over="ignore"):
-        dist = np.abs(pts - a)
-        h = dist / KG_H_FACTOR
-        # the first point whose step underflows to 0, or the number of points
-        n = np.append(np.flatnonzero((h == 0.0) & (dist > 0.0)), pts.size)[0]
-        # a point with no finite span is both of its own ends: it fails as itself
-        h[~np.isfinite(dist)] = 0.0
-        ends = np.stack([pts[:n] + h[:n], pts[:n] - h[:n]], axis=-1).reshape(-1)
-    hi, lo = rl_integral(f, a, 1.0 - beta, ends, config).reshape(-1, 2).T
-    if n < pts.size:
-        raise ValueError(f"difference step 0 must stay below |x-a|={dist[n]:g}")
-    # lo - hi below a, not -(hi - lo), so that a zero quotient is +0.0 on either side
-    d = np.where(pts > a, hi - lo, lo - hi) / (2.0 * h)
+    try:
+        _check_ladder(f, a, pts, config)
+        # f never sees an empty array
+        fx = _feval(f, pts) if pts.size else pts
+    except Exception:
+        if pts.size <= 1:
+            raise
+        return np.array([rl_derivative(f, a, beta, v, config) for v in pts.tolist()])
+    # a derivative past the largest double is inf, as an evaluator's value is
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = fx / np.abs(pts - a) ** beta
+        sums = _integrate(f, a, 1.0 - beta, pts, config, fx, first / beta)
+        d = (first + beta * sums) / math.gamma(1.0 - beta)
     return float(d[0]) if xs.ndim == 0 else d
 
 
@@ -443,40 +513,49 @@ def kg_lfd(f, a: float, beta: float, direction: Direction,
            approach: Optional[EpsilonSchedule] = None,
            config: Optional[QuadratureConfig] = None,
            tol: float = KG_TOL) -> LimitEstimate:
-    """Local fractional derivative at a as a limit of shifted derivatives.
+    """Local fractional derivative at a as a limit of fractional derivatives.
 
     The function is re-based so its value at a drops out (forward uses
-    f - f(a), backward uses f(a) - f), the fractional derivative of the
-    shifted function is evaluated at a +/- eps for each approach step,
-    and the sequence is classified by the usual windowed Cauchy rule.
-    The first step's stencil, a included, must lie in f's domain; that
-    is checked before f is evaluated.
+    f - f(a), backward uses f(a) - f), its derivative of order beta in
+    rl_derivative's Marchaud form is taken at x = a +/- eps for each
+    approach step, and the sequence is classified by the usual windowed
+    Cauchy rule.  f(a) cancels from the divided differences, so it
+    enters through the first term alone: forward, that term is
+    (f(x) - f(a)) / (Gamma(1-beta) eps**beta), the velocity's own
+    difference quotient over Gamma(1-beta).  The base point must be
+    finite and the first step's span, a included, must lie in f's
+    domain; both are checked before f is evaluated.
 
-    All approach points go to one rl_derivative call, so their 2 x steps
-    integrals double together in blocks, depth first, f seeing at most
-    EVAL_CALL_POINTS points a call.  Errors come out as a loop over the
-    steps would raise them: step by step, the x+h integral before the
-    x-h one.
+    f(a) and every f(a +/- eps) come from one evaluator call.  Then the
+    approach points' integrals double together in blocks, depth first,
+    f seeing at most EVAL_CALL_POINTS points a call, and errors come out
+    as a loop over the steps would raise them.
     """
     _check_order(beta)
-    a = float(a)
+    a, beta = float(a), float(beta)
+    _check_base(a)
     approach = approach or DEFAULT_APPROACH
     config = config or DEFAULT_QUAD
     eps = _SIGN[direction] * approach.increments(a)
-    # the first step's stencil reaches eps[0] * (1 + 1/KG_H_FACTOR) from a
-    if not _inside(f, a, a + eps[0] * (1.0 + 1.0 / KG_H_FACTOR)):
+    if not _inside(f, a, a + eps[0]):
         side = "above" if direction is Direction.FORWARD else "below"
         raise DomainError(f"approach from {side} at a={a:g} leaves the domain")
 
-    fa = float(_feval(f, a))
-    if direction is Direction.FORWARD:
-        def shifted(t):
-            return np.asarray(f(t), dtype=float) - fa
-    else:
-        def shifted(t):
-            return fa - np.asarray(f(t), dtype=float)
-    shifted.domain = domain_of(f)
-    return classify_limit(rl_derivative(shifted, a, beta, a + eps, config), tol)
+    xs = a + eps
+    v = _feval(f, np.append(a, xs))
+    fa, fx = v[0], v[1:]
+    # the derivative of g = f - f(a) forward, f(a) - f backward, whose
+    # divided differences are those of f, negated; 0 - first, not -first,
+    # so that a zero derivative is +0.0.  One past the largest double is
+    # inf, as an evaluator's value is
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = (fx - fa) / np.abs(xs - a) ** beta
+        sums = _integrate(f, a, 1.0 - beta, xs, config, fx, first / beta)
+        if direction is Direction.FORWARD:
+            d = (first + beta * sums) / math.gamma(1.0 - beta)
+        else:
+            d = ((0.0 - first) - beta * sums) / math.gamma(1.0 - beta)
+    return classify_limit(d, tol)
 
 
 @dataclass(frozen=True)

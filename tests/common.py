@@ -37,7 +37,6 @@ from fracvel.rlcalc import (
     GRADED_SERIES_TERMS,
     GRADED_SERIES_W,
     JACOBI_NODE_CAP,
-    KG_H_FACTOR,
     KG_TOL,
     QUAD_REL_CHANGE,
     _jacobi_rule,
@@ -151,7 +150,39 @@ def reference_ladder(f, x, eps, directions, n0=OSC_N0, cap=OSC_SAMPLE_CAP):
     return tuple(np.array(column) for column in zip(*sides))
 
 
-def _graded_pass(f, a, x, mu, n):
+def _marchaud_weights(s, weights):
+    """The rule for divided differences: a node at s = 1, where the
+    difference is 0/0, is dropped, and its weight goes to the two nodes
+    before it as the linear extrapolation of the difference from them
+    would put it there."""
+    if s[-1] != 1.0:
+        return s, weights
+    r = (s[-1] - s[-2]) / (s[-2] - s[-3])
+    w = weights[:-1].copy()
+    w[-1] += weights[-1] * (1.0 + r)
+    w[-2] -= weights[-1] * r
+    return s[:-1], w
+
+
+def _unit_sum(f, a, x, mu, s, weights, fx):
+    """The sum of the weights against f at the nodes t = a + (x-a)*s, times
+    |x-a|**mu; given f(x) as fx, against the divided differences
+    (f(x) - f(t)) / |x - t| instead, 0 at a node that rounds onto x."""
+    if fx is not None:
+        s, weights = _marchaud_weights(s, weights)
+    t = a + (x - a) * s
+    if s[-1] == 1.0:
+        t[-1] = x
+    ft = np.asarray(f(t), dtype=float)
+    scale = float((np.abs(np.array([x - a])) ** mu)[0])
+    if fx is None:
+        return float(np.sum(ft * weights)) * scale
+    gap = x - t
+    h = np.divide(fx - ft, gap, out=np.zeros_like(gap), where=gap != 0.0)
+    return float(np.sum(h * weights)) * (scale * math.copysign(1.0, x - a))
+
+
+def _graded_pass(f, a, x, mu, n, fx=None):
     """The graded product rule from a to x, either side, on n cells, one float.
 
     Each cell's hat-function moments against (1-s)**(mu-1) on the unit
@@ -179,13 +210,10 @@ def _graded_pass(f, a, x, mu, n):
     right = scale * w * psi
     weights = np.append(zeroth * scale - right, 0.0)
     weights[1:] += right
-    t = a + (x - a) * s
-    t[0], t[-1] = a, x
-    ft = np.asarray(f(t), dtype=float)
-    return float(np.sum(ft * weights)) * float((np.abs(np.array([x - a])) ** mu)[0])
+    return _unit_sum(f, a, x, mu, s, weights, fx)
 
 
-def _jacobi_pass(f, a, x, mu, n):
+def _jacobi_pass(f, a, x, mu, n, fx=None):
     """The n-node Gauss-Jacobi rule from a to x, either side, one float.
 
     On [0, 1] its nodes are (sigma+1)/2 and its weights w * 0.5**mu; the
@@ -193,12 +221,11 @@ def _jacobi_pass(f, a, x, mu, n):
     |x-a|**mu.
     """
     sigma, w = _jacobi_rule(n, mu - 1.0)
-    t = a + (x - a) * ((sigma + 1.0) / 2.0)
-    ft = np.asarray(f(t), dtype=float)
-    return float(np.sum(ft * (w * 0.5 ** mu))) * float((np.abs(np.array([x - a])) ** mu)[0])
+    return _unit_sum(f, a, x, mu, (sigma + 1.0) / 2.0, w * 0.5 ** mu, fx)
 
 
-def _reference_point(f, a, mu, x, config):
+def _reference_checks(f, a, mu, x, config):
+    """Raise what one point's integral raises before it evaluates f."""
     if not 0.0 < mu < 1.0:
         raise ValueError(f"order must lie in (0, 1), got {mu}")
     if not math.isfinite(a):
@@ -213,19 +240,26 @@ def _reference_point(f, a, mu, x, config):
     lo, hi = getattr(f, "domain", (-math.inf, math.inf))
     if base < lo or end > hi:
         raise DomainError(f"[{base:g}, {end:g}] is not inside the domain [{lo:g}, {hi:g}]")
+    cap = GRADED_NODE_CAP if config.scheme is QuadScheme.GRADED_PRODUCT else JACOBI_NODE_CAP
+    if 2 * config.n_nodes > cap:
+        raise QuadratureError(
+            f"{config.n_nodes} starting nodes leave no room to double under the cap of {cap}")
+
+
+def _reference_ladder(f, a, mu, x, config, fx=None, lead=0.0):
+    """One point's passes, doubling until two agree: the last one.  Passes
+    of divided differences are compared with lead added to both."""
     graded = config.scheme is QuadScheme.GRADED_PRODUCT
     one_pass = _graded_pass if graded else _jacobi_pass
     cap = GRADED_NODE_CAP if graded else JACOBI_NODE_CAP
     n = config.n_nodes
-    if 2 * n > cap:
-        raise QuadratureError(
-            f"{n} starting nodes leave no room to double under the cap of {cap}")
-    prev = one_pass(f, a, x, mu, n)
+    prev = one_pass(f, a, x, mu, n, fx)
     while 2 * n <= cap:
         n *= 2
-        cur = one_pass(f, a, x, mu, n)
-        if abs(cur - prev) <= QUAD_REL_CHANGE * max(abs(cur), abs(prev), _TINY):
-            return cur / math.gamma(mu)
+        cur = one_pass(f, a, x, mu, n, fx)
+        c, p = cur + lead, prev + lead
+        if abs(c - p) <= QUAD_REL_CHANGE * max(abs(c), abs(p), _TINY):
+            return cur
         prev = cur
     raise QuadratureError(f"no stabilization by {n} nodes")
 
@@ -238,32 +272,91 @@ def reference_rl_integral(f, a, mu, xs, config=DEFAULT_QUAD):
     Returns one float per entry of xs, or raises what the first failing
     point raises.
     """
-    return np.array([_reference_point(f, float(a), mu, x, config)
-                     for x in np.atleast_1d(np.asarray(xs, dtype=float)).tolist()])
+    out = []
+    for x in np.atleast_1d(np.asarray(xs, dtype=float)).tolist():
+        _reference_checks(f, float(a), mu, x, config)
+        out.append(_reference_ladder(f, float(a), mu, x, config) / math.gamma(mu))
+    return np.array(out)
 
 
 def reference_rl_derivative(f, a, beta, xs, config=DEFAULT_QUAD):
-    """rl_derivative one point at a time from reference_rl_integral.
+    """rl_derivative one point at a time, in Marchaud form.
 
-    Per point: the checks of x, of its span and of its step
-    |x-a|/KG_H_FACTOR, the x+h integral, then the x-h one, their central
-    difference, taken as lo - hi below a.  Returns one float per entry
-    of xs, or raises what the first failing point raises.
+    Per point: the checks of reference_rl_integral, f(x) alone in one
+    call, the first term F = f(x) / |x-a|**beta, then the integral S of
+    the divided differences (f(x) - f(t)) / |x-t| on the order 1-beta
+    rule, doubling until F + beta * S settles, and
+    (F + beta * S) / Gamma(1-beta).  Returns one float per entry of xs,
+    or raises what the first failing point raises.
     """
     out = []
+    mu = 1.0 - beta
     for x in np.atleast_1d(np.asarray(xs, dtype=float)).tolist():
-        if not math.isfinite(x):
-            raise ValueError(f"evaluation point must be finite, got {x}")
-        if x == a:
-            raise ValueError("evaluation point must differ from the base point")
-        if not math.isfinite(x - a):
-            raise ValueError(f"the length of [{min(a, x):g}, {max(a, x):g}] must be finite")
-        h = abs(x - a) / KG_H_FACTOR
-        if h == 0.0:
-            raise ValueError(f"difference step 0 must stay below |x-a|={abs(x - a):g}")
-        hi, lo = reference_rl_integral(f, a, 1.0 - beta, [x + h, x - h], config)
-        out.append((hi - lo if x > a else lo - hi) / (2.0 * h))
+        _reference_checks(f, float(a), mu, x, config)
+        fx = float(np.asarray(f(np.array([x])), dtype=float).reshape(-1)[0])
+        first = fx / float((np.abs(np.array([x - a])) ** beta)[0])
+        total = _reference_ladder(f, float(a), mu, x, config, fx, first / beta)
+        out.append((first + beta * total) / math.gamma(mu))
     return np.array(out)
+
+
+def reference_kg_lfd(f, a, beta, direction, approach=DEFAULT_APPROACH,
+                     config=DEFAULT_QUAD, tol=KG_TOL):
+    """kg_lfd one approach point at a time, in Marchaud form.
+
+    The first step's room, then f(a) alone in one call; per point
+    x = a +/- eps, the checks of reference_rl_integral, f(x) alone,
+    F = (f(x) - f(a)) / |x-a|**beta, and the integral S of f's divided
+    differences as in reference_rl_derivative; the derivative of
+    f - f(a) forward, (F + beta * S) / Gamma(1-beta), or of f(a) - f
+    backward, ((0 - F) - beta * S) / Gamma(1-beta); then the usual
+    classification.
+    """
+    a = float(a)
+    if not math.isfinite(a):
+        raise ValueError(f"base point must be finite, got {a}")
+    forward = direction is Direction.FORWARD
+    eps = (1.0 if forward else -1.0) * approach.increments(a)
+    lo, hi = getattr(f, "domain", (-math.inf, math.inf))
+    if not (lo <= min(a, a + eps[0]) and max(a, a + eps[0]) <= hi):
+        side = "above" if forward else "below"
+        raise DomainError(f"approach from {side} at a={a:g} leaves the domain")
+    fa = float(np.asarray(f(np.array([a])), dtype=float).reshape(-1)[0])
+    mu, vals = 1.0 - beta, []
+    for x in (a + eps).tolist():
+        _reference_checks(f, a, mu, x, config)
+        fx = float(np.asarray(f(np.array([x])), dtype=float).reshape(-1)[0])
+        first = (fx - fa) / float((np.abs(np.array([x - a])) ** beta)[0])
+        total = _reference_ladder(f, a, mu, x, config, fx, first / beta)
+        g = first + beta * total if forward else (0.0 - first) - beta * total
+        vals.append(g / math.gamma(mu))
+    return classify_limit(vals, tol)
+
+
+def interpolant_rl_derivative(knots, values, a, beta, x):
+    """The order-beta Riemann-Liouville derivative at x, based at a, of
+    the piecewise-linear interpolant of (knots, values), in closed form.
+
+    On [a, x] the interpolant is f(a) plus sum_k dslope_k (t - t_k)_+
+    over its break points t_k in [a, x), a first among them with the
+    slope left of it taken as 0.  D^beta of a constant c is
+    c (x-a)**-beta / Gamma(1-beta), and of (t - t_k)_+ it is
+    (x - t_k)**(1-beta) / Gamma(2-beta).  For x < a the right-sided
+    derivative is the same sum on the mirrored data.
+    """
+    knots, values = np.asarray(knots, dtype=float), np.asarray(values, dtype=float)
+    if x < a:
+        knots, values, a, x = -knots[::-1], values[::-1], -a, -x
+    breaks = np.concatenate([[a], knots[(knots > a) & (knots < x)], [x]])
+    slopes = np.diff(np.interp(breaks, knots, values)) / np.diff(breaks)
+    kinks = np.diff(np.concatenate([[0.0], slopes]))
+    fa = float(np.interp(a, knots, values))
+    return (fa * (x - a) ** -beta / math.gamma(1.0 - beta)
+            + math.fsum(kinks * (x - breaks[:-1]) ** (1.0 - beta)) / math.gamma(2.0 - beta))
+
+
+# kg_lfd_rescaled's central difference at eps has half-width eps / 8.
+RESCALED_H_FACTOR = 8.0
 
 
 def kg_lfd_rescaled(f, a, beta, direction):
@@ -271,8 +364,10 @@ def kg_lfd_rescaled(f, a, beta, direction):
 
     Substituting t = a +/- h*u turns the (1-beta) integral of the shifted
     function into h**(1-beta) times a fixed Gauss-Jacobi sum on [0, 1],
-    so only the scalar map h -> H(h) needs differencing.  Both sides
-    reduce to the same formula d/dh H(h).
+    so only the scalar map h -> H(h) needs differencing, here by a
+    central difference: the classical d/dx of the integral, which
+    kg_lfd's Marchaud form replaces.  Both sides reduce to the same
+    formula d/dh H(h).
     """
     mu = 1.0 - beta
     s, w = _jacobi_rule(64, mu - 1.0)
@@ -288,7 +383,7 @@ def kg_lfd_rescaled(f, a, beta, direction):
 
     vals = []
     for e in DEFAULT_APPROACH.increments(a):
-        d = float(e) / KG_H_FACTOR
+        d = float(e) / RESCALED_H_FACTOR
         vals.append((H(e + d) - H(e - d)) / (2.0 * d))
     return classify_limit(vals, KG_TOL)
 

@@ -29,7 +29,7 @@ from fracvel.cli import (
 )
 from fracvel.rlcalc import DEFAULT_APPROACH
 from fracvel.scanner import scan_change_set
-from common import GAMMA_15
+from common import GAMMA_15, interpolant_rl_derivative
 
 
 def write_samples(path, xs, ys):
@@ -352,17 +352,28 @@ class TestSampledAnalyze:
         assert schedule["count"] == schedule["effective_count"] == count
 
     def test_lfd_approach_stops_at_the_sample_floor(self, tmp_path, capsys):
-        # 2^17 gaps on [-1, 1] floor the probes at 2**-14; an approach
-        # ladder run below it reads the linear interpolant, whose
-        # derivative of order 1/2 at the cusp falls off like eps**(1/2)
+        # 2^17 gaps on [-1, 1] floor the probes at 2**-14, so the approach
+        # ladder ends at 2**-13.  Its tail reads the linear interpolant,
+        # whose derivative of order 1/2 at the cusp drifts from Gamma(1.5)
+        # as the steps near the knots; the tail is checked against that
+        # derivative's closed form.  Every value lies within 5e-4 of it
+        # (worst 2.9e-4, graded at 2**-11, where the settle rule stops a
+        # level early on the knots; Jacobi 2.4e-6), and the last within
+        # 2e-5 (graded 1.0e-5), where the references at the last two
+        # steps differ by 3.5e-3
         xs = np.linspace(-1.0, 1.0, 2 ** 17 + 1)
-        path = write_samples(tmp_path / "cusp.csv", xs, np.sign(xs) * np.abs(xs) ** 0.5)
+        ys = np.sign(xs) * np.abs(xs) ** 0.5
+        path = write_samples(tmp_path / "cusp.csv", xs, ys)
+        steps = 2.0 ** -np.arange(10, 14)
+        want = np.array([interpolant_rl_derivative(xs, ys, 0.0, 0.5, e) for e in steps])
         for scheme in ("graded_product", "jacobi_weighted"):
             code = main(["lfd", "--fn", f"file:{path}", "--x", "0", "--beta", "0.5",
                          "--direction", "fwd", "--scheme", scheme])
             assert code == 0
             lfd = json.loads(capsys.readouterr().out)["lfd"]
-            assert abs(lfd["value"] - GAMMA_15) < 5e-3
+            tail = np.array(lfd["tail_values"])
+            assert np.abs(tail - want).max() < 5e-4
+            assert lfd["value"] == tail[-1] and abs(tail[-1] - want[-1]) < 2e-5
 
     def test_floor_cutting_below_eight_fails(self, tmp_path, capsys):
         # gaps of 5e-4 floor the probes at 2e-3, leaving 2**-4 .. 2**-8
@@ -722,14 +733,19 @@ class TestMainCommands:
         assert payload["lfd"]["value"] == pytest.approx(math.gamma(1.0 + beta) * k, abs=1e-4)
 
     @pytest.mark.parametrize("x, direction, err", [
-        ("0.937", "fwd", "error: approach from above at a=0.937 leaves the domain\n"),
-        ("-0.937", "bwd", "error: approach from below at a=-0.937 leaves the domain\n"),
+        ("0.95", "fwd", "error: probe of width 0.0625 at x=0.95 (forward) "
+                        "leaves the domain [-1, 1]\n"),
+        ("-0.95", "bwd", "error: probe of width 0.0625 at x=-0.95 (backward) "
+                         "leaves the domain [-1, 1]\n"),
+        ("0.937", "fwd", ""),
+        ("-0.937", "bwd", ""),
         ("0.9", "fwd", ""),
     ])
-    def test_lfd_approach_keeps_room_for_the_stencil(self, x, direction, err, capsys):
-        # the velocity's widest window, 0.0625, fits inside [-1, 1] at
-        # |x| = 0.937, but the derivative stencil's reach 0.0625 * 1.125
-        # does not
+    def test_lfd_approach_needs_room_for_its_first_step_alone(self, x, direction, err, capsys):
+        # the velocity's widest window and the first approach step, both
+        # 0.0625, fit inside [-1, 1] at |x| = 0.937, with no derivative
+        # stencil reaching past them; at |x| = 0.95 the velocity's window,
+        # checked first, leaves it
         code = main(["lfd", "--fn", "poly:coeffs=1,domain=-1;1", "--x", x, "--beta", "0.5",
                      "--direction", direction])
         out, got = capsys.readouterr()

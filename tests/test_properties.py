@@ -585,7 +585,7 @@ def _evaluator_paths(f, x, beta, centre):
 
 
 # paths whose first calls evaluate f at single points, and how many
-ENDPOINT_CALLS = {"verify_rolle": 2, "verify_mean_value": 2, "kg_lfd": 1}
+ENDPOINT_CALLS = {"verify_rolle": 2, "verify_mean_value": 2}
 
 
 @settings(max_examples=15, deadline=None)
@@ -593,8 +593,8 @@ ENDPOINT_CALLS = {"verify_rolle": 2, "verify_mean_value": 2, "kg_lfd": 1}
        beta=st.floats(0.1, 0.9), K=st.floats(0.5, 2.0))
 def test_evaluator_contract_arrays_reach_f_as_one_d_floats(centre, u, beta, K):
     # every array f is given is one 1-D float64 array, whatever the path
-    # batches; only two verifiers' f(a) and f(b) and kg_lfd's f(a) are
-    # floats, and only a path that raises may stop before any array
+    # batches; only two verifiers' f(a) and f(b) are floats, and only a
+    # path that raises may stop before any array
     def kink(t):
         return K * np.abs(np.asarray(t, dtype=float) - centre) ** beta
 
