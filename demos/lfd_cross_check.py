@@ -13,7 +13,7 @@ from math import gamma
 import numpy as np
 
 from fracvel import (Direction, check_lfd_equivalence, kg_lfd,
-                     make_power_cusp, rl_integral)
+                     make_power_cusp, rl_derivative, rl_integral)
 
 # First the quadrature itself: integrating K t^beta at order 1-beta
 # collapses to Gamma(1+beta) K h, a closed form worth checking.
@@ -22,6 +22,12 @@ f = lambda t: K * np.abs(np.asarray(t, dtype=float)) ** beta
 got = rl_integral(f, 0.0, 1.0 - beta, h)
 want = gamma(1.0 + beta) * K * h
 print(f"integral identity: got {got:.10f}  expected {want:.10f}")
+
+# The derivative of the same order takes K t^beta to the constant
+# Gamma(1+beta) K at every point; it is the derivative of that integral.
+got = rl_derivative(f, 0.0, beta, [h, 4 * h])
+want = gamma(1.0 + beta) * K
+print(f"derivative identity: got {got[0]:.10f} and {got[1]:.10f}  expected {want:.10f}")
 
 # The derivative limit at a cusp: Gamma(1.5) times the velocity 1.
 cusp = make_power_cusp(0.0, 0.5, 1.0, 0.0)

@@ -365,7 +365,8 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
     it settles with its derivative: lead holds each row's first term over
     the second term's factor, which the settle rule adds to both passes.
     So a row whose differences are round-off next to its first term, as
-    f = 1 + 1e-15 t gives, settles as soon as that term does.
+    f = 1 + 1e-15 t gives, settles as soon as that term does, and a row
+    whose first term is not finite settles at its first pass.
 
     A suspended level holds its row indices, one value per row and its
     rule's mesh, never a block's node arrays, so the call bound still
@@ -401,6 +402,10 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
     rows = np.arange(xs.size)
     for idx, cur in passes(rows, n):
         value[idx] = cur
+    if marchaud:
+        # a first term that is not finite makes the derivative inf or NaN
+        # whatever the second term reads, so its row settles at once
+        rows = rows[np.isfinite(lead)]
     failed = deepen(rows, n)
     return value, failed
 
@@ -456,6 +461,36 @@ def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = 
     return float(value[0]) if xs.ndim == 0 else value
 
 
+def _marchaud(f, a: float, beta: float, xs: np.ndarray, config: QuadratureConfig,
+              fa: float = 0.0, fx=None):
+    """The Marchaud-form derivative of f - fa at each x of xs (rl_derivative).
+
+    Unless f(x) is given as fx, the points are checked (_check_ladder)
+    and f(x) of every point comes from one evaluator call; a given fx
+    leaves the checks to _integrate.  The first term is
+    (f(x) - fa) / |x-a|**beta, and the integrals of the divided
+    differences double together (_integrate).  A failed check or f(x)
+    call is replayed one point at a time, each point's f(x) call before
+    its integral, so errors come out as a loop over the points would
+    raise them.
+    """
+    try:
+        if fx is None:
+            _check_ladder(f, a, xs, config)
+            # f never sees an empty array
+            fx = _feval(f, xs) if xs.size else xs
+    except Exception:
+        if xs.size <= 1:
+            raise
+        return np.concatenate([_marchaud(f, a, beta, xs[i:i + 1], config, fa)
+                               for i in range(xs.size)])
+    # a derivative past the largest double is inf, as an evaluator's value is
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = (fx - fa) / np.abs(xs - a) ** beta
+        sums = _integrate(f, a, 1.0 - beta, xs, config, fx, first / beta)
+        return (first + beta * sums) / math.gamma(1.0 - beta)
+
+
 def rl_derivative(f, a: float, beta: float, x,
                   config: Optional[QuadratureConfig] = None):
     """Fractional derivative of order beta at x, based at a.
@@ -492,20 +527,7 @@ def rl_derivative(f, a: float, beta: float, x,
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError("evaluation points must be a scalar or a 1-D array")
-    pts = xs.reshape(-1)
-    try:
-        _check_ladder(f, a, pts, config)
-        # f never sees an empty array
-        fx = _feval(f, pts) if pts.size else pts
-    except Exception:
-        if pts.size <= 1:
-            raise
-        return np.array([rl_derivative(f, a, beta, v, config) for v in pts.tolist()])
-    # a derivative past the largest double is inf, as an evaluator's value is
-    with np.errstate(over="ignore", invalid="ignore"):
-        first = fx / np.abs(pts - a) ** beta
-        sums = _integrate(f, a, 1.0 - beta, pts, config, fx, first / beta)
-        d = (first + beta * sums) / math.gamma(1.0 - beta)
+    d = _marchaud(f, a, beta, xs.reshape(-1), config)
     return float(d[0]) if xs.ndim == 0 else d
 
 
@@ -529,7 +551,9 @@ def kg_lfd(f, a: float, beta: float, direction: Direction,
     f(a) and every f(a +/- eps) come from one evaluator call.  Then the
     approach points' integrals double together in blocks, depth first,
     f seeing at most EVAL_CALL_POINTS points a call, and errors come out
-    as a loop over the steps would raise them.
+    as a loop over the steps would raise them: if that first call fails,
+    f(a) is taken alone and the steps go on as rl_derivative's points,
+    which replay a failed batch one point at a time.
     """
     _check_order(beta)
     a, beta = float(a), float(beta)
@@ -542,19 +566,18 @@ def kg_lfd(f, a: float, beta: float, direction: Direction,
         raise DomainError(f"approach from {side} at a={a:g} leaves the domain")
 
     xs = a + eps
-    v = _feval(f, np.append(a, xs))
-    fa, fx = v[0], v[1:]
-    # the derivative of g = f - f(a) forward, f(a) - f backward, whose
-    # divided differences are those of f, negated; 0 - first, not -first,
-    # so that a zero derivative is +0.0.  One past the largest double is
-    # inf, as an evaluator's value is
-    with np.errstate(over="ignore", invalid="ignore"):
-        first = (fx - fa) / np.abs(xs - a) ** beta
-        sums = _integrate(f, a, 1.0 - beta, xs, config, fx, first / beta)
-        if direction is Direction.FORWARD:
-            d = (first + beta * sums) / math.gamma(1.0 - beta)
-        else:
-            d = ((0.0 - first) - beta * sums) / math.gamma(1.0 - beta)
+    try:
+        v = _feval(f, np.append(a, xs))
+        fa, fx = v[0], v[1:]
+    except Exception:
+        # replayed as a loop over the steps: f(a) alone, then each
+        # step's f(x) and its integral
+        fa, fx = _feval(f, np.array([a]))[0], None
+    d = _marchaud(f, a, beta, xs, config, fa, fx)
+    # the derivative of f - f(a) forward, of f(a) - f backward: 0 - d,
+    # not -d, so that a zero derivative is +0.0
+    if direction is Direction.BACKWARD:
+        d = 0.0 - d
     return classify_limit(d, tol)
 
 

@@ -248,12 +248,15 @@ def _reference_checks(f, a, mu, x, config):
 
 def _reference_ladder(f, a, mu, x, config, fx=None, lead=0.0):
     """One point's passes, doubling until two agree: the last one.  Passes
-    of divided differences are compared with lead added to both."""
+    of divided differences are compared with lead added to both, and a
+    lead that is not finite keeps the first pass."""
     graded = config.scheme is QuadScheme.GRADED_PRODUCT
     one_pass = _graded_pass if graded else _jacobi_pass
     cap = GRADED_NODE_CAP if graded else JACOBI_NODE_CAP
     n = config.n_nodes
     prev = one_pass(f, a, x, mu, n, fx)
+    if not math.isfinite(lead):
+        return prev
     while 2 * n <= cap:
         n *= 2
         cur = one_pass(f, a, x, mu, n, fx)

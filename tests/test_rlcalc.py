@@ -243,10 +243,10 @@ class TestRlDerivative:
         ([0.4, math.inf, 0.3], "evaluation point must be finite, got inf"),
         ([0.4, -math.inf], "evaluation point must be finite, got -inf"),
         ([0.4, math.nan], "evaluation point must be finite, got nan"),
-        # a span as short as the smallest double has no difference step
-        # to underflow: it runs, and the point after it fails
+        # spans of one and four subnormal ulps have no difference step to
+        # underflow: they run, and the point after them fails
         ([0.4, 5e-324, 0.0], "evaluation point must differ from the base point"),
-        ([0.4, -1e-300, math.inf], "evaluation point must be finite, got inf"),
+        ([0.4, -2e-323, math.inf], "evaluation point must be finite, got inf"),
     ])
     def test_bad_step_after_valid_points_raises_its_error(self, xs, message):
         f = power(0.5)
@@ -269,6 +269,19 @@ class TestRlDerivative:
         with pytest.raises(QuadratureError, match="starting nodes leave no room to double"):
             rl_derivative(f, 0.0, 0.5, np.empty(0), config)
         assert calls == []
+
+    @pytest.mark.parametrize("config", SCHEMES.values(), ids=SCHEMES.keys())
+    def test_overflowing_first_term_is_inf_after_one_pass(self, config):
+        # f(x) / |x-a|**beta = 1e450 overflows; the derivative is inf
+        # whatever the divided differences read, so the row takes its
+        # first pass alone and never doubles
+        f, calls = counting(lambda t: np.full(np.shape(t), 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rl_derivative(f, 0.0, 0.5, [1e-300, -1e-300], config)
+        assert same_bits(got, [math.inf, math.inf])
+        assert calls == [2, 2 * config.n_nodes]
+        assert same_bits(got, reference_rl_derivative(f, 0.0, 0.5, [1e-300, -1e-300], config))
 
     def test_unsettled_point_before_a_bad_step_raises_first(self):
         # a new constant at each call never settles: after its f(x) call,
@@ -838,6 +851,40 @@ class TestBatchedLadder:
         got = outcome(lambda: kg_lfd(band, 0.0, 0.5, BWD, approach, config))
         assert got == outcome(lambda: reference_kg_lfd(band, 0.0, 0.5, BWD, approach, config))
         assert got[0] is RuntimeError
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("direction", [FWD, BWD])
+    def test_refused_approach_point_raises_what_the_loop_raises(self, scheme, direction):
+        # the first step, 0.5 from a, is refused: the loop's first refused
+        # call is that step's f(x) alone, not the call of f(a) and every
+        # step together
+        f, config = self.picky(0.4), SCHEMES[scheme]
+        approach = EpsilonSchedule(0.5, 0.5, 16)
+        got = outcome(lambda: kg_lfd(f, 0.0, 0.5, direction, approach, config))
+        want = outcome(lambda: reference_kg_lfd(f, 0.0, 0.5, direction, approach, config))
+        assert got == want == (RuntimeError, "refused 1 points up to 0.5")
+
+    def test_unsettled_step_before_a_refused_step_raises_first(self):
+        # a new constant at each call never settles, so the loop raises
+        # the first step's QuadratureError before it reaches the refused
+        # fourth step, whose f(x) the first call of kg_lfd holds
+        approach = EpsilonSchedule(0.5, 0.5, 16)
+        refused = float(approach.increments(0.0)[3])
+
+        def run(lfd):
+            sizes = []
+
+            def f(t):
+                t = np.asarray(t, dtype=float)
+                if np.any(t == refused):
+                    raise RuntimeError(f"refused {t.size} points")
+                sizes.append(t.size)
+                return np.full(t.shape, float(len(sizes)))
+
+            return outcome(lambda: lfd(f, 0.0, 0.5, FWD, approach, JACOBI))
+
+        want = (QuadratureError, "no stabilization by 1024 nodes")
+        assert run(kg_lfd) == run(reference_kg_lfd) == want
 
     def test_a_batch_the_evaluator_refuses_is_replayed(self):
         # calls of one point's nodes pass, so the loop's values come out
