@@ -46,8 +46,8 @@ from .estimator import (
     DEFAULT_TOL,
     EpsilonSchedule,
     _count_above,
+    _holder_estimate,
     _velocity_reports,
-    estimate_holder_exponent,
 )
 from .rlcalc import (_RULES, DEFAULT_APPROACH, KG_TOL, MIN_NODES, QuadratureConfig,
                      QuadScheme, check_lfd_equivalence)
@@ -660,12 +660,13 @@ def _run_analyze(cfg: RunConfig, f, schedule: EpsilonSchedule, tol: float) -> Ru
 
 def _run_holder(cfg: RunConfig, f, schedule: EpsilonSchedule, tol: float) -> RunResult:
     d = _DIRECTIONS[cfg.direction]
-    est = estimate_holder_exponent(f, cfg.x, d, schedule)
+    eps = schedule.increments(cfg.x)
+    est = _holder_estimate(f, cfg.x, d, eps)
     lo, hi = est.scale_range
     return RunResult({
         "x": cfg.x,
         "direction": d,
-        "schedule": _schedule_dict(schedule, schedule.increments(cfg.x)),
+        "schedule": _schedule_dict(schedule, eps),
         "estimate": {
             "exponent": est.exponent,
             "constant": est.constant,

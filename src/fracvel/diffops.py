@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -121,13 +120,14 @@ def _row_blocks(n_rows: int, row_len: int):
     return (slice(i, i + step) for i in range(0, n_rows, step))
 
 
-def _variation_quotient(fx, fe, beta: float, direction: Direction, eps):
-    """(f(x+eps) - f(x)) / eps**beta forward, (f(x) - f(x-eps)) / eps**beta
-    backward, from f(x) and the values fe at x +- eps.  Callers evaluate
-    it under np.errstate(over="ignore", invalid="ignore"): an overflow or
-    inf - inf is a non-finite variation, which classifies as diverged."""
+def _variation_quotient(fx, fe, direction: Direction, scale):
+    """(f(x+eps) - f(x)) / scale forward, (f(x) - f(x-eps)) / scale
+    backward, from f(x) and the values fe at x +- eps, scale being
+    eps**beta.  Callers evaluate it under np.errstate(over="ignore",
+    invalid="ignore"): an overflow or inf - inf is a non-finite
+    variation, which classifies as diverged."""
     delta = fe - fx if direction is Direction.FORWARD else fx - fe
-    return delta / eps ** beta
+    return delta / scale
 
 
 def variation_values(f, x, beta: float, direction: Direction, eps) -> np.ndarray:
@@ -150,13 +150,14 @@ def variation_values(f, x, beta: float, direction: Direction, eps) -> np.ndarray
         _check_windows(f, xs, eps.max(), direction)
     v = _feval(f, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _variation_quotient(v[..., :1], v[..., 1:], beta, direction, eps)
+        return _variation_quotient(v[..., :1], v[..., 1:], direction, eps ** beta)
 
 
-def _osc_offsets(n: int) -> np.ndarray:
+def _osc_offsets(n: int, start: int = 0, step: int = 1) -> np.ndarray:
     # arange/(n-1) so that the 2n-1 refinement reproduces every coarse
-    # point bit-exactly (numerator and denominator both double)
-    return np.arange(n, dtype=float) / (n - 1)
+    # point bit-exactly (numerator and denominator both double); start
+    # and step pick every step-th offset of the n-point grid, same bits
+    return np.arange(start, n, step, dtype=float) / (n - 1)
 
 
 def _annulus_points(x: float, outer, inner, offs):
@@ -168,26 +169,37 @@ def _annulus_points(x: float, outer, inner, offs):
     return x + (outer * offs + inner * (1.0 - offs))
 
 
-def _annulus_extrema(f, x: float, outer: np.ndarray, inner: np.ndarray,
-                     offs: np.ndarray, ends: Optional[np.ndarray] = None):
-    """Max and min of f over the points of each annulus at offsets offs.
+def _annulus_values(f, x: float, outer: np.ndarray, inner: np.ndarray, offs: np.ndarray):
+    """f at the points of each annulus at offsets offs, by blocks of rows:
+    (rows, values) pairs, one _feval call per block of _row_blocks.
 
     Row k holds the points between the signed distances inner[k] and
-    outer[k] from x (_annulus_points).  Whole rows go to f, one _feval
-    call per block of _row_blocks.  ends, when given, receives each
-    row's values at its first and last offset as its two columns: at
-    offsets from 0 to 1, f(x + inner[k]) and f(x + outer[k]).
+    outer[k] from x (_annulus_points), one column per offset.
     """
+    for rows in _row_blocks(outer.size, offs.size):
+        yield rows, _feval(f, _annulus_points(x, outer[rows, None], inner[rows, None], offs))
+
+
+def _annulus_extrema(f, x: float, outer: np.ndarray, inner: np.ndarray, offs: np.ndarray):
+    """Max and min of f over the points of each annulus at offsets offs."""
     hi = np.empty(outer.size)
     lo = np.empty(outer.size)
-    for rows in _row_blocks(outer.size, offs.size):
-        v = _feval(f, _annulus_points(x, outer[rows, None], inner[rows, None], offs))
+    for rows, v in _annulus_values(f, x, outer, inner, offs):
         hi[rows] = v.max(axis=1)
         lo[rows] = v.min(axis=1)
-        if ends is not None:
-            ends[rows, 0] = v[:, 0]
-            ends[rows, 1] = v[:, -1]
     return hi, lo
+
+
+def _check_ladder_windows(f, x: float, eps: np.ndarray, directions) -> None:
+    """Raise what _check_windows raises for the first side of directions
+    with a bad window.  Rounding keeps order, so when every increment is
+    positive and finite each side's windows lie in the domain exactly
+    when its widest does: one scalar test a side, and _check_windows
+    only for a side that fails it."""
+    top, low = float(eps.max()), float(eps.min())
+    for direction in directions:
+        if not (0.0 < low and top < math.inf and _inside(f, x, x + _SIGN[direction] * top)):
+            _check_windows(f, x, eps, direction)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -226,14 +238,20 @@ def _osc_ladder(f, x: float, eps, directions, n0: int = OSC_N0,
     bit for bit as variation_values forms them, so they are the values
     it would evaluate (_variation_quotient turns them into variations).
 
-    The rows of all sides are sampled together: the first grid in one
-    pass, then each doubling samples only the new midpoints of the rows
-    that have not settled, folding them into running maxima and minima.
-    The nested grids make this exact: every coarse offset reappears bit
-    for bit at an even index of the finer grid, so the extrema over the
-    union are the extrema over the full grid.  That holds for any f
-    whose value at a point does not depend on the other points of the
-    call.
+    The rows of all sides are sampled together.  Every row with a
+    finite first grid takes the first doubling, so when 2*n0-1 <= cap
+    the first grid and that doubling are one level: one evaluator call
+    per block over each row's 2*n0-1 points, the n0 grid first and its
+    midpoints after.  A row that is not finite on its first grid keeps
+    that grid's extrema, so its n0 - 1 midpoints are evaluated and never
+    read.  Each later doubling samples only the new midpoints of the
+    rows still refining, gathered once into compact arrays, and folds
+    them into running maxima and minima; a row is written back when it
+    leaves.  The nested grids make this exact: every coarse offset
+    reappears bit for bit at an even index of the finer grid, so the
+    extrema over the union are the extrema over the full grid.  That
+    holds for any f whose value at a point does not depend on the other
+    points of the call.
 
     The ladder runs under np.errstate(over="ignore", invalid="ignore"),
     as _feval does: extrema of opposite sign near the largest double
@@ -241,39 +259,75 @@ def _osc_ladder(f, x: float, eps, directions, n0: int = OSC_N0,
     all inf of one sign gives inf - inf, a NaN oscillation.
     """
     eps = np.asarray(eps, dtype=float)
-    for direction in directions:
-        _check_windows(f, x, eps, direction)
+    _check_ladder_windows(f, x, eps, directions)
     sides, k = len(directions), eps.size
     # each side's row of signed distances from x, down to its own zero
     dist = np.array([_SIGN[d] for d in directions])[:, None] * np.concatenate((eps, [0.0]))
     outer = dist[:, :-1].ravel()
     inner = dist[:, 1:].ravel()
     n = int(n0)
+    double = 2 * n - 1 <= cap
+    # the n-point grid, then, when the first doubling fits under cap, the
+    # midpoints that double it
+    offs = (np.concatenate((_osc_offsets(2 * n - 1, 0, 2), _osc_offsets(2 * n - 1, 1, 2)))
+            if double else _osc_offsets(n))
+    hi, lo, mid_hi, mid_lo = np.empty((4, outer.size))
     ends = np.empty((outer.size, 2))
-    hi, lo = _annulus_extrema(f, x, outer, inner, _osc_offsets(n), ends)
+    for block, v in _annulus_values(f, x, outer, inner, offs):
+        # each part is a run of whole columns, so each row reduces over
+        # contiguous values, as a call of that part alone would
+        grid, mids = v[:, :n], v[:, n:]
+        hi[block] = grid.max(axis=1)
+        lo[block] = grid.min(axis=1)
+        ends[block, 0] = grid[:, 0]
+        ends[block, 1] = grid[:, -1]
+        if double:
+            mid_hi[block] = mids.max(axis=1)
+            mid_lo[block] = mids.min(axis=1)
     # each row's stop rule reads f(x); each side's last row holds it
     # already, so this leaves every fold unchanged
     fx = ends[k - 1::k, 0]
-    fx_rows = np.repeat(fx, k)
-    np.maximum(hi, fx_rows, out=hi)
-    np.minimum(lo, fx_rows, out=lo)
-    own = hi - lo
+    side_hi, side_lo = hi.reshape(sides, k), lo.reshape(sides, k)
+    np.maximum(side_hi, fx[:, None], out=side_hi)
+    np.minimum(side_lo, fx[:, None], out=side_lo)
     n_samples = np.full(outer.size, n)
     refined = np.zeros(outer.size, dtype=bool)
-    # an infinite row stays infinite, its max only rising and its min only
-    # falling, and np.maximum and np.minimum keep a NaN
-    active = np.flatnonzero(np.isfinite(own))
-    while active.size and 2 * n - 1 <= cap:
+    if double:
+        own = hi - lo
+        # an infinite row stays infinite, its max only rising and its min
+        # only falling, and np.maximum and np.minimum keep a NaN
+        finite = np.isfinite(own)
+        np.maximum(hi, mid_hi, out=hi, where=finite)
+        np.minimum(lo, mid_lo, out=lo, where=finite)
         n = 2 * n - 1
-        h, l = _annulus_extrema(f, x, outer[active], inner[active], _osc_offsets(n)[1::2])
-        hi[active] = np.maximum(hi[active], h)
-        lo[active] = np.minimum(lo[active], l)
-        cur = hi[active] - lo[active]
-        settled = _agree(cur, own[active], OSC_REL_CHANGE)
-        own[active] = cur
-        n_samples[active] = n
-        refined[active] = settled
-        active = active[~(settled | np.isnan(cur))]
+        cur = hi - lo
+        refined = _agree(cur, own, OSC_REL_CHANGE)
+        n_samples[finite] = n
+        rows = np.flatnonzero(finite & ~(refined | np.isnan(cur)))
+        if rows.size:
+            # the rows still refining, gathered: their distances, their
+            # extrema and their last oscillation
+            r_outer, r_inner, r_hi, r_lo, own = (a[rows] for a in (outer, inner, hi, lo, cur))
+            while rows.size and 2 * n - 1 <= cap:
+                n = 2 * n - 1
+                h, l = _annulus_extrema(f, x, r_outer, r_inner, _osc_offsets(n, 1, 2))
+                np.maximum(r_hi, h, out=r_hi)
+                np.minimum(r_lo, l, out=r_lo)
+                cur = r_hi - r_lo
+                settled = _agree(cur, own, OSC_REL_CHANGE)
+                leave = settled | np.isnan(cur)
+                if leave.any():
+                    gone = rows[leave]
+                    hi[gone], lo[gone] = r_hi[leave], r_lo[leave]
+                    n_samples[gone] = n
+                    refined[gone] = settled[leave]
+                    stay = ~leave
+                    rows, r_outer, r_inner, r_hi, r_lo, cur = (
+                        a[stay] for a in (rows, r_outer, r_inner, r_hi, r_lo, cur))
+                own = cur
+            # the rows the cap stopped keep their samples, unrefined
+            hi[rows], lo[rows] = r_hi, r_lo
+            n_samples[rows] = n
     hi = hi.reshape(sides, k)[:, ::-1]
     lo = lo.reshape(sides, k)[:, ::-1]
     value = (np.maximum.accumulate(hi, axis=1)[:, ::-1]

@@ -258,9 +258,10 @@ def _velocity_reports(f, x: float, beta: float, directions, eps: np.ndarray,
     # an overflow or a nan is a non-finite variation or ratio: the limit
     # classifies as diverged and c1_constant reads inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        vals = np.array([diffops._variation_quotient(f0, fs, beta, d, eps)
+        scale = eps ** beta
+        vals = np.array([diffops._variation_quotient(f0, fs, d, scale)
                          for d, f0, fs in zip(directions, fx, fe)])
-        growth = osc / eps ** beta
+        growth = osc / scale
     limits = _limit_estimates(vals, tol)
     half = math.ceil(eps.size / 2)
     # per side: whether every ratio is finite, the largest ratio, and the
@@ -338,7 +339,6 @@ class HolderEstimate:
         return self.exponent > 1.0
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def estimate_holder_exponent(f, x: float, direction: Direction,
                              schedule: Optional[EpsilonSchedule] = None) -> HolderEstimate:
     """Pointwise regularity exponent by least squares on log osc vs log eps.
@@ -351,7 +351,13 @@ def estimate_holder_exponent(f, x: float, direction: Direction,
     the exact value is not trustworthy, which the superlinear flag records.
     An overflow makes the fit or the constant non-finite, with no warning.
     """
-    eps = (schedule or DEFAULT_SCHEDULE).increments(x)
+    return _holder_estimate(f, x, direction, (schedule or DEFAULT_SCHEDULE).increments(x))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _holder_estimate(f, x: float, direction: Direction, eps: np.ndarray) -> HolderEstimate:
+    """estimate_holder_exponent's HolderEstimate over eps, a schedule's
+    increments at x, for callers that hold them already."""
     osc = diffops._osc_ladder(f, x, eps, (direction,))[0][0]
     keep = osc > 0.0
     if not keep.any():

@@ -285,10 +285,15 @@ def _marchaud_rule(s, weights):
     """
     if s[-1] != 1.0:
         return s, weights
-    r = (s[-1] - s[-2]) / (s[-2] - s[-3])
-    folded = weights[:-1].copy()
-    folded[-1] += weights[-1] * (1.0 + r)
-    folded[-2] -= weights[-1] * r
+    # below min(mu, 1-mu) of about 4e-4 a coarse mesh's nodes before s = 1
+    # underflow to 0, leaving no slope to extrapolate: r is inf, the
+    # folded weights are not finite and so is the pass, which never
+    # settles, and the ladder doubles on to a mesh that resolves them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (s[-1] - s[-2]) / (s[-2] - s[-3])
+        folded = weights[:-1].copy()
+        folded[-1] += weights[-1] * (1.0 + r)
+        folded[-2] -= weights[-1] * r
     return s[:-1], folded
 
 

@@ -387,7 +387,9 @@ class TestOscillationLadder:
     def test_infinite_rows_are_sampled_once(self):
         # 1e308 t**2 overflows past t = 1.3408: the outer forward annulus
         # at x = 1.3 holds inf on its first grid, and no finer grid can
-        # lower an infinite oscillation, so only the other 75 rows double
+        # lower an infinite oscillation, so only the other 75 rows double;
+        # every row's first grid and first doubling are one call, so the
+        # infinite row's 8 midpoints are evaluated and not read
         f = CountingEvaluator(make_polynomial((0.0, 0.0, 1e308)))
         eps = EpsilonSchedule().increments(1.3)
         got = _osc_ladder(f, 1.3, eps, (FWD, BWD))
@@ -400,13 +402,26 @@ class TestOscillationLadder:
         assert n[infinite].tolist() == [OSC_N0] and not refined[infinite].any()
         assert refined[~infinite].all()
         rows = 2 * eps.size
-        assert f.sizes == [rows * OSC_N0, (rows - 1) * (OSC_N0 - 1)]
+        assert f.sizes == [rows * (2 * OSC_N0 - 1)]
+
+    def test_row_infinite_on_its_first_grid_keeps_its_extrema(self):
+        # +inf at each point of the one window's first grid, x included,
+        # and finite at the midpoints that double it, which the same call
+        # samples: the row keeps inf - inf, a NaN, and is not doubled
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            return np.where(t % 2.0 ** -7 == 0.0, np.inf, t)
+
+        with np.errstate(invalid="ignore"):   # the reference's inf - inf
+            value, n, refined = assert_ladder_matches_reference(f, 0.0, [2.0 ** -4], FWD)
+        assert np.isnan(value).all() and n.tolist() == [OSC_N0] and not refined.any()
 
     def test_nan_rows_stop_doubling(self):
         # the identity but NaN at 2**-5 + 2**-9, which only the 17-point
         # grid of the annulus between 2**-5 and 2**-4 samples; max and min
         # keep a NaN, so no finer grid could settle that row, and doubling
-        # it to the cap took 14 evaluator calls over 66,183 points
+        # it to the cap took 14 evaluator calls over 66,183 points; every
+        # row settles at its first doubling, one call with the first grid
         bad = 2.0 ** -5 + 2.0 ** -9
 
         def f(t):
@@ -421,4 +436,4 @@ class TestOscillationLadder:
         assert refined[~row].all()
         g = CountingEvaluator(f)
         estimate_velocity(g, 0.0, 0.5, FWD)
-        assert len(g.sizes) == 2 and sum(g.sizes) == 663
+        assert g.sizes == [663]

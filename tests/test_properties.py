@@ -33,6 +33,7 @@ from fracvel import (
     verify_weak_darboux,
 )
 from common import (
+    _window_points,
     one_sided_difference,
     osc_sampled,
     reference_ladder,
@@ -40,7 +41,7 @@ from common import (
 )
 from fracvel import diffops, scanner
 from fracvel.cli import SampledFunction
-from fracvel.diffops import _osc_ladder
+from fracvel.diffops import EVAL_CALL_POINTS, OSC_SAMPLE_CAP, _osc_ladder, _osc_offsets
 from fracvel.estimator import (C1_RATIO_CUTOFF, FLOOR_FACTOR, MIN_FITTED, VelocityReport,
                                _velocity_reports)
 from fracvel.rlcalc import QUAD_REL_CHANGE
@@ -307,6 +308,70 @@ def test_oscillation_never_increases_as_the_window_shrinks(kind, order, u, freq,
         assert x <= t.min() and t.max() <= x + eps[0]
     else:
         assert x - eps[0] <= t.min() and t.max() <= x
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["cusp", "chirp", "weierstrass"]), order=st.floats(0.1, 0.9),
+       freq=st.integers(2, 4), u=st.floats(-0.5, 0.5), singular=st.booleans(),
+       eps0=st.floats(2.0 ** -6, 1.0), ratio=st.floats(0.1, 0.9), count=st.integers(1, 12),
+       n0=st.sampled_from([2, 3, 5, 9, 17]), cap_at=st.integers(0, 4),
+       sides=st.sampled_from([(FWD,), (BWD,), (FWD, BWD), (BWD, FWD)]),
+       poison=st.sampled_from([None, math.inf, math.nan]),
+       where=st.tuples(st.integers(0, 1), st.integers(0, 11), st.integers(0, 3),
+                       st.integers(0, 2 ** 16)))
+@example(kind="cusp", order=0.5, freq=2, u=0.0, singular=True, eps0=2.0 ** -4, ratio=0.5,
+         count=12, n0=9, cap_at=4, sides=(FWD, BWD), poison=math.inf, where=(1, 0, 0, 4))
+@example(kind="chirp", order=0.5, freq=2, u=0.0, singular=True, eps0=2.0 ** -4, ratio=0.5,
+         count=12, n0=9, cap_at=4, sides=(FWD, BWD), poison=math.nan, where=(0, 11, 2, 0))
+def test_oscillation_ladder_equals_the_reference_bit_for_bit(kind, order, freq, u, singular,
+                                                              eps0, ratio, count, n0, cap_at,
+                                                              sides, poison, where):
+    # caps with no doubling, with the first doubling alone, and deep
+    # ladders; an inf or a NaN at a drawn point of a drawn row, first
+    # sampled at a drawn level if the row gets that deep
+    cap = (n0, 2 * n0 - 2, 2 * n0 - 1, 4 * n0 - 3, OSC_SAMPLE_CAP)[cap_at]
+    if kind == "cusp":
+        base = make_power_cusp(0.0, order, 1.0, 0.0)
+    elif kind == "chirp":
+        base = make_chirp(order, 0.0)
+    else:
+        base = make_weierstrass(order / freq + 1.0 / freq, freq, 8)
+    x = 0.0 if singular else u
+    eps = eps0 * ratio ** np.arange(count, dtype=float)
+    side, row, level = sides[where[0] % len(sides)], where[1] % count, where[2]
+    n = (n0 - 1) * 2 ** level + 1
+    inner = eps[row + 1] if row + 1 < count else 0.0
+    new = where[3] % n if level == 0 else 2 * (where[3] % (n // 2)) + 1
+    bad = _window_points(x, eps[row], inner, _osc_offsets(n), side)[new]
+
+    def f(t):
+        v = base(t)
+        return v if poison is None else np.where(np.asarray(t) == bad, poison, v)
+
+    sizes = []
+
+    def counted(t):
+        sizes.append(np.size(t))
+        return f(t)
+
+    f.domain = counted.domain = base.domain
+    got = _osc_ladder(counted, x, eps, sides, n0, cap)
+    want = reference_ladder(f, x, eps, sides, n0, cap)
+    for g, w in zip(got, want):
+        assert same_bits(g, w)
+    value, n_samples = got[:2]
+    if np.isfinite(value).all():
+        # an all-finite ladder whose deepest row took L doublings makes L
+        # calls, its first grid riding with the first doubling, when each
+        # level's points fit in one call
+        levels = np.array([((m - 1) // (n0 - 1)).bit_length() - 1
+                           for m in n_samples.ravel().tolist()])
+        deepest = int(levels.max())
+        fits = (levels.size * (2 * n0 - 1 if deepest else n0) <= EVAL_CALL_POINTS
+                and all((levels >= j).sum() * (n0 - 1) * 2 ** (j - 1) <= EVAL_CALL_POINTS
+                        for j in range(2, deepest + 1)))
+        if fits:
+            assert len(sizes) == max(deepest, 1)
 
 
 def _zoo_member(kind, order, freq):
