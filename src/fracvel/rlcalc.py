@@ -136,10 +136,10 @@ def _check_ladder(f, a: float, xs: np.ndarray, config: QuadratureConfig) -> int:
     Each row integrates over [min(a, x), max(a, x)], whose length must
     be finite and which must lie in the domain of f on either side of a.
     A start whose first doubling already passes the cap could never
-    compare two passes.  Nothing is evaluated.
+    compare two passes.  Nothing is evaluated.  Its one caller,
+    _quad_ladder, runs it under np.errstate(over="ignore", invalid="ignore").
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        ok = np.isfinite(xs - a) & (xs != a) & _inside(f, a, xs)
+    ok = np.isfinite(xs - a) & (xs != a) & _inside(f, a, xs)
     if not ok.all():
         x = float(xs[np.argmin(ok)])
         _check_point(a, x)
@@ -227,6 +227,11 @@ def _jacobi_values(n: int, alpha: float, s: np.ndarray):
     return p, dp
 
 
+# within about 1e-11 of alpha = -1 Newton's steps can carry the last
+# node onto s = 1, where P_n' divides by zero: the weights are then
+# not finite, nor is any pass on them, which never settles, and the
+# ladder fails at its cap
+@np.errstate(divide="ignore", invalid="ignore")
 def _jacobi_rule(n: int, alpha: float):
     """Gauss-Jacobi nodes and weights for the weight (1-s)**alpha on [-1, 1].
 
@@ -350,13 +355,16 @@ def _block_pass(f, s, weights, mu: float, a: float, x, fx=None):
     return t.sum(axis=-1) * scale[:, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfig,
-                 fx=None, lead=None):
-    """Raw sums of every row by node doubling, depth first: integrals, or
-    given f at xs as fx, integrals of divided differences (_block_pass).
+                 beta: Optional[float] = None, fa: float = 0.0, fx=None):
+    """Every row's value by node doubling, depth first: the raw sum of its
+    integral, or given beta, of which mu is 1 - beta, its Marchaud
+    derivative of f - fa without the 1/Gamma(mu) (_block_pass).
 
-    The rows and the start are checked first (_check_ladder).  Every row
-    is first evaluated at config.n_nodes.  Then the rows double
+    The rows and the start are checked first (_check_ladder), and f(x)
+    of every derivative row comes from one evaluator call unless given
+    as fx.  Every row is first evaluated at config.n_nodes.  Then the rows double
     in the blocks of one evaluator call each (_row_blocks), and a block's
     rows whose last two passes do not agree to QUAD_REL_CHANGE relative
     go through every deeper level before the next block starts.  So the
@@ -366,12 +374,14 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
     get alone.  Returns the values and the node count of the first row
     that reaches the cap unsettled, or None.
 
-    A divided-difference row is a Marchaud derivative's second term, and
-    it settles with its derivative: lead holds each row's first term over
-    the second term's factor, which the settle rule adds to both passes.
+    A derivative row is its first term (f(x) - fa) / |x-a|**beta plus
+    beta times the integral of the divided differences, and the integral
+    settles with the derivative: lead holds each row's first term over
+    beta, which the settle rule adds to both passes.
     So a row whose differences are round-off next to its first term, as
     f = 1 + 1e-15 t gives, settles as soon as that term does, and a row
-    whose first term is not finite settles at its first pass.
+    whose first term is not finite settles at its first pass.  A value
+    past the largest double is inf, as an evaluator's value is.
 
     A suspended level holds its row indices, one value per row and its
     rule's mesh, never a block's node arrays, so the call bound still
@@ -379,7 +389,13 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
     """
     cap = _check_ladder(f, a, xs, config)
     n = int(config.n_nodes)
-    marchaud = fx is not None
+    marchaud = beta is not None
+    if marchaud:
+        if fx is None:
+            # f never sees an empty array
+            fx = _feval(f, xs) if xs.size else xs
+        first = (fx - fa) / np.abs(xs - a) ** beta
+        lead = first / beta
     value = np.empty(xs.size)
 
     def passes(rows, n):
@@ -395,7 +411,7 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
         # rows last evaluated at n nodes, through every deeper level
         n *= 2
         for idx, cur in passes(rows, n):
-            off = 0.0 if lead is None else lead[idx]
+            off = lead[idx] if marchaud else 0.0
             left = idx[~_agree(cur + off, value[idx] + off, QUAD_REL_CHANGE)]
             value[idx] = cur
             if left.size:
@@ -407,32 +423,45 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
     rows = np.arange(xs.size)
     for idx, cur in passes(rows, n):
         value[idx] = cur
-    if marchaud:
-        # a first term that is not finite makes the derivative inf or NaN
-        # whatever the second term reads, so its row settles at once
-        rows = rows[np.isfinite(lead)]
-    failed = deepen(rows, n)
-    return value, failed
+    if not marchaud:
+        return value, deepen(rows, n)
+    # a first term that is not finite makes the derivative inf or NaN
+    # whatever the second term reads, so its row settles at once
+    failed = deepen(rows[np.isfinite(lead)], n)
+    return first + beta * value, failed
 
 
 def _integrate(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfig,
-               fx=None, lead=None):
-    """_quad_ladder's values, with errors as a loop over the rows raises
-    them: a row that does not stabilize raises the QuadratureError every
-    such row shares, and any other failure of a batch is replayed one
-    row at a time."""
+               beta: Optional[float] = None, fa: float = 0.0, fx=None):
+    """_quad_ladder's values over Gamma(mu), with errors as a loop over
+    the rows raises them: a row that does not stabilize raises the
+    QuadratureError every such row shares, and any other failure of a
+    batch, a check, the f(x) call or a pass, is replayed one row at a
+    time, each row's f(x) in a call of its own before its quadrature."""
     try:
-        value, failed = _quad_ladder(f, a, mu, xs, config, fx, lead)
+        value, failed = _quad_ladder(f, a, mu, xs, config, beta, fa, fx)
     except Exception:
         # no replay can explain the failure of a batch of one or none
         if xs.size <= 1:
             raise
-        return np.concatenate([_integrate(f, a, mu, xs[i:i + 1], config,
-                                          *(None if v is None else v[i:i + 1] for v in (fx, lead)))
+        return np.concatenate([_integrate(f, a, mu, xs[i:i + 1], config, beta, fa)
                                for i in range(xs.size)])
     if failed:
         raise QuadratureError(f"no stabilization by {failed} nodes")
-    return value
+    return value / math.gamma(mu)
+
+
+def _points(a: float, order: float, x):
+    """rl_integral's and rl_derivative's checks of the order, the base
+    point and the points; a and the order as floats, x as an array."""
+    _check_order(order)
+    # a float order is a key of the rule cache, even if it is a 0-d array
+    a, order = float(a), float(order)
+    _check_base(a)
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError("evaluation points must be a scalar or a 1-D array")
+    return a, order, xs
 
 
 def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = None):
@@ -454,46 +483,9 @@ def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = 
     shares, and any other failure of the batch is replayed one point at
     a time.  A config that no integral can run fails even on an empty x.
     """
-    _check_order(mu)
-    config = config or DEFAULT_QUAD
-    # a float order is a key of the rule cache, even if mu is a 0-d array
-    a, mu = float(a), float(mu)
-    _check_base(a)
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim > 1:
-        raise ValueError("evaluation points must be a scalar or a 1-D array")
-    value = _integrate(f, a, mu, xs.reshape(-1), config) / math.gamma(mu)
+    a, mu, xs = _points(a, mu, x)
+    value = _integrate(f, a, mu, xs.reshape(-1), config or DEFAULT_QUAD)
     return float(value[0]) if xs.ndim == 0 else value
-
-
-def _marchaud(f, a: float, beta: float, xs: np.ndarray, config: QuadratureConfig,
-              fa: float = 0.0, fx=None):
-    """The Marchaud-form derivative of f - fa at each x of xs (rl_derivative).
-
-    Unless f(x) is given as fx, the points are checked (_check_ladder)
-    and f(x) of every point comes from one evaluator call; a given fx
-    leaves the checks to _integrate.  The first term is
-    (f(x) - fa) / |x-a|**beta, and the integrals of the divided
-    differences double together (_integrate).  A failed check or f(x)
-    call is replayed one point at a time, each point's f(x) call before
-    its integral, so errors come out as a loop over the points would
-    raise them.
-    """
-    try:
-        if fx is None:
-            _check_ladder(f, a, xs, config)
-            # f never sees an empty array
-            fx = _feval(f, xs) if xs.size else xs
-    except Exception:
-        if xs.size <= 1:
-            raise
-        return np.concatenate([_marchaud(f, a, beta, xs[i:i + 1], config, fa)
-                               for i in range(xs.size)])
-    # a derivative past the largest double is inf, as an evaluator's value is
-    with np.errstate(over="ignore", invalid="ignore"):
-        first = (fx - fa) / np.abs(xs - a) ** beta
-        sums = _integrate(f, a, 1.0 - beta, xs, config, fx, first / beta)
-        return (first + beta * sums) / math.gamma(1.0 - beta)
 
 
 def rl_derivative(f, a: float, beta: float, x,
@@ -525,14 +517,8 @@ def rl_derivative(f, a: float, beta: float, x,
     double together in blocks.  Errors come out as a loop over the
     points would raise them.
     """
-    _check_order(beta)
-    config = config or DEFAULT_QUAD
-    a, beta = float(a), float(beta)
-    _check_base(a)
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim > 1:
-        raise ValueError("evaluation points must be a scalar or a 1-D array")
-    d = _marchaud(f, a, beta, xs.reshape(-1), config)
+    a, beta, xs = _points(a, beta, x)
+    d = _integrate(f, a, 1.0 - beta, xs.reshape(-1), config or DEFAULT_QUAD, beta)
     return float(d[0]) if xs.ndim == 0 else d
 
 
@@ -578,7 +564,7 @@ def kg_lfd(f, a: float, beta: float, direction: Direction,
         # replayed as a loop over the steps: f(a) alone, then each
         # step's f(x) and its integral
         fa, fx = _feval(f, np.array([a]))[0], None
-    d = _marchaud(f, a, beta, xs, config, fa, fx)
+    d = _integrate(f, a, 1.0 - beta, xs, config, beta, fa, fx)
     # the derivative of f - f(a) forward, of f(a) - f backward: 0 - d,
     # not -d, so that a zero derivative is +0.0
     if direction is Direction.BACKWARD:

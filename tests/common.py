@@ -392,7 +392,13 @@ def kg_lfd_rescaled(f, a, beta, direction):
 
 
 def same_bits(a, b) -> bool:
-    """Equal element for element, NaN matching NaN and the sign of zero kept."""
+    """Equal element for element, NaN matching NaN and the sign of zero kept.
+
+    The sign of a NaN is not compared: IEEE 754 leaves the sign of a NaN
+    result unspecified, so two equal computations may differ in it.
+    """
     a, b = np.asarray(a), np.asarray(b)
-    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
-            and np.array_equal(np.signbit(a), np.signbit(b)))
+    if a.shape != b.shape or not np.array_equal(a, b, equal_nan=True):
+        return False
+    signed = ~(np.isnan(a) | np.isnan(b))
+    return np.array_equal(np.signbit(a)[signed], np.signbit(b)[signed])

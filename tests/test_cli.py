@@ -1118,6 +1118,10 @@ def sample_file(tmp_path_factory):
 # a graded Marchaud rule whose coarse meshes collapse onto s = 0 and 1
 @example(argv=["lfd", "--fn=cusp:", "--x=1.0", "--beta=0.99999", "--direction=fwd",
                "--approach-count=12", "--count=12", "--tol=0.0625"])
+# Gauss-Jacobi Newton steps that carry a node onto s = 1 near beta = 1
+@example(argv=["lfd", "--fn=cusp:", "--x=1.0", "--beta=0.9999999999999999",
+               "--approach-count=12", "--scheme=jacobi_weighted", "--nodes=64",
+               "--tol=0.0625"])
 def test_any_command_line_exits_cleanly(sample_file, argv):
     # exit 0, 1 or 2 with a one-line reason, never a traceback; any other
     # exception escapes main and fails the test

@@ -187,6 +187,8 @@ def _window_rule(lo, hi, x, e, direction):
        e=st.one_of(st.floats(min_value=0.0, exclude_min=True),
                    st.sampled_from([5e-324, _BIG, math.inf, math.nan])),
        ends=st.tuples(_ENDS, _ENDS), direction=st.sampled_from([FWD, BWD]))
+# (-nan) + (-1.0)*nan has its sign bit clear and (-nan) - nan has it set
+@example(x=-math.nan, e=math.nan, ends=(0.0, 1.0), direction=BWD)
 def test_span_rule_is_the_window_rule(x, e, ends, direction):
     # the span between x and the signed abscissa x + s*e decides exactly
     # what the per-direction window rule decided, and x + (-1.0)*e is

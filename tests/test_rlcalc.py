@@ -161,6 +161,14 @@ class TestRlIntegral:
         with pytest.raises(QuadratureError):
             rl_integral(f, 0.0, 0.5, 1.0, JACOBI)
 
+    def test_overflowing_sum_fails_at_the_cap_without_a_warning(self):
+        # every pass sums to 2e308, which is inf, and inf never settles
+        f = lambda t: np.full(np.shape(t), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(lambda: rl_integral(f, 0.0, 0.5, 1.0))
+        assert got == (QuadratureError, "no stabilization by 65536 nodes")
+
 
 # From the edges of (0, 1), where the grading squeezes the first cells
 # below the smallest double, through the middle
@@ -834,6 +842,11 @@ class TestBatchedLadder:
         got = outcome(lambda: rl_integral(f, 0.0, 0.5, xs, config))
         assert got == outcome(lambda: reference_rl_integral(f, 0.0, 0.5, xs, config))
         assert got[0] is RuntimeError
+        # the batched f(x) call holds 0.7 and 0.9; the loop's first refused
+        # call is f(-0.7) alone
+        got = outcome(lambda: rl_derivative(f, 0.0, 0.5, xs, config))
+        assert got == outcome(lambda: reference_rl_derivative(f, 0.0, 0.5, xs, config))
+        assert got == (RuntimeError, "refused 1 points up to 0.7")
 
         # a band inside the first step's span, [-0.5, 0], holds none of
         # the approach points, so f(a) and every f(a - eps) pass, and the
@@ -848,9 +861,14 @@ class TestBatchedLadder:
 
         band.domain = cusp.domain
         approach = EpsilonSchedule(0.5, 0.5, 16)
-        got = outcome(lambda: kg_lfd(band, 0.0, 0.5, BWD, approach, config))
-        assert got == outcome(lambda: reference_kg_lfd(band, 0.0, 0.5, BWD, approach, config))
+        f, calls = counting(band)
+        got = outcome(lambda: kg_lfd(f, 0.0, 0.5, BWD, approach, config))
+        f, loop_calls = counting(band)
+        assert got == outcome(lambda: reference_kg_lfd(f, 0.0, 0.5, BWD, approach, config))
         assert got[0] is RuntimeError
+        # after the refused batch, each step takes its f(x) in a call of
+        # its own, then its integral, as the loop does after f(a)
+        assert calls[2:] == loop_calls[1:]
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     @pytest.mark.parametrize("direction", [FWD, BWD])
