@@ -33,7 +33,6 @@ from .estimator import (
 )
 from .rlcalc import (
     LfdReport,
-    QuadratureConfig,
     QuadScheme,
     check_lfd_equivalence,
     kg_lfd,
@@ -81,7 +80,6 @@ __all__ = [
     "estimate_velocity",
     "velocity_limit",
     "LfdReport",
-    "QuadratureConfig",
     "QuadScheme",
     "check_lfd_equivalence",
     "kg_lfd",

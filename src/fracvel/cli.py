@@ -49,8 +49,7 @@ from .estimator import (
     _holder_estimate,
     _velocity_reports,
 )
-from .rlcalc import (_RULES, DEFAULT_APPROACH, KG_TOL, MIN_NODES, QuadratureConfig,
-                     QuadScheme, check_lfd_equivalence)
+from .rlcalc import DEFAULT_APPROACH, KG_TOL, QuadScheme, check_lfd_equivalence
 from .scanner import (
     SCAN_TOL,
     VERIFY_TOL,
@@ -268,8 +267,7 @@ class RunConfig:
     target: Optional[float] = None
     kg_tol: float = KG_TOL
     approach_count: int = DEFAULT_APPROACH.count
-    scheme: str = QuadratureConfig.scheme.value
-    nodes: int = QuadratureConfig.n_nodes
+    scheme: str = QuadScheme.GRADED_PRODUCT.value
     fmt: str = "json"
     out: Optional[str] = None
     zoo_action: Optional[str] = None
@@ -338,7 +336,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
                    default=RunConfig.approach_count)
     p.add_argument("--scheme", choices=[s.value for s in QuadScheme],
                    default=RunConfig.scheme)
-    p.add_argument("--nodes", type=int, default=RunConfig.nodes)
     _add_output(p)
 
     p = sub.add_parser("verify", help="interval theorem checks")
@@ -426,12 +423,6 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     for flag, value in (("--count", cfg.count), ("--approach-count", cfg.approach_count)):
         if value < 4:
             raise UsageError(f"{flag} must be at least 4, got {value}")
-    if cfg.command == "lfd":
-        # the first doubling of the starting nodes must stay under the cap
-        _, cap = _RULES[QuadScheme(cfg.scheme)]
-        if not MIN_NODES <= cfg.nodes <= cap // 2:
-            raise UsageError(f"--nodes must lie in [{MIN_NODES}, {cap // 2}] "
-                             f"for {cfg.scheme}, got {cfg.nodes}")
     for flag, value, cap in (("--count", cfg.count, MAX_COUNT),
                              ("--approach-count", cfg.approach_count, MAX_COUNT),
                              ("--n", cfg.n, MAX_GRID_N)):
@@ -697,9 +688,8 @@ def _run_scan(cfg: RunConfig, f, schedule: EpsilonSchedule, tol: float) -> RunRe
 
 def _run_lfd(cfg: RunConfig, f, schedule: EpsilonSchedule, tol: float) -> RunResult:
     approach = _effective_schedule(cfg, f, cfg.approach_count)
-    config = QuadratureConfig(cfg.nodes, QuadScheme(cfg.scheme))
     rep = check_lfd_equivalence(f, cfg.x, cfg.beta, _DIRECTIONS[cfg.direction],
-                                schedule, tol, approach, config, cfg.kg_tol)
+                                schedule, tol, approach, QuadScheme(cfg.scheme), cfg.kg_tol)
     return RunResult({
         "a": rep.a,
         "beta": rep.beta,

@@ -45,8 +45,6 @@ from .estimator import (
 
 __all__ = [
     "QuadScheme",
-    "QuadratureConfig",
-    "DEFAULT_QUAD",
     "DEFAULT_APPROACH",
     "rl_integral",
     "rl_derivative",
@@ -65,8 +63,9 @@ KG_TOL = 1e-3
 GRADED_SERIES_W = 1e-3
 GRADED_SERIES_TERMS = 6
 
-# Fewest starting nodes a QuadratureConfig accepts.
-MIN_NODES = 8
+# Nodes of every ladder's first pass; its first doubling fits under
+# both caps.
+QUAD_N0 = 64
 
 # kg_lfd's approach schedule when none is given: the velocity ladder's
 # eps0 and ratio, cut to 16 steps.
@@ -80,39 +79,35 @@ _EPS = np.finfo(float).eps
 
 
 class QuadScheme(enum.Enum):
-    GRADED_PRODUCT = "graded_product"
-    JACOBI_WEIGHTED = "jacobi_weighted"
+    """The unit rule of every pass.
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Quadrature rule selection and resolution.
-
-    scheme picks the unit rule of every pass and n_nodes its starting
-    resolution, which doubles until two successive evaluations agree to
-    QUAD_REL_CHANGE relative.  The graded scheme grades its mesh with
-    exponent 2/min(mu, 1-mu) for integral order mu, strong enough that a pure power |t-a|**mu
-    integrates at second order despite the endpoint singularities, and
-    weights the nodes by hat-function moments of the kernel that keep
-    their digits on the finest cells, so it converges for every mu in
-    (0, 1): against I^mu |t|**b's closed form, b from 0.05 to 0.9, it
-    stops within 4e-5 relative from mu = 0.01 to 0.99.
+    A ladder starts at QUAD_N0 nodes, which double until two successive
+    evaluations agree to QUAD_REL_CHANGE relative.  The graded scheme
+    grades its mesh with exponent 2/min(mu, 1-mu) for integral order mu,
+    strong enough that a pure power |t-a|**mu integrates at second order
+    despite the endpoint singularities, and weights the nodes by
+    hat-function moments of the kernel that keep their digits on the
+    finest cells, so it converges for every mu in (0, 1): against
+    I^mu |t|**b's closed form, b from 0.05 to 0.9, it stops within 4e-5
+    relative from mu = 0.01 to 0.99.
     """
 
-    n_nodes: int = 64
-    scheme: QuadScheme = QuadScheme.GRADED_PRODUCT
-
-    def __post_init__(self) -> None:
-        if self.n_nodes < MIN_NODES:
-            raise ValueError(f"n_nodes must be at least {MIN_NODES}, got {self.n_nodes}")
-
-
-DEFAULT_QUAD = QuadratureConfig()
+    GRADED_PRODUCT = "graded_product"
+    JACOBI_WEIGHTED = "jacobi_weighted"
 
 
 def _check_order(mu: float) -> None:
     if not 0.0 < mu < 1.0:
         raise ValueError(f"order must lie in (0, 1), got {mu}")
+
+
+def _check_beta(beta: float) -> None:
+    """_check_order for a derivative order beta, which must also exceed
+    2**-54: at and below it 1 - beta, the order of its integral, rounds
+    to 1."""
+    _check_order(beta)
+    if beta <= 2.0 ** -54:
+        raise ValueError(f"beta must exceed 2**-54, where 1 - beta rounds to 1, got {beta}")
 
 
 def _check_base(a: float) -> None:
@@ -129,15 +124,13 @@ def _check_point(a: float, x: float) -> None:
         raise ValueError(f"the length of [{min(a, x):g}, {max(a, x):g}] must be finite")
 
 
-def _check_ladder(f, a: float, xs: np.ndarray, config: QuadratureConfig) -> int:
-    """Raise what a one-point integral raises for the first bad entry of
-    xs, then for a start with no room to double; the node cap.
+def _check_ladder(f, a: float, xs: np.ndarray) -> None:
+    """Raise what a one-point integral raises for the first bad entry of xs.
 
     Each row integrates over [min(a, x), max(a, x)], whose length must
     be finite and which must lie in the domain of f on either side of a.
-    A start whose first doubling already passes the cap could never
-    compare two passes.  Nothing is evaluated.  Its one caller,
-    _quad_ladder, runs it under np.errstate(over="ignore", invalid="ignore").
+    Nothing is evaluated.  Its one caller, _quad_ladder, runs it under
+    np.errstate(over="ignore", invalid="ignore").
     """
     ok = np.isfinite(xs - a) & (xs != a) & _inside(f, a, xs)
     if not ok.all():
@@ -146,11 +139,6 @@ def _check_ladder(f, a: float, xs: np.ndarray, config: QuadratureConfig) -> int:
         lo, hi = domain_of(f)
         raise DomainError(
             f"[{min(a, x):g}, {max(a, x):g}] is not inside the domain [{lo:g}, {hi:g}]")
-    cap = _RULES[config.scheme][1]
-    if 2 * config.n_nodes > cap:
-        raise QuadratureError(
-            f"{config.n_nodes} starting nodes leave no room to double under the cap of {cap}")
-    return cap
 
 
 def _graded_mesh(mu: float, n: int):
@@ -356,23 +344,23 @@ def _block_pass(f, s, weights, mu: float, a: float, x, fx=None):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfig,
+def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, scheme: QuadScheme,
                  beta: Optional[float] = None, fa: float = 0.0, fx=None):
     """Every row's value by node doubling, depth first: the raw sum of its
     integral, or given beta, of which mu is 1 - beta, its Marchaud
     derivative of f - fa without the 1/Gamma(mu) (_block_pass).
 
-    The rows and the start are checked first (_check_ladder), and f(x)
-    of every derivative row comes from one evaluator call unless given
-    as fx.  Every row is first evaluated at config.n_nodes.  Then the rows double
-    in the blocks of one evaluator call each (_row_blocks), and a block's
-    rows whose last two passes do not agree to QUAD_REL_CHANGE relative
-    go through every deeper level before the next block starts.  So the
-    rows past the first one to reach the cap unsettled are not doubled
-    further, as in a loop over the rows.  A row's value does not depend
-    on the other rows of its call, so each row gets the bits it would
-    get alone.  Returns the values and the node count of the first row
-    that reaches the cap unsettled, or None.
+    The rows are checked first (_check_ladder), and f(x) of every
+    derivative row comes from one evaluator call unless given as fx.
+    Every row is first evaluated at QUAD_N0 nodes.  Then the rows double,
+    up to the scheme's cap, in the blocks of one evaluator call each
+    (_row_blocks), and a block's rows whose last two passes do not agree
+    to QUAD_REL_CHANGE relative go through every deeper level before
+    the next block starts.  So the rows past the first one to reach the
+    cap unsettled are not doubled further, as in a loop over the rows.
+    A row's value does not depend on the other rows of its call, so each
+    row gets the bits it would get alone.  Returns the values and the
+    node count of the first row that reaches the cap unsettled, or None.
 
     A derivative row is its first term (f(x) - fa) / |x-a|**beta plus
     beta times the integral of the divided differences, and the integral
@@ -387,8 +375,8 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
     rule's mesh, never a block's node arrays, so the call bound still
     bounds the memory of a pass.
     """
-    cap = _check_ladder(f, a, xs, config)
-    n = int(config.n_nodes)
+    _check_ladder(f, a, xs)
+    cap = _RULES[scheme][1]
     marchaud = beta is not None
     if marchaud:
         if fx is None:
@@ -401,7 +389,7 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
     def passes(rows, n):
         # whole rows go to f, and a block's arrays die before the next is built
         rule = _unit_rule if n <= JACOBI_NODE_CAP else _unit_rule.__wrapped__
-        s, weights = rule(config.scheme, mu, n, marchaud)
+        s, weights = rule(scheme, mu, n, marchaud)
         for block in _row_blocks(rows.size, s.size):
             idx = rows[block]
             yield idx, _block_pass(f, s, weights, mu, a, xs[idx, None],
@@ -421,17 +409,17 @@ def _quad_ladder(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfi
         return None
 
     rows = np.arange(xs.size)
-    for idx, cur in passes(rows, n):
+    for idx, cur in passes(rows, QUAD_N0):
         value[idx] = cur
     if not marchaud:
-        return value, deepen(rows, n)
+        return value, deepen(rows, QUAD_N0)
     # a first term that is not finite makes the derivative inf or NaN
     # whatever the second term reads, so its row settles at once
-    failed = deepen(rows[np.isfinite(lead)], n)
+    failed = deepen(rows[np.isfinite(lead)], QUAD_N0)
     return first + beta * value, failed
 
 
-def _integrate(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfig,
+def _integrate(f, a: float, mu: float, xs: np.ndarray, scheme: QuadScheme,
                beta: Optional[float] = None, fa: float = 0.0, fx=None):
     """_quad_ladder's values over Gamma(mu), with errors as a loop over
     the rows raises them: a row that does not stabilize raises the
@@ -439,12 +427,12 @@ def _integrate(f, a: float, mu: float, xs: np.ndarray, config: QuadratureConfig,
     batch, a check, the f(x) call or a pass, is replayed one row at a
     time, each row's f(x) in a call of its own before its quadrature."""
     try:
-        value, failed = _quad_ladder(f, a, mu, xs, config, beta, fa, fx)
+        value, failed = _quad_ladder(f, a, mu, xs, scheme, beta, fa, fx)
     except Exception:
         # no replay can explain the failure of a batch of one or none
         if xs.size <= 1:
             raise
-        return np.concatenate([_integrate(f, a, mu, xs[i:i + 1], config, beta, fa)
+        return np.concatenate([_integrate(f, a, mu, xs[i:i + 1], scheme, beta, fa)
                                for i in range(xs.size)])
     if failed:
         raise QuadratureError(f"no stabilization by {failed} nodes")
@@ -464,7 +452,7 @@ def _points(a: float, order: float, x):
     return a, order, xs
 
 
-def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = None):
+def rl_integral(f, a: float, mu: float, x, scheme: QuadScheme = QuadScheme.GRADED_PRODUCT):
     """Fractional integral of order mu based at a, evaluated at x.
 
     Computes (1/Gamma(mu)) * int_a^x f(t) (x-t)**(mu-1) dt for x > a.
@@ -481,15 +469,15 @@ def rl_integral(f, a: float, mu: float, x, config: Optional[QuadratureConfig] = 
     points would raise them, the first failing point first: a point that
     does not stabilize raises the QuadratureError every such point
     shares, and any other failure of the batch is replayed one point at
-    a time.  A config that no integral can run fails even on an empty x.
+    a time.
     """
     a, mu, xs = _points(a, mu, x)
-    value = _integrate(f, a, mu, xs.reshape(-1), config or DEFAULT_QUAD)
+    value = _integrate(f, a, mu, xs.reshape(-1), scheme)
     return float(value[0]) if xs.ndim == 0 else value
 
 
 def rl_derivative(f, a: float, beta: float, x,
-                  config: Optional[QuadratureConfig] = None):
+                  scheme: QuadScheme = QuadScheme.GRADED_PRODUCT):
     """Fractional derivative of order beta at x, based at a.
 
     The Riemann-Liouville derivative d/dx of the order (1-beta)
@@ -511,20 +499,22 @@ def rl_derivative(f, a: float, beta: float, x,
     mesh's node t = x, where h_x is 0/0, h_x is extrapolated linearly
     from the two nodes before it.
 
+    beta must exceed 2**-54, so that the order 1 - beta lies below 1.
     x may be a 1-D array; the result is then an array.  The points are
     checked as rl_integral checks them, before f is evaluated, then f(x)
     of every point comes from one evaluator call and the integrals
     double together in blocks.  Errors come out as a loop over the
     points would raise them.
     """
+    _check_beta(beta)
     a, beta, xs = _points(a, beta, x)
-    d = _integrate(f, a, 1.0 - beta, xs.reshape(-1), config or DEFAULT_QUAD, beta)
+    d = _integrate(f, a, 1.0 - beta, xs.reshape(-1), scheme, beta)
     return float(d[0]) if xs.ndim == 0 else d
 
 
 def kg_lfd(f, a: float, beta: float, direction: Direction,
            approach: Optional[EpsilonSchedule] = None,
-           config: Optional[QuadratureConfig] = None,
+           scheme: QuadScheme = QuadScheme.GRADED_PRODUCT,
            tol: float = KG_TOL) -> LimitEstimate:
     """Local fractional derivative at a as a limit of fractional derivatives.
 
@@ -535,9 +525,10 @@ def kg_lfd(f, a: float, beta: float, direction: Direction,
     Cauchy rule.  f(a) cancels from the divided differences, so it
     enters through the first term alone: forward, that term is
     (f(x) - f(a)) / (Gamma(1-beta) eps**beta), the velocity's own
-    difference quotient over Gamma(1-beta).  The base point must be
-    finite and the first step's span, a included, must lie in f's
-    domain; both are checked before f is evaluated.
+    difference quotient over Gamma(1-beta).  beta must exceed 2**-54,
+    the base point must be finite and the first step's span, a
+    included, must lie in f's domain; all are checked before f is
+    evaluated.
 
     f(a) and every f(a +/- eps) come from one evaluator call.  Then the
     approach points' integrals double together in blocks, depth first,
@@ -546,11 +537,10 @@ def kg_lfd(f, a: float, beta: float, direction: Direction,
     f(a) is taken alone and the steps go on as rl_derivative's points,
     which replay a failed batch one point at a time.
     """
-    _check_order(beta)
+    _check_beta(beta)
     a, beta = float(a), float(beta)
     _check_base(a)
     approach = approach or DEFAULT_APPROACH
-    config = config or DEFAULT_QUAD
     eps = _SIGN[direction] * approach.increments(a)
     if not _inside(f, a, a + eps[0]):
         side = "above" if direction is Direction.FORWARD else "below"
@@ -564,7 +554,7 @@ def kg_lfd(f, a: float, beta: float, direction: Direction,
         # replayed as a loop over the steps: f(a) alone, then each
         # step's f(x) and its integral
         fa, fx = _feval(f, np.array([a]))[0], None
-    d = _integrate(f, a, 1.0 - beta, xs, config, beta, fa, fx)
+    d = _integrate(f, a, 1.0 - beta, xs, scheme, beta, fa, fx)
     # the derivative of f - f(a) forward, of f(a) - f backward: 0 - d,
     # not -d, so that a zero derivative is +0.0
     if direction is Direction.BACKWARD:
@@ -591,21 +581,22 @@ def check_lfd_equivalence(f, a: float, beta: float, direction: Direction,
                           velocity_schedule: Optional[EpsilonSchedule] = None,
                           velocity_tol: float = DEFAULT_TOL,
                           approach: Optional[EpsilonSchedule] = None,
-                          config: Optional[QuadratureConfig] = None,
+                          scheme: QuadScheme = QuadScheme.GRADED_PRODUCT,
                           kg_tol: float = KG_TOL) -> LfdReport:
     """Compare the derivative limit with Gamma(1+beta) times the velocity.
 
     When both limits exist they must agree after the Gamma factor; the
     report carries the gap and a pass flag against the summed tolerances.
     A velocity that fails to converge is a precondition failure, since
-    the comparison would be against noise.
+    the comparison would be against noise.  beta is checked as kg_lfd
+    checks it, before f is evaluated.
     """
-    _check_order(beta)
+    _check_beta(beta)
     vel = velocity_limit(f, float(a), beta, direction, velocity_schedule, velocity_tol)
     if vel.status is not LimitStatus.CONVERGED:
         raise PreconditionError(
             f"velocity at a={a:g} is {vel.status.value}; nothing to compare")
-    lfd = kg_lfd(f, a, beta, direction, approach, config, kg_tol)
+    lfd = kg_lfd(f, a, beta, direction, approach, scheme, kg_tol)
     scaled = math.gamma(1.0 + beta) * vel.value
     combined = float(velocity_tol + kg_tol)
     gap = abs(lfd.value - scaled) if lfd.status is LimitStatus.CONVERGED else math.inf

@@ -269,7 +269,11 @@ def make_polynomial(coeffs, domain: Tuple[float, float] = (-4.0, 4.0)) -> Analyt
         return _descale(np.asarray(polyval(np.asarray(x, dtype=float) + 0.0, coef)))
 
     lo, hi = float(domain[0]), float(domain[1])
-    xs = (lo + 0.25 * (hi - lo), lo + 0.5 * (hi - lo), lo + 0.75 * (hi - lo))
+    # a width past the largest double is taken over the halved ends,
+    # which are then far above the subnormals, so halving and doubling
+    # are exact; any other width keeps lo + q (hi - lo) bit for bit
+    h = 0.5 if math.isinf(hi - lo) else 1.0
+    xs = tuple((h * lo + q * (h * hi - h * lo)) / h for q in (0.25, 0.5, 0.75))
     with np.errstate(over="ignore", invalid="ignore"):
         # polyder keeps a constant's signed zero, [0.] or [-0.]
         slopes = polyval(np.array(xs), np.polynomial.polynomial.polyder(coef)).tolist()

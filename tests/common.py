@@ -19,6 +19,7 @@ from fracvel import (
     QuadScheme,
     QuadratureError,
     classify_limit,
+    rlcalc,
 )
 from fracvel.diffops import (
     OSC_N0,
@@ -32,7 +33,6 @@ from fracvel.diffops import (
 )
 from fracvel.rlcalc import (
     DEFAULT_APPROACH,
-    DEFAULT_QUAD,
     GRADED_NODE_CAP,
     GRADED_SERIES_TERMS,
     GRADED_SERIES_W,
@@ -224,7 +224,7 @@ def _jacobi_pass(f, a, x, mu, n, fx=None):
     return _unit_sum(f, a, x, mu, (sigma + 1.0) / 2.0, w * 0.5 ** mu, fx)
 
 
-def _reference_checks(f, a, mu, x, config):
+def _reference_checks(f, a, mu, x):
     """Raise what one point's integral raises before it evaluates f."""
     if not 0.0 < mu < 1.0:
         raise ValueError(f"order must lie in (0, 1), got {mu}")
@@ -240,20 +240,17 @@ def _reference_checks(f, a, mu, x, config):
     lo, hi = getattr(f, "domain", (-math.inf, math.inf))
     if base < lo or end > hi:
         raise DomainError(f"[{base:g}, {end:g}] is not inside the domain [{lo:g}, {hi:g}]")
-    cap = GRADED_NODE_CAP if config.scheme is QuadScheme.GRADED_PRODUCT else JACOBI_NODE_CAP
-    if 2 * config.n_nodes > cap:
-        raise QuadratureError(
-            f"{config.n_nodes} starting nodes leave no room to double under the cap of {cap}")
 
 
-def _reference_ladder(f, a, mu, x, config, fx=None, lead=0.0):
-    """One point's passes, doubling until two agree: the last one.  Passes
-    of divided differences are compared with lead added to both, and a
-    lead that is not finite keeps the first pass."""
-    graded = config.scheme is QuadScheme.GRADED_PRODUCT
+def _reference_ladder(f, a, mu, x, scheme, fx=None, lead=0.0):
+    """One point's passes from rlcalc.QUAD_N0 nodes, doubling until two
+    agree: the last one.  Passes of divided differences are compared
+    with lead added to both, and a lead that is not finite keeps the
+    first pass."""
+    graded = scheme is QuadScheme.GRADED_PRODUCT
     one_pass = _graded_pass if graded else _jacobi_pass
     cap = GRADED_NODE_CAP if graded else JACOBI_NODE_CAP
-    n = config.n_nodes
+    n = rlcalc.QUAD_N0
     prev = one_pass(f, a, x, mu, n, fx)
     if not math.isfinite(lead):
         return prev
@@ -267,7 +264,7 @@ def _reference_ladder(f, a, mu, x, config, fx=None, lead=0.0):
     raise QuadratureError(f"no stabilization by {n} nodes")
 
 
-def reference_rl_integral(f, a, mu, xs, config=DEFAULT_QUAD):
+def reference_rl_integral(f, a, mu, xs, scheme=QuadScheme.GRADED_PRODUCT):
     """rl_integral one point at a time, each doubling its own nodes.
 
     Each pass is one evaluator call on one point's nodes, on either side
@@ -277,12 +274,12 @@ def reference_rl_integral(f, a, mu, xs, config=DEFAULT_QUAD):
     """
     out = []
     for x in np.atleast_1d(np.asarray(xs, dtype=float)).tolist():
-        _reference_checks(f, float(a), mu, x, config)
-        out.append(_reference_ladder(f, float(a), mu, x, config) / math.gamma(mu))
+        _reference_checks(f, float(a), mu, x)
+        out.append(_reference_ladder(f, float(a), mu, x, scheme) / math.gamma(mu))
     return np.array(out)
 
 
-def reference_rl_derivative(f, a, beta, xs, config=DEFAULT_QUAD):
+def reference_rl_derivative(f, a, beta, xs, scheme=QuadScheme.GRADED_PRODUCT):
     """rl_derivative one point at a time, in Marchaud form.
 
     Per point: the checks of reference_rl_integral, f(x) alone in one
@@ -295,16 +292,16 @@ def reference_rl_derivative(f, a, beta, xs, config=DEFAULT_QUAD):
     out = []
     mu = 1.0 - beta
     for x in np.atleast_1d(np.asarray(xs, dtype=float)).tolist():
-        _reference_checks(f, float(a), mu, x, config)
+        _reference_checks(f, float(a), mu, x)
         fx = float(np.asarray(f(np.array([x])), dtype=float).reshape(-1)[0])
         first = fx / float((np.abs(np.array([x - a])) ** beta)[0])
-        total = _reference_ladder(f, float(a), mu, x, config, fx, first / beta)
+        total = _reference_ladder(f, float(a), mu, x, scheme, fx, first / beta)
         out.append((first + beta * total) / math.gamma(mu))
     return np.array(out)
 
 
 def reference_kg_lfd(f, a, beta, direction, approach=DEFAULT_APPROACH,
-                     config=DEFAULT_QUAD, tol=KG_TOL):
+                     scheme=QuadScheme.GRADED_PRODUCT, tol=KG_TOL):
     """kg_lfd one approach point at a time, in Marchaud form.
 
     The first step's room, then f(a) alone in one call; per point
@@ -327,10 +324,10 @@ def reference_kg_lfd(f, a, beta, direction, approach=DEFAULT_APPROACH,
     fa = float(np.asarray(f(np.array([a])), dtype=float).reshape(-1)[0])
     mu, vals = 1.0 - beta, []
     for x in (a + eps).tolist():
-        _reference_checks(f, a, mu, x, config)
+        _reference_checks(f, a, mu, x)
         fx = float(np.asarray(f(np.array([x])), dtype=float).reshape(-1)[0])
         first = (fx - fa) / float((np.abs(np.array([x - a])) ** beta)[0])
-        total = _reference_ladder(f, a, mu, x, config, fx, first / beta)
+        total = _reference_ladder(f, a, mu, x, scheme, fx, first / beta)
         g = first + beta * total if forward else (0.0 - first) - beta * total
         vals.append(g / math.gamma(mu))
     return classify_limit(vals, tol)

@@ -53,7 +53,7 @@ _PARSE_TOKENS = [
     "-1,1", "--interval=-1,1", "--n", "5", "--n=-2", "--theorem", "rolle", "--theo=mean_value",
     "--target", "0.5", "--threshold=2", "--t", "--tol", "1e-3", "--eps0", "0.1", "--ratio",
     "0.5", "--count", "12", "--kg-tol", "0.1", "--kg", "--approach-count=6", "--scheme",
-    "jacobi_weighted", "--sch", "--nodes", "8", "--format", "csv", "--form=json", "--f",
+    "jacobi_weighted", "--sch", "--format", "csv", "--form=json", "--f",
     "--out", "", "x y", "list", "show", "--", "-h", "--help", "--he=3", "--version", "--ver",
     "--=x", "--=", "-=x", "-=", "-", "-x", "--bogus", "--bogus=1"]
 
@@ -142,7 +142,7 @@ class TestParseArgs:
             ["analyze", "--fn", "cusp:", "--x", "0", "--beta", "0.5",
              "--direction", "sideways"],
             ["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "--scheme",
-             "jacobi_weighted", "--nodes", "32"],
+             "jacobi_weighted"],
             ["verify", "--fn", "poly:coeffs=0;1", "--theorem", "weak_darboux",
              "--interval", "0,1", "--beta", "1", "--target", "0.5"],
             ["analyze", "--fn", "cusp:", "--x", "0.25", "--beta", "0.5"],
@@ -953,30 +953,27 @@ class TestMainCommands:
         cfg = parse_args(["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5"])
         assert EpsilonSchedule(cfg.eps0, cfg.ratio, cfg.approach_count) == DEFAULT_APPROACH
 
-    @pytest.mark.parametrize("scheme, nodes, most", [
-        ("graded_product", 7, 32768),
-        ("graded_product", 40000, 32768),
-        ("jacobi_weighted", 7, 512),
-        ("jacobi_weighted", 513, 512),
-    ])
-    def test_nodes_the_rule_cannot_double_exit_2(self, scheme, nodes, most, capsys):
-        # below 8, or past half the rule's node cap, the first doubling
-        # cannot happen: a usage error, not an analysis failure
-        argv = ["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5",
-                "--scheme", scheme, "--nodes", str(nodes)]
-        with pytest.raises(UsageError):
-            parse_args(argv)
-        assert main(argv) == 2
-        want = f"error: --nodes must lie in [8, {most}] for {scheme}, got {nodes}\n"
-        assert capsys.readouterr().err == want
+    def test_nodes_is_not_an_option(self, capsys):
+        # every ladder starts at rlcalc.QUAD_N0 nodes
+        argv = ["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5", "--nodes", "64"]
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "fracvel: error: unrecognized arguments: --nodes 64"
 
-    @pytest.mark.parametrize("scheme, most", [("graded_product", 32768),
-                                              ("jacobi_weighted", 512)])
-    def test_nodes_the_rule_can_double_are_accepted(self, scheme, most):
-        for nodes in (8, most):
-            cfg = parse_args(["lfd", "--fn", "cusp:", "--x", "0", "--beta", "0.5",
-                              "--scheme", scheme, "--nodes", str(nodes)])
-            assert cfg.nodes == nodes
+    @pytest.mark.parametrize("scheme", ["graded_product", "jacobi_weighted"])
+    def test_lfd_order_whose_integral_order_rounds_to_1_exits_1(self, scheme, capsys):
+        argv = ["lfd", "--fn=poly:coeffs=2.5", "--x=0.3", "--beta=1e-17", f"--scheme={scheme}"]
+        assert main(argv) == 1
+        want = "error: beta must exceed 2**-54, where 1 - beta rounds to 1, got 1e-17\n"
+        assert capsys.readouterr() == ("", want)
+
+    def test_polynomial_domain_whose_width_overflows_runs(self, capsys):
+        argv = ["analyze", "--fn=poly:coeffs=0;1,domain=-1e308;1e308", "--x=0", "--beta=1"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["reports"]["forward"]["value"] == 1.0
 
     def test_missing_file_exit_1(self, capsys):
         code = main(["analyze", "--fn", "file:/no/such/file.csv", "--x", "0",
@@ -1021,7 +1018,6 @@ FLAG_VALUES = {
     "--ratio": _num(0.2, 0.8),
     "--count": st.sampled_from(range(12, -3, -1)).map(str),
     "--n": st.sampled_from(range(9, -2, -1)).map(str),
-    "--nodes": st.sampled_from([64, 16, 8, 37, 7, 0, -1]).map(str),
     "--approach-count": st.sampled_from(range(12, -2, -1)).map(str),
     "--threshold": _num(0.0, 1.0),
     "--target": _num(-2.0, 2.0),
@@ -1050,11 +1046,11 @@ COMMAND_FLAGS = {
     "holder": (("--x",), ("--direction",)),
     "scan": (("--interval", "--beta", "--n"), ("--threshold",)),
     "lfd": (("--x", "--beta"), ("--direction", "--kg-tol", "--approach-count",
-                                "--scheme", "--nodes")),
+                                "--scheme")),
     # --n is always given: verify's default grid is 101 points
     "verify": (("--theorem", "--interval", "--beta", "--n"), ("--target",)),
 }
-SMALL_INTS = ("--count", "--n", "--nodes", "--approach-count")
+SMALL_INTS = ("--count", "--n", "--approach-count")
 SCHEDULE_FLAGS = ("--tol", "--eps0", "--ratio", "--count", "--format")
 
 
@@ -1120,8 +1116,9 @@ def sample_file(tmp_path_factory):
                "--approach-count=12", "--count=12", "--tol=0.0625"])
 # Gauss-Jacobi Newton steps that carry a node onto s = 1 near beta = 1
 @example(argv=["lfd", "--fn=cusp:", "--x=1.0", "--beta=0.9999999999999999",
-               "--approach-count=12", "--scheme=jacobi_weighted", "--nodes=64",
-               "--tol=0.0625"])
+               "--approach-count=12", "--scheme=jacobi_weighted", "--tol=0.0625"])
+# an order whose integral order 1 - beta rounds to 1
+@example(argv=["lfd", "--fn=poly:coeffs=2.5", "--x=0.3", "--beta=1e-17"])
 def test_any_command_line_exits_cleanly(sample_file, argv):
     # exit 0, 1 or 2 with a one-line reason, never a traceback; any other
     # exception escapes main and fails the test

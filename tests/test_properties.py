@@ -13,7 +13,6 @@ from fracvel import (
     EpsilonSchedule,
     LimitStatus,
     LocallyConstantError,
-    QuadratureConfig,
     QuadScheme,
     classify_limit,
     default_zoo,
@@ -647,7 +646,7 @@ def _evaluator_paths(f, x, beta, centre):
     }
     for scheme in QuadScheme:
         paths[f"rl_integral {scheme.value}"] = (
-            lambda s=scheme: rl_integral(f, x, 1.0 - beta, ends, QuadratureConfig(scheme=s)))
+            lambda s=scheme: rl_integral(f, x, 1.0 - beta, ends, s))
     return paths
 
 
@@ -692,7 +691,7 @@ def test_evaluator_contract_constants_may_answer_with_one_number(c, x, beta):
     mu, ends = 1.0 - beta, x + np.array([0.25, -0.5])
     want = c * np.abs(ends - x) ** mu / math.gamma(1.0 + mu)
     for scheme in QuadScheme:
-        got = rl_integral(lambda t: c, x, mu, ends, QuadratureConfig(scheme=scheme))
+        got = rl_integral(lambda t: c, x, mu, ends, scheme)
         assert np.all(np.abs(got - want) <= QUAD_REL_CHANGE * np.abs(want))
 
 

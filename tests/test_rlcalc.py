@@ -23,7 +23,6 @@ from fracvel import (
     LimitStatus,
     PreconditionError,
     QuadScheme,
-    QuadratureConfig,
     QuadratureError,
     check_lfd_equivalence,
     diffops,
@@ -36,13 +35,13 @@ from fracvel import (
     rlcalc,
 )
 from fracvel.diffops import EVAL_CALL_POINTS
-from fracvel.rlcalc import GRADED_NODE_CAP, JACOBI_NODE_CAP, MIN_NODES
+from fracvel.rlcalc import GRADED_NODE_CAP, JACOBI_NODE_CAP
 
 FWD = Direction.FORWARD
 BWD = Direction.BACKWARD
 
-JACOBI = QuadratureConfig(scheme=QuadScheme.JACOBI_WEIGHTED)
-SCHEMES = {"graded": QuadratureConfig(), "jacobi": JACOBI}
+JACOBI = QuadScheme.JACOBI_WEIGHTED
+SCHEMES = {"graded": QuadScheme.GRADED_PRODUCT, "jacobi": JACOBI}
 
 
 def power(p):
@@ -95,25 +94,10 @@ class TestRlIntegral:
             with pytest.raises(ValueError):
                 rl_integral(lambda t: t, 0.0, mu, 1.0)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(n_nodes=4)
-
-    @pytest.mark.parametrize("config", [QuadratureConfig(2 ** 17),
-                                        QuadratureConfig(2 ** 11, QuadScheme.JACOBI_WEIGHTED)])
-    def test_start_past_the_cap_evaluates_nothing(self, config):
-        # on one point, on none and on a batch alike
-        calls = []
-
-        def f(t):
-            calls.append(np.size(t))
-            return np.asarray(t, dtype=float)
-
-        for x in (1.0, np.empty(0), [1.0, 1.5]):
-            with pytest.raises(QuadratureError,
-                               match=f"{config.n_nodes} starting nodes leave no room to double"):
-                rl_integral(f, 0.0, 0.5, x, config)
-        assert calls == []
+    def test_first_doubling_fits_under_every_cap(self):
+        # every ladder compares at least two passes
+        for scheme, (_, cap) in rlcalc._RULES.items():
+            assert 2 * rlcalc.QUAD_N0 <= cap, scheme
 
     def test_reflected_interval_must_lie_in_the_domain(self):
         # [-3, 0] leaves the cusp's domain (-2, 2) as [0, 3] does
@@ -266,30 +250,43 @@ class TestRlDerivative:
         assert outcome(lambda: reference_rl_derivative(f, 0.0, 0.5, xs)) == want
 
     def test_bad_first_step_evaluates_nothing(self):
-        # and its error comes before a start past the cap is refused
         f, calls = counting(power(0.5))
-        config = QuadratureConfig(n_nodes=GRADED_NODE_CAP)
         for x, message in ((0.0, "evaluation point must differ from the base point"),
                            (math.inf, "evaluation point must be finite, got inf"),
                            (math.nan, "evaluation point must be finite, got nan")):
             with pytest.raises(ValueError, match=message):
-                rl_derivative(f, 0.0, 0.5, [x, 0.4], config)
-        with pytest.raises(QuadratureError, match="starting nodes leave no room to double"):
-            rl_derivative(f, 0.0, 0.5, np.empty(0), config)
+                rl_derivative(f, 0.0, 0.5, [x, 0.4])
         assert calls == []
 
-    @pytest.mark.parametrize("config", SCHEMES.values(), ids=SCHEMES.keys())
-    def test_overflowing_first_term_is_inf_after_one_pass(self, config):
+    @pytest.mark.parametrize("scheme", SCHEMES.values(), ids=SCHEMES.keys())
+    @pytest.mark.parametrize("beta", [1e-17, 2.0 ** -54, 5e-324])
+    def test_order_whose_integral_order_rounds_to_1_is_refused(self, scheme, beta):
+        # 1 - beta rounds to 1 at and below 2**-54, an integral order
+        # rl_integral refuses; every entry point refuses it before
+        # evaluating f
+        f, calls = counting(make_polynomial((2.5,)))
+        want = (ValueError, f"beta must exceed 2**-54, where 1 - beta rounds to 1, got {beta}")
+        assert outcome(lambda: rl_derivative(f, 0.0, beta, [0.5, -0.5], scheme)) == want
+        assert outcome(lambda: kg_lfd(f, 0.3, beta, FWD, scheme=scheme)) == want
+        assert outcome(lambda: check_lfd_equivalence(f, 0.3, beta, FWD, scheme=scheme)) == want
+        assert calls == []
+        # the next order up runs: the Jacobi rule gives the constant's
+        # first term alone
+        above = math.nextafter(2.0 ** -54, 1.0)
+        assert rl_derivative(f, 0.0, above, 1.0, JACOBI) == 2.5 / math.gamma(1.0 - above)
+
+    @pytest.mark.parametrize("scheme", SCHEMES.values(), ids=SCHEMES.keys())
+    def test_overflowing_first_term_is_inf_after_one_pass(self, scheme):
         # f(x) / |x-a|**beta = 1e450 overflows; the derivative is inf
         # whatever the divided differences read, so the row takes its
         # first pass alone and never doubles
         f, calls = counting(lambda t: np.full(np.shape(t), 1e300))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = rl_derivative(f, 0.0, 0.5, [1e-300, -1e-300], config)
+            got = rl_derivative(f, 0.0, 0.5, [1e-300, -1e-300], scheme)
         assert same_bits(got, [math.inf, math.inf])
-        assert calls == [2, 2 * config.n_nodes]
-        assert same_bits(got, reference_rl_derivative(f, 0.0, 0.5, [1e-300, -1e-300], config))
+        assert calls == [2, 2 * rlcalc.QUAD_N0]
+        assert same_bits(got, reference_rl_derivative(f, 0.0, 0.5, [1e-300, -1e-300], scheme))
 
     def test_unsettled_point_before_a_bad_step_raises_first(self):
         # a new constant at each call never settles: after its f(x) call,
@@ -381,19 +378,19 @@ class TestKgLfd:
         for run in (lambda: rl_integral(f, a, 0.5, 0.5),
                     lambda: rl_derivative(f, a, 0.5, [0.5, 1.0]),
                     lambda: kg_lfd(f, a, 0.5, FWD),
-                    lambda: kg_lfd(f, a, 0.5, BWD, config=JACOBI)):
+                    lambda: kg_lfd(f, a, 0.5, BWD, scheme=JACOBI)):
             assert outcome(run) == want
         assert calls == []
 
-    @pytest.mark.parametrize("config", SCHEMES.values(), ids=SCHEMES.keys())
-    def test_constant_keeps_the_sign_of_zero(self, config):
+    @pytest.mark.parametrize("scheme", SCHEMES.values(), ids=SCHEMES.keys())
+    def test_constant_keeps_the_sign_of_zero(self, scheme):
         # f(x) - f(a) forward and f(a) - f(x) backward are +0.0, and so
         # is every divided difference f(x) - f(t); backward subtracts
         # their sum rather than negating it, so both limits read +0.0 at
         # every step
         f = make_polynomial((2.5,))
         for direction in (FWD, BWD):
-            est = kg_lfd(f, 0.3, 0.5, direction, config=config)
+            est = kg_lfd(f, 0.3, 0.5, direction, scheme=scheme)
             assert est.status is LimitStatus.CONVERGED
             assert same_bits(est.value, 0.0)
             assert same_bits(est.tail_values, [0.0] * 4)
@@ -402,9 +399,9 @@ class TestKgLfd:
         # and that of zero is +0.0 on both sides of a
         xs = np.array([0.5, -0.2])
         want = 2.5 / np.abs(xs - 0.3) ** 0.5 / math.gamma(0.5)
-        assert same_bits(rl_derivative(f, 0.3, 0.5, xs, config), want)
+        assert same_bits(rl_derivative(f, 0.3, 0.5, xs, scheme), want)
         zero = make_polynomial((0.0,))
-        assert same_bits(rl_derivative(zero, 0.3, 0.5, xs, config), [0.0, 0.0])
+        assert same_bits(rl_derivative(zero, 0.3, 0.5, xs, scheme), [0.0, 0.0])
 
 
 class TestKgLfdRescaled:
@@ -476,7 +473,7 @@ class TestGammaBits:
         def one(t):
             return np.ones_like(t)
         raw, failed = rlcalc._quad_ladder(one, 0.0, mu, np.array([1.0]),
-                                          rlcalc.DEFAULT_QUAD)
+                                          QuadScheme.GRADED_PRODUCT)
         assert failed is None
         value = rl_integral(one, 0.0, mu, 1.0)
         assert value == float(raw[0]) / math.gamma(mu)
@@ -583,7 +580,7 @@ def building(scheme):
 
 @settings(max_examples=25, deadline=None)
 @given(scheme=st.sampled_from(list(QuadScheme)), mu=st.floats(1e-3, 1.0 - 1e-3),
-       n=st.integers(MIN_NODES, JACOBI_NODE_CAP))
+       n=st.integers(8, JACOBI_NODE_CAP))
 def test_unit_rule_cache_is_the_rule(scheme, mu, n):
     # what the cache hands every caller is the builder's rule, bit for
     # bit, and no caller can write to it
@@ -597,16 +594,16 @@ def test_unit_rule_cache_is_the_rule(scheme, mu, n):
 
 
 class TestUnitRuleCache:
-    @pytest.mark.parametrize("config", SCHEMES.values(), ids=SCHEMES.keys())
-    def test_second_lfd_builds_nothing(self, config):
+    @pytest.mark.parametrize("scheme", SCHEMES.values(), ids=SCHEMES.keys())
+    def test_second_lfd_builds_nothing(self, scheme):
         # an order no other test uses: the first kg_lfd builds each of its
         # levels once, and the second takes them all from the cache
         f = make_power_cusp(0.0, 0.4567, 1.0, 0.0)
-        patch, builds = building(config.scheme)
+        patch, builds = building(scheme)
         with patch:
-            first = kg_lfd(f, 0.0, 0.4567, BWD, config=config)
+            first = kg_lfd(f, 0.0, 0.4567, BWD, scheme=scheme)
             levels = list(builds)
-            second = kg_lfd(f, 0.0, 0.4567, BWD, config=config)
+            second = kg_lfd(f, 0.0, 0.4567, BWD, scheme=scheme)
         assert levels and len(set(levels)) == len(levels)
         assert builds == levels
         for name in ("value", "tail_values", "residual"):
@@ -622,25 +619,26 @@ class TestUnitRuleCache:
         wild = lambda t: np.cos(1e7 * np.asarray(t, dtype=float))
         patch, builds = building(QuadScheme.GRADED_PRODUCT)
         before = info()
-        with patch, pytest.raises(QuadratureError, match=f"by {GRADED_NODE_CAP} nodes"):
-            rl_integral(wild, 0.0, 0.5, 1.0, QuadratureConfig(2 * JACOBI_NODE_CAP))
+        with (patch, mock.patch.object(rlcalc, "QUAD_N0", 2 * JACOBI_NODE_CAP),
+              pytest.raises(QuadratureError, match=f"by {GRADED_NODE_CAP} nodes")):
+            rl_integral(wild, 0.0, 0.5, 1.0)
         assert info() == before
         assert [n for _, n in builds] == [2 ** k for k in range(11, 17)]
         # from 256 nodes, at an order no other test uses, only the levels
         # up to the bound are looked up, and each misses once
         del builds[:]
-        with patch, pytest.raises(QuadratureError):
-            rl_integral(wild, 0.0, 0.3579, 1.0, QuadratureConfig(256))
+        with patch, mock.patch.object(rlcalc, "QUAD_N0", 256), pytest.raises(QuadratureError):
+            rl_integral(wild, 0.0, 0.3579, 1.0)
         assert [n for _, n in builds] == [2 ** k for k in range(8, 17)]
         after = info()
         assert (after.hits, after.misses) == (before.hits, before.misses + 3)
         assert after.currsize <= after.maxsize == 128
 
-    @pytest.mark.parametrize("config", SCHEMES.values(), ids=SCHEMES.keys())
-    def test_order_may_be_a_0d_array(self, config):
+    @pytest.mark.parametrize("scheme", SCHEMES.values(), ids=SCHEMES.keys())
+    def test_order_may_be_a_0d_array(self, scheme):
         # the order is a cache key, so it is taken as a float
-        want = rl_integral(lambda t: t, 0.0, 0.5, 1.0, config)
-        assert same_bits(rl_integral(lambda t: t, 0.0, np.array(0.5), 1.0, config), want)
+        want = rl_integral(lambda t: t, 0.0, 0.5, 1.0, scheme)
+        assert same_bits(rl_integral(lambda t: t, 0.0, np.array(0.5), 1.0, scheme), want)
 
 
 def _integrand(kind, c, p):
@@ -663,16 +661,16 @@ def test_batched_quadrature_equals_the_per_point_loop(kind, scheme, c, p, shift,
                                                        offsets, below, direction):
     # the batched ladder gives every point the bits, or the error, of a loop
     # that integrates the points one at a time, on either side of a
-    f, config, a = _integrand(kind, c, p), SCHEMES[scheme], c + shift
+    f, scheme, a = _integrand(kind, c, p), SCHEMES[scheme], c + shift
     xs = a + np.array([-o if b else o for o, b in zip(offsets, below)])
-    assert same_outcome(outcome(lambda: rl_integral(f, a, mu, xs, config)),
-                        outcome(lambda: reference_rl_integral(f, a, mu, xs, config)))
-    assert same_outcome(outcome(lambda: rl_derivative(f, a, 1.0 - mu, xs, config)),
-                        outcome(lambda: reference_rl_derivative(f, a, 1.0 - mu, xs, config)))
+    assert same_outcome(outcome(lambda: rl_integral(f, a, mu, xs, scheme)),
+                        outcome(lambda: reference_rl_integral(f, a, mu, xs, scheme)))
+    assert same_outcome(outcome(lambda: rl_derivative(f, a, 1.0 - mu, xs, scheme)),
+                        outcome(lambda: reference_rl_derivative(f, a, 1.0 - mu, xs, scheme)))
 
-    got = outcome(lambda: repr(kg_lfd(f, a, 1.0 - mu, direction, config=config)))
+    got = outcome(lambda: repr(kg_lfd(f, a, 1.0 - mu, direction, scheme=scheme)))
     assert got == outcome(lambda: repr(reference_kg_lfd(f, a, 1.0 - mu, direction,
-                                                        config=config)))
+                                                        scheme=scheme)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -716,10 +714,10 @@ def test_split_ladder_keeps_the_loop_outcome(scheme, doublings, per_call, a, mu,
     # blocks; rows settle at depths set by the frequency and their length,
     # and a row reaching past a - reach_below or a + reach_above sees an
     # oscillation no mesh resolves, so it never settles
-    _, cap = rlcalc._RULES[SCHEMES[scheme].scheme]
-    config = QuadratureConfig(cap >> doublings, SCHEMES[scheme].scheme)
+    scheme = SCHEMES[scheme]
+    _, cap = rlcalc._RULES[scheme]
     # a row's nodes at the cap: only the graded mesh has n + 1
-    bound = per_call * (cap + (config.scheme is QuadScheme.GRADED_PRODUCT))
+    bound = per_call * (cap + (scheme is QuadScheme.GRADED_PRODUCT))
     lo, hi, k = a - reach_below, a + reach_above, 10.0 ** log_k
 
     def wild(t):
@@ -729,14 +727,15 @@ def test_split_ladder_keeps_the_loop_outcome(scheme, doublings, per_call, a, mu,
     xs = a + np.array([-o if b else o for o, b in zip(offsets, below)])
     # the loop, point by point up to the first point it fails on
     want = []
-    for x in xs.tolist():
-        want.append(outcome(lambda: reference_rl_integral(wild, a, mu, [x], config)))
-        if isinstance(want[-1], tuple):
-            break
     f, sizes = counting(wild)
-    with mock.patch.object(diffops, "EVAL_CALL_POINTS", bound):
-        got = outcome(lambda: rl_integral(f, a, mu, xs, config))
-        value, _ = rlcalc._quad_ladder(f, a, mu, xs, config)
+    with mock.patch.object(rlcalc, "QUAD_N0", cap >> doublings):
+        for x in xs.tolist():
+            want.append(outcome(lambda: reference_rl_integral(wild, a, mu, [x], scheme)))
+            if isinstance(want[-1], tuple):
+                break
+        with mock.patch.object(diffops, "EVAL_CALL_POINTS", bound):
+            got = outcome(lambda: rl_integral(f, a, mu, xs, scheme))
+            value, _ = rlcalc._quad_ladder(f, a, mu, xs, scheme)
     failed = isinstance(want[-1], tuple)
     assert same_outcome(got, want[-1] if failed else np.concatenate(want))
     # every point before the one the loop fails on has its final bits
@@ -747,9 +746,11 @@ def test_split_ladder_keeps_the_loop_outcome(scheme, doublings, per_call, a, mu,
 
 
 class TestBatchedLadder:
-    @pytest.mark.parametrize("config, bound", [(QuadratureConfig(), EVAL_CALL_POINTS),
-                                               (JACOBI, EVAL_CALL_POINTS)])
-    def test_no_evaluator_call_exceeds_the_block_bound(self, config, bound):
+    # the ids predate the scheme argument, and are kept so that runs compare
+    @pytest.mark.parametrize("scheme, bound", [(QuadScheme.GRADED_PRODUCT, EVAL_CALL_POINTS),
+                                               (JACOBI, EVAL_CALL_POINTS)],
+                             ids=["config0-65537", "config1-65537"])
+    def test_no_evaluator_call_exceeds_the_block_bound(self, scheme, bound):
         # a new constant at each call never settles, so every point runs
         # the whole ladder up to the cap, on both sides of the base point
         sizes = []
@@ -760,7 +761,7 @@ class TestBatchedLadder:
 
         xs = np.concatenate([np.linspace(-1.0, -0.05, 20), np.linspace(0.05, 1.0, 20)])
         with pytest.raises(QuadratureError, match="no stabilization"):
-            rl_integral(f, 0.0, 0.5, xs, config)
+            rl_integral(f, 0.0, 0.5, xs, scheme)
         assert bound // 2 < max(sizes) <= bound
 
     def test_jacobi_calls_split_at_the_bound(self):
@@ -795,10 +796,10 @@ class TestBatchedLadder:
         # from 2**15 nodes a call holds one row, so each row runs through
         # every deeper level before the next row is doubled
         f = make_power_cusp(0.0, 0.5, 1.0, 0.0)
-        config = QuadratureConfig(n_nodes=2 ** 14)
         xs = [0.7, -0.3, 1.5, -1.9]
-        got = rl_integral(f, 0.0, 0.4, xs, config)
-        assert same_bits(got, reference_rl_integral(f, 0.0, 0.4, xs, config))
+        with mock.patch.object(rlcalc, "QUAD_N0", 2 ** 14):
+            got = rl_integral(f, 0.0, 0.4, xs)
+            assert same_bits(got, reference_rl_integral(f, 0.0, 0.4, xs))
 
     def test_first_bad_point_raises_its_domain_error(self):
         f = make_power_cusp(0.0, 0.5, 1.0, 0.0)   # domain (-2, 2)
@@ -837,15 +838,15 @@ class TestBatchedLadder:
     def test_refusing_evaluator_raises_what_the_loop_raises(self, scheme):
         # the first refused point is -0.7, though the first call of a
         # batch would hold 0.9 too
-        f, config = self.picky(0.6), SCHEMES[scheme]
+        f, scheme = self.picky(0.6), SCHEMES[scheme]
         xs = [0.3, -0.5, -0.7, 0.9]
-        got = outcome(lambda: rl_integral(f, 0.0, 0.5, xs, config))
-        assert got == outcome(lambda: reference_rl_integral(f, 0.0, 0.5, xs, config))
+        got = outcome(lambda: rl_integral(f, 0.0, 0.5, xs, scheme))
+        assert got == outcome(lambda: reference_rl_integral(f, 0.0, 0.5, xs, scheme))
         assert got[0] is RuntimeError
         # the batched f(x) call holds 0.7 and 0.9; the loop's first refused
         # call is f(-0.7) alone
-        got = outcome(lambda: rl_derivative(f, 0.0, 0.5, xs, config))
-        assert got == outcome(lambda: reference_rl_derivative(f, 0.0, 0.5, xs, config))
+        got = outcome(lambda: rl_derivative(f, 0.0, 0.5, xs, scheme))
+        assert got == outcome(lambda: reference_rl_derivative(f, 0.0, 0.5, xs, scheme))
         assert got == (RuntimeError, "refused 1 points up to 0.7")
 
         # a band inside the first step's span, [-0.5, 0], holds none of
@@ -862,9 +863,9 @@ class TestBatchedLadder:
         band.domain = cusp.domain
         approach = EpsilonSchedule(0.5, 0.5, 16)
         f, calls = counting(band)
-        got = outcome(lambda: kg_lfd(f, 0.0, 0.5, BWD, approach, config))
+        got = outcome(lambda: kg_lfd(f, 0.0, 0.5, BWD, approach, scheme))
         f, loop_calls = counting(band)
-        assert got == outcome(lambda: reference_kg_lfd(f, 0.0, 0.5, BWD, approach, config))
+        assert got == outcome(lambda: reference_kg_lfd(f, 0.0, 0.5, BWD, approach, scheme))
         assert got[0] is RuntimeError
         # after the refused batch, each step takes its f(x) in a call of
         # its own, then its integral, as the loop does after f(a)
@@ -876,10 +877,10 @@ class TestBatchedLadder:
         # the first step, 0.5 from a, is refused: the loop's first refused
         # call is that step's f(x) alone, not the call of f(a) and every
         # step together
-        f, config = self.picky(0.4), SCHEMES[scheme]
+        f, scheme = self.picky(0.4), SCHEMES[scheme]
         approach = EpsilonSchedule(0.5, 0.5, 16)
-        got = outcome(lambda: kg_lfd(f, 0.0, 0.5, direction, approach, config))
-        want = outcome(lambda: reference_kg_lfd(f, 0.0, 0.5, direction, approach, config))
+        got = outcome(lambda: kg_lfd(f, 0.0, 0.5, direction, approach, scheme))
+        want = outcome(lambda: reference_kg_lfd(f, 0.0, 0.5, direction, approach, scheme))
         assert got == want == (RuntimeError, "refused 1 points up to 0.5")
 
     def test_unsettled_step_before_a_refused_step_raises_first(self):

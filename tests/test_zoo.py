@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from common import same_bits
 from fracvel import (
@@ -277,6 +277,30 @@ class TestPolynomial:
             want = [float(dp(m.x)) for m in f.marks]
         assert same_bits([m.velocity_plus for m in f.marks], want)
         assert same_bits([m.velocity_minus for m in f.marks], want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ends=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=2, max_size=2, unique=True).map(sorted))
+    # subnormal ends, where halving them is not exact
+    @example(ends=[0.0, 5e-324])
+    @example(ends=[1e-310, 3e-310])
+    # widths past the largest double
+    @example(ends=[-1e308, 1e308])
+    @example(ends=[-1e308, 1.7e308])
+    @example(ends=[-1.7976931348623157e308, 1.7976931348623157e308])
+    def test_marks_are_the_quartiles_of_the_domain(self, ends):
+        # lo + q (hi - lo) bit for bit on a finite width; past it, within
+        # an ulp of the larger end of the exact quartile
+        lo, hi = ends
+        f = make_polynomial((0.0, 1.0), (lo, hi))
+        got = [m.x for m in f.marks]
+        if math.isfinite(hi - lo):
+            assert same_bits(got, [lo + q * (hi - lo) for q in (0.25, 0.5, 0.75)])
+            return
+        for x, q in zip(got, (0.25, 0.5, 0.75)):
+            exact = Fraction(lo) + Fraction(q) * (Fraction(hi) - Fraction(lo))
+            assert abs(Fraction(x) - exact) <= math.ulp(max(-lo, hi))
+            assert lo < x < hi
 
 
 class TestContainerValidation:
